@@ -32,7 +32,7 @@ def _require(doc, key, kind, where):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(f"{where}: key {key!r} must be a number")
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
 
@@ -154,11 +154,15 @@ def system_from_dict(doc):
 
     newton = NewtonOptions()
     if "newton" in op:
+        where = "operating_point.newton"
         nd = _require(op, "newton", dict, "operating_point")
-        for key in ("tol", "max_iter", "fd_step"):
-            if key in nd:
-                setattr(newton, key,
-                        type(getattr(newton, key))(nd[key]))
+        kwargs = {key: _require(nd, key, kind, where)
+                  for key, kind in (("tol", float), ("max_iter", int))
+                  if key in nd}
+        try:
+            newton = NewtonOptions(**kwargs)
+        except ValueError as err:
+            raise SchemaError(f"{where}: {err}") from err
 
     spec = OperatingSpec(omega0=omega0, gen_voltage_mag=mag,
                          gen_voltage_angle=ang, sigma=sigma, newton=newton)

@@ -5,10 +5,12 @@ i.e. a shunt admittance whose conductance g and susceptance b depend on the
 bus voltage only through its magnitude. This is exactly the class that
 commutes with planar rotations, which is what lets a load ride a rotating
 steady state without distorting it. Three standard parametrizations are
-provided: constant impedance, constant current, and constant power.
+provided: constant impedance, constant current, and constant power; they
+are the exponential load model with exponents 0, 1 and 2 (Kundur, Power
+System Stability and Control, 1994, sec. 7.1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +24,16 @@ DEFAULT_VOLTAGE_FLOOR = 1e-3
 class Load:
     """One shunt load. Use the classmethod constructors.
 
-    kind      "none" | "impedance" | "current" | "power"
-    params    kind-specific coefficients
-    v_min     domain floor for the singular kinds (current, power), where
-              the admittance blows up as |v| -> 0
+    Every kind is an exponential load i = |v|^-k (a_g I + a_b J) v with
+    ``coeffs`` (a_g, a_b) and integer ``exponent`` k: none k=0 (0, 0),
+    impedance k=0 (g, b), current k=1 (c_g, c_b), power k=2 (P, -Q).
+    ``v_min`` is the domain floor of the singular kinds (k > 0), where the
+    admittance blows up as |v| -> 0.
     """
 
     kind: str = "none"
-    params: tuple = field(default=())
+    coeffs: tuple = (0.0, 0.0)
+    exponent: int = 0
     v_min: float = 0.0
 
     @classmethod
@@ -48,7 +52,7 @@ class Load:
             raise ValidationError(f"current load must dissipate: c_g={c_g!r} < 0")
         if v_min <= 0.0:
             raise ValidationError(f"current load needs v_min > 0, got {v_min!r}")
-        return cls("current", (float(c_g), float(c_b)), float(v_min))
+        return cls("current", (float(c_g), float(c_b)), 1, float(v_min))
 
     @classmethod
     def constant_power(cls, p, q, v_min=DEFAULT_VOLTAGE_FLOOR):
@@ -56,24 +60,17 @@ class Load:
             raise ValidationError(f"power load must dissipate: P={p!r} < 0")
         if v_min <= 0.0:
             raise ValidationError(f"power load needs v_min > 0, got {v_min!r}")
-        return cls("power", (float(p), float(q)), float(v_min))
+        return cls("power", (float(p), -float(q)), 2, float(v_min))
 
     def conductance(self, vnorm):
         """(g, b) of the shunt admittance at voltage magnitude ``vnorm``."""
-        if self.kind == "none":
-            return 0.0, 0.0
-        if self.kind == "impedance":
-            return self.params
         if vnorm < self.v_min:
             raise LoadDomainError(
                 f"constant-{self.kind} load undefined at |v|={vnorm:.6e} "
                 f"below its floor v_min={self.v_min:.6e}"
             )
-        if self.kind == "current":
-            c_g, c_b = self.params
-            return c_g / vnorm, c_b / vnorm
-        p, q = self.params
-        return p / vnorm**2, -q / vnorm**2
+        scale = vnorm**self.exponent
+        return self.coeffs[0] / scale, self.coeffs[1] / scale
 
     def current(self, v):
         """Load current drawn at bus voltage ``v`` (flows out of the bus)."""

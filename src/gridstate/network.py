@@ -145,13 +145,18 @@ def shunt_admittance(params, loads, v, omega0):
 def admittance(params, topology, loads, v, omega0):
     """Full nodal admittance matrix: shunts plus incidence-weighted inverse
     branch impedances. Depends on v only through the load magnitudes, so it
-    is constant for impedance-only loads."""
-    E2 = incidence_expand(topology)
-    Zinv_ET = np.column_stack([
-        solve_branch_currents(params, omega0, E2.T[:, j].copy())
-        for j in range(E2.shape[0])
-    ])
-    return shunt_admittance(params, loads, v, omega0) + E2 @ Zinv_ET
+    is constant for impedance-only loads.
+
+    Each line's 2x2 admittance (r I + omega0 l J)^-1 is (r I - omega0 l J)
+    / det with det = r^2 + omega0^2 l^2, so the line part is
+    kron(E diag(r/det) E^T, I) - kron(E diag(omega0 l/det) E^T, J).
+    """
+    E = topology.incidence
+    r, l = params.r_T, params.l_T
+    det = r**2 + (omega0 * l) ** 2
+    lines = np.kron((E * (r / det)) @ E.T, np.eye(2)) \
+        - np.kron((E * (omega0 * l / det)) @ E.T, ROT90)
+    return shunt_admittance(params, loads, v, omega0) + lines
 
 
 def network_residual(params, topology, loads, i_s, v, i_T, omega0):

@@ -11,6 +11,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
 from .frame import ROT90, rot, rvec, wrap_angle
@@ -34,7 +35,14 @@ CERT_EQUIVARIANCE_TOL = 1e-12
 class NewtonOptions:
     tol: float = 1e-10
     max_iter: int = 50
-    fd_step: float = 1e-6
+
+    def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)) \
+                or not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) \
+                or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -269,74 +277,75 @@ def _finalize_recovery(p, v_term, i_s, omega0, sigma, theta, i_f, case,
     )
 
 
+def balance_jacobian(sys, Y, v):
+    """Jacobian of the load-bus rows of the nodal balance Y(v) v with respect
+    to the load-bus voltage pairs, given Y = Y(v).
+
+    A load of exponent k draws i = |v|^-k (a_g I + a_b J) v, whose
+    derivative is |v|^-k (a_g I + a_b J) - k i v^T / |v|^2. The first term
+    is the load's block of Y, so the Jacobian is Y restricted to the load
+    buses minus the rank-one terms.
+    """
+    n_g = sys.n_g
+    k = np.array([ld.exponent for ld in sys.loads[n_g:]], dtype=float)
+    i_l = sys.load_currents(v)[2 * n_g:].reshape(-1, 2)
+    v_l = v[2 * n_g:].reshape(-1, 2)
+    # Only k > 0 loads have a floor that keeps |v| > 0; the rest add nothing.
+    w = np.divide(k, np.sum(v_l**2, axis=1), out=np.zeros_like(k), where=k > 0)
+    return Y[2 * n_g:, 2 * n_g:] \
+        - block_diag(*(w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]))
+
+
 def solve_network(sys, spec):
     """Solve the nodal current balance with machine-bus voltages pinned.
 
-    Newton iteration on the load-bus voltage pairs (the machine-bus rows
-    define the injected stator currents afterwards); the line currents then
-    follow from the branch impedances. The Jacobian is built by forward
-    differences; for impedance-only loads the balance is affine and the
-    first step already lands on the solution.
+    Newton iteration on the load-bus voltage pairs with the analytic
+    Jacobian of :func:`balance_jacobian` (Newton power flow, Tinney &
+    Walker, Proc. IEEE 1967); the machine-bus rows of the converged balance
+    are the injected stator currents, and the line currents follow from
+    the branch impedances. For impedance-only loads the balance is affine,
+    so the first step lands on the solution.
     """
-    n_g, n_v = sys.n_g, sys.n_v
-    n_l = n_v - n_g
+    n_g = sys.n_g
     opts = spec.newton
     omega0 = spec.omega0
 
-    v = np.zeros(2 * n_v)
+    v = np.zeros(2 * sys.n_v)
     v[:2 * n_g] = spec.gen_voltages()
-    if n_l > 0:
-        flat = float(np.mean(spec.gen_voltage_mag))
-        v[2 * n_g + 0::2] = flat
-        v[2 * n_g + 1::2] = 0.0
-
-    def load_rows(v_full):
-        Y = admittance(sys.network, sys.topology, sys.loads, v_full, omega0)
-        return (Y @ v_full)[2 * n_g:]
+    v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
 
     history = []
-    iterations = 0
-    if n_l > 0:
-        for iterations in range(1, opts.max_iter + 1):
-            try:
-                f0 = load_rows(v)
-                res = float(np.max(np.abs(f0)))
-                history.append(res)
-                gauge = max(1.0, float(np.max(np.abs(v))))
-                log.debug("newton iter %d: residual %.3e", iterations, res)
-                if res <= opts.tol * gauge:
-                    break
-                step = opts.fd_step * gauge
-                jac = np.empty((2 * n_l, 2 * n_l))
-                for col in range(2 * n_l):
-                    vp = v.copy()
-                    vp[2 * n_g + col] += step
-                    jac[:, col] = (load_rows(vp) - f0) / step
-            except LoadDomainError as err:
-                raise SolverError(
-                    f"network solve left a load's domain at iteration "
-                    f"{iterations}: {err}"
-                ) from err
-            try:
-                delta = np.linalg.solve(jac, -f0)
-            except np.linalg.LinAlgError as err:
-                raise SolverError(
-                    f"singular Jacobian in network solve at iteration {iterations}"
-                ) from err
-            v[2 * n_g:] += delta
-        else:
+    for iterations in range(1, opts.max_iter + 1):
+        try:
+            Y = admittance(sys.network, sys.topology, sys.loads, v, omega0)
+            balance = Y @ v
+            res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
+            history.append(res)
+            gauge = max(1.0, float(np.max(np.abs(v))))
+            log.debug("newton iter %d: residual %.3e", iterations, res)
+            if res <= opts.tol * gauge:
+                break
+            jac = balance_jacobian(sys, Y, v)
+        except LoadDomainError as err:
             raise SolverError(
-                f"network solve did not converge in {opts.max_iter} iterations; "
-                f"final residual {history[-1]:.3e}"
-            )
+                f"network solve left a load's domain at iteration "
+                f"{iterations}: {err}"
+            ) from err
+        try:
+            v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
+        except np.linalg.LinAlgError as err:
+            raise SolverError(
+                f"singular Jacobian in network solve at iteration {iterations}"
+            ) from err
+    else:
+        raise SolverError(
+            f"network solve did not converge in {opts.max_iter} iterations; "
+            f"final residual {history[-1]:.3e}"
+        )
 
-    Y = admittance(sys.network, sys.topology, sys.loads, v, omega0)
-    balance = Y @ v
     i_s = -balance[:2 * n_g]
     i_T = solve_branch_currents(sys.network, omega0, sys.incidence2.T @ v)
-    res_norm = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
-    history.append(res_norm)
-    return NetworkSolution(i_s=i_s, v=v, i_T=i_T, residual_norm=res_norm,
+    return NetworkSolution(i_s=i_s, v=v, i_T=i_T, residual_norm=history[-1],
                            iterations=iterations, residual_history=history)
 
 
@@ -415,15 +424,12 @@ def verify_steady_state(sys, ss, h=CERT_INVARIANCE_STEP,
     inv = invariance_defect(sys, ss.x, ss.u, ss.omega0, h=h)
 
     v = ss.x[lay.sl_v]
-    equiv = []
-    for k, load in enumerate(sys.loads):
-        if getattr(load, "kind", "custom") == "none":
-            equiv.append(0.0)
-            continue
+    equiv = [0.0] * sys.n_v
+    for k, load in sys.loaded:
         vk = v[2 * k:2 * k + 2]
         gauge = max(1.0, float(np.linalg.norm(load.current(vk))))
-        equiv.append(float(equivariance_defect(load, vk, equivariance_samples))
-                     / gauge)
+        equiv[k] = float(equivariance_defect(load, vk, equivariance_samples)) \
+            / gauge
 
     failures = []
     if rho_inf > CERT_RESIDUAL_TOL * scale:

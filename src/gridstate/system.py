@@ -86,8 +86,9 @@ class PowerSystem:
         self._l_sf = np.array([p.l_sf for p in self.machines])
         self._l_sd = np.array([p.l_sd for p in self.machines])
         self._l_sq = np.array([p.l_sq for p in self.machines])
-        self._loaded = [(k, ld) for k, ld in enumerate(self.loads) if ld is not None
-                        and getattr(ld, "kind", "custom") != "none"]
+        # (bus index, load) of every bus that draws a current
+        self.loaded = [(k, ld) for k, ld in enumerate(self.loads) if ld is not None
+                       and getattr(ld, "kind", "custom") != "none"]
 
     @property
     def n_g(self):
@@ -118,8 +119,8 @@ class PowerSystem:
         clone = PowerSystem.__new__(PowerSystem)
         clone.__dict__.update(self.__dict__)
         clone.loads = tuple(loads)
-        clone._loaded = [(k, ld) for k, ld in enumerate(clone.loads) if ld is not None
-                         and getattr(ld, "kind", "custom") != "none"]
+        clone.loaded = [(k, ld) for k, ld in enumerate(clone.loads) if ld is not None
+                        and getattr(ld, "kind", "custom") != "none"]
         return clone
 
     def inductance_stack(self, theta):
@@ -143,7 +144,7 @@ class PowerSystem:
     def load_currents(self, v):
         """Per-bus load currents stacked into a 2*n_v vector."""
         i_l = np.zeros(2 * self.n_v)
-        for k, load in self._loaded:
+        for k, load in self.loaded:
             vk = v[2 * k:2 * k + 2]
             try:
                 i_l[2 * k:2 * k + 2] = load.current(vk)
@@ -160,6 +161,24 @@ def _rotate_stator(block):
     out[:, 0] = -block[:, 1]
     out[:, 1] = block[:, 0]
     return out
+
+
+def _machine_block(sys, theta, omega, i, v, v_f):
+    """Terms shared by the vector field and the residual: the inductance
+    stack L, L J i, the electrical torque, the induced voltage and the
+    voltage applied to the windings (terminal pair, field voltage)."""
+    L = sys.inductance_stack(theta)
+    Ji = _rotate_stator(i)
+    Li = np.einsum("kab,kb->ka", L, i)
+    LJi = np.einsum("kab,kb->ka", L, Ji)
+    tau_e = np.einsum("ka,ka->k", Li, Ji)
+    v_ind = omega[:, None] * (_rotate_stator(Li) - LJi)
+
+    applied = np.zeros((sys.n_g, 5))
+    applied[:, 0] = v[0:2 * sys.n_g:2]
+    applied[:, 1] = v[1:2 * sys.n_g:2]
+    applied[:, 2] = v_f
+    return L, LJi, tau_e, v_ind, applied
 
 
 def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=None):
@@ -228,17 +247,7 @@ def vector_field(sys, x, u):
     tau_m, v_f = lay.split_input(u)
     i = i_flat.reshape(sys.n_g, 5)
 
-    L = sys.inductance_stack(theta)
-    Ji = _rotate_stator(i)
-    Li = np.einsum("kab,kb->ka", L, i)
-    LJi = np.einsum("kab,kb->ka", L, Ji)
-    tau_e = np.einsum("ka,ka->k", Li, Ji)
-    v_ind = omega[:, None] * (_rotate_stator(Li) - LJi)
-
-    applied = np.zeros((sys.n_g, 5))
-    applied[:, 0] = v[0:2 * sys.n_g:2]
-    applied[:, 1] = v[1:2 * sys.n_g:2]
-    applied[:, 2] = v_f
+    L, _, tau_e, v_ind, applied = _machine_block(sys, theta, omega, i, v, v_f)
     winding_rhs = -sys._r_winding * i + applied - v_ind
     di = np.linalg.solve(L, winding_rhs[..., None])[..., 0]
 
@@ -277,17 +286,7 @@ def residual(sys, x, u, omega0):
     tau_m, v_f = lay.split_input(u)
     i = i_flat.reshape(sys.n_g, 5)
 
-    L = sys.inductance_stack(theta)
-    Ji = _rotate_stator(i)
-    Li = np.einsum("kab,kb->ka", L, i)
-    LJi = np.einsum("kab,kb->ka", L, Ji)
-    tau_e = np.einsum("ka,ka->k", Li, Ji)
-    v_ind = omega[:, None] * (_rotate_stator(Li) - LJi)
-
-    applied = np.zeros((sys.n_g, 5))
-    applied[:, 0] = v[0:2 * sys.n_g:2]
-    applied[:, 1] = v[1:2 * sys.n_g:2]
-    applied[:, 2] = v_f
+    _, LJi, tau_e, v_ind, applied = _machine_block(sys, theta, omega, i, v, v_f)
 
     rho_freq = omega0 - omega
     rho_torque = sys._d * omega + tau_e - tau_m

@@ -62,6 +62,45 @@ def slow_two_bus(omega0=5.0, g=0.2, b=0.0):
     return sys_, spec
 
 
+def ring_mesh(n_bus, kinds, seed=0, level=10.0):
+    """Seeded ring-plus-chords system at generator voltage ``level``.
+
+    A machine sits on every fourth bus; the other buses carry loads of the
+    given kinds in turn, scaled so that each draws about the same current
+    at the operating voltage whatever its kind.
+    """
+    rng = np.random.default_rng(seed)
+    n_t = n_bus + n_bus // 4
+    E = np.zeros((n_bus, n_t))
+    for t in range(n_bus):
+        E[t, t], E[(t + 1) % n_bus, t] = 1.0, -1.0
+    for t in range(n_bus, n_t):
+        a, b = rng.choice(n_bus, size=2, replace=False)
+        E[a, t], E[b, t] = 1.0, -1.0
+    net = NetworkParams(c=rng.uniform(2e-4, 2e-3, n_bus),
+                        l_T=rng.uniform(2.5e-3, 3.5e-3, n_t),
+                        r_T=rng.uniform(0.3, 0.5, n_t))
+    make = {"impedance": Load.impedance,
+            "current": lambda g, b: Load.constant_current(g * level,
+                                                          b * level),
+            "power": lambda g, b: Load.constant_power(g * level**2,
+                                                      b * level**2)}
+    gen_buses = list(range(0, n_bus, 4))
+    free = [k for k in range(n_bus) if k not in gen_buses]
+    loads = [Load.none()] * n_bus
+    for j, k in enumerate(free):
+        loads[k] = make[kinds[j % len(kinds)]](rng.uniform(3e-2, 8e-2),
+                                               rng.uniform(1e-2, 3e-2))
+    n_g = len(gen_buses)
+    machines = [sample_machine(salient=k % 2 == 0) for k in range(n_g)]
+    sys_ = assemble(machines, gen_buses, Topology(E), net, loads=loads)
+    spec = OperatingSpec(omega0=314.0,
+                         gen_voltage_mag=level * rng.uniform(0.98, 1.02, n_g),
+                         gen_voltage_angle=np.radians(rng.uniform(-2, 2, n_g)),
+                         sigma=np.ones(n_g, dtype=int))
+    return sys_, spec
+
+
 class AnisotropicLoad:
     """Test-only non-conforming load: scales the two axes differently, so it
     does not commute with rotations."""

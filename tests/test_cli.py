@@ -60,6 +60,23 @@ def test_schema_exit_code(tmp_path):
     assert main(["steady-state", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("newton", [{"max_iter": 0}, {"max_iter": "x"},
+                                    {"tol": True}, {"tol": -1}])
+def test_bad_newton_options_exit_code(tmp_path, fixture_path, capsys, newton):
+    path = write_variant(tmp_path, fixture_path, lambda doc:
+                         doc["operating_point"].__setitem__("newton", newton))
+    assert main(["steady-state", path]) == 2
+    assert "operating_point.newton" in capsys.readouterr().err
+
+
+def test_stale_fd_step_is_ignored(tmp_path, fixture_path):
+    path = write_variant(tmp_path, fixture_path, lambda doc:
+                         doc["operating_point"].__setitem__(
+                             "newton", {"tol": 1e-10, "max_iter": 50,
+                                        "fd_step": 1e-6}))
+    assert main(["steady-state", path, "-o", str(tmp_path / "r.json")]) == 0
+
+
 def test_validation_exit_code(tmp_path, fixture_path):
     path = write_variant(tmp_path, fixture_path, lambda doc: doc["machines"][0]
                          .__setitem__("l_sa", doc["machines"][0]["l_s"]))

@@ -8,17 +8,18 @@ from gridstate.frame import ROT90, rot, rvec, wrap_angle
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
-from gridstate.network import (NetworkParams, Topology, incidence_expand,
-                               network_residual, nodal_balance_residual,
-                               solve_branch_currents)
+from gridstate.network import (NetworkParams, Topology, admittance,
+                               incidence_expand, network_residual,
+                               nodal_balance_residual, solve_branch_currents)
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
-                                    assemble_steady_state,
+                                    assemble_steady_state, balance_jacobian,
                                     compute_steady_state, excitation_demand,
                                     recover_all, recover_machine,
                                     solve_network, verify_steady_state)
 from gridstate.system import assemble, residual, tolerance_scale
 
-from conftest import AnisotropicLoad, sample_machine, slow_two_bus
+from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
+                      slow_two_bus)
 
 
 def eq_vec_residual(p, v, i_s, omega0, theta, i_f):
@@ -130,6 +131,44 @@ def test_newton_one_step_for_impedance_loads(three_bus):
     assert sol.iterations <= 2
 
 
+@pytest.mark.parametrize("n_bus", [32, 64])
+def test_newton_one_step_for_impedance_mesh(n_bus):
+    # The balance is affine in the load-bus voltages, so one exact Newton
+    # step solves it.
+    sys_, spec = ring_mesh(n_bus, ("impedance",), seed=n_bus)
+    sol = solve_network(sys_, spec)
+    gauge = max(1.0, float(np.max(np.abs(sol.v))))
+    assert sol.residual_history[1] <= spec.newton.tol * gauge
+    assert sol.iterations == 2
+
+
+def test_balance_jacobian_matches_central_difference():
+    sys_, spec = ring_mesh(20, ("impedance", "current", "power"), seed=3)
+    n_g = sys_.n_g
+    rng = np.random.default_rng(7)
+    v = np.concatenate([spec.gen_voltages(),
+                        rng.uniform(5.0, 12.0, 2 * sys_.n_l)])
+
+    def load_rows(w):
+        Y = admittance(sys_.network, sys_.topology, sys_.loads, w,
+                       spec.omega0)
+        return (Y @ w)[2 * n_g:]
+
+    Y = admittance(sys_.network, sys_.topology, sys_.loads, v, spec.omega0)
+    jac = balance_jacobian(sys_, Y, v)
+    h = 1e-5 * float(np.max(np.abs(v)))
+    fd = np.empty_like(jac)
+    for col in range(2 * sys_.n_l):
+        step = np.zeros_like(v)
+        step[2 * n_g + col] = h
+        fd[:, col] = (load_rows(v + step) - load_rows(v - step)) / (2 * h)
+    np.testing.assert_allclose(jac, fd, rtol=0,
+                               atol=1e-6 * float(np.max(np.abs(fd))))
+    # The rank-one load terms are far above that tolerance.
+    assert np.max(np.abs(jac - Y[2 * n_g:, 2 * n_g:])) \
+        > 1e-3 * float(np.max(np.abs(fd)))
+
+
 def test_newton_contracts_fast_for_power_loads():
     sys_, spec = slow_two_bus(omega0=5.0)
     loads = [Load.none(), Load.constant_power(5.0, 1.0, v_min=0.1)]
@@ -138,8 +177,8 @@ def test_newton_contracts_fast_for_power_loads():
     sol = solve_network(sys_p, spec)
     hist = sol.residual_history
     assert hist[-1] <= 1e-10 * max(1.0, np.max(np.abs(sol.v)))
-    # Error roughly squares near the solution (finite-difference Jacobian
-    # keeps a tiny linear tail, so allow generous slack).
+    # Error roughly squares near the solution; rounding in the residual
+    # floors the last drops, so allow generous slack.
     drops = [hist[i + 1] / hist[i] for i in range(len(hist) - 1)
              if hist[i] > 1e-13]
     assert drops and min(drops) < 1e-3
