@@ -12,13 +12,11 @@ from .errors import (GridStateError, InfeasibleSteadyStateError,
                      ValidationError)
 from .frame import (block_rotation_generator, machine_rotation_generator,
                     rot, rvec, wrap_angle)
-from .loads import Load, equivariance_defect, load_current, load_power
+from .loads import Load, equivariance_defect
 from .machine import (MachineParams, MachineState, electrical_torque,
                       induced_voltage, inductance_matrix, machine_rhs,
                       validate_params)
-from .network import (NetworkParams, NetworkState, Topology, admittance,
-                      branch_impedance, incidence_expand,
-                      nodal_balance_residual, network_residual, network_rhs)
+from .network import NetworkParams, Topology, admittance, incidence_expand
 from .simulate import (DriftMetrics, SimConfig, Trajectory, drift_metrics,
                        reference_trajectory, rk4_step, simulate)
 from .steady_state import (FullSteadyState, MachineRecovery, NetworkSolution,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
-from .frame import ROT90, rot
 
 DEFAULT_VOLTAGE_FLOOR = 1e-3
 
@@ -63,19 +62,22 @@ class Load:
         return cls("power", (float(p), -float(q)), 2, float(v_min))
 
     def conductance(self, vnorm):
-        """(g, b) of the shunt admittance at voltage magnitude ``vnorm``."""
-        if vnorm < self.v_min:
-            raise LoadDomainError(
-                f"constant-{self.kind} load undefined at |v|={vnorm:.6e} "
-                f"below its floor v_min={self.v_min:.6e}"
-            )
+        """(g, b) of the shunt admittance at voltage magnitude(s) ``vnorm``."""
+        low = np.min(vnorm)
+        if low < self.v_min:
+            raise LoadDomainError(_floor_message(self.kind, low, self.v_min))
         scale = vnorm**self.exponent
         return self.coeffs[0] / scale, self.coeffs[1] / scale
 
     def current(self, v):
-        """Load current drawn at bus voltage ``v`` (flows out of the bus)."""
-        g, b = self.conductance(float(np.linalg.norm(v)))
-        return g * np.asarray(v, dtype=float) + b * (ROT90 @ v)
+        """Load current drawn at bus voltage ``v`` (flows out of the bus).
+
+        ``v`` is one voltage pair or a batch of voltage columns of shape
+        (2, ...); the current has the same shape.
+        """
+        v = np.asarray(v, dtype=float)
+        g, b = self.conductance(np.sqrt(v[0] ** 2 + v[1] ** 2))
+        return g * v + b * np.stack([-v[1], v[0]])
 
     def power(self, v):
         """(P, Q) drawn at bus voltage ``v``."""
@@ -84,12 +86,68 @@ class Load:
         return g * vv, -b * vv
 
 
-def load_current(load, v):
-    return load.current(v)
+def _floor_message(kind, vnorm, v_min):
+    return (f"constant-{kind} load undefined at |v|={vnorm:.6e} "
+            f"below its floor v_min={v_min:.6e}")
 
 
-def load_power(load, v):
-    return load.power(v)
+class LoadBank:
+    """The loads of a system in solve order, held as arrays.
+
+    Over complex bus voltages v = v_alpha + j v_beta every shipped load is
+    i = y |v|^-k v with admittance y = a_g + j a_b, so the bank keeps the
+    bus index, y, k and v_min of each loaded bus and evaluates them all in
+    one numpy expression. Any other object with a ``current`` method (such
+    as a non-conforming test load) is kept in ``custom`` and called on its
+    own.
+    """
+
+    def __init__(self, loads, bus_ids):
+        shipped = [k for k, ld in enumerate(loads)
+                   if isinstance(ld, Load) and ld.kind != "none"]
+        self.custom = [(k, ld) for k, ld in enumerate(loads)
+                       if ld is not None and not isinstance(ld, Load)]
+        self.index = np.array(shipped, dtype=np.intp)
+        # A run of consecutive buses (the usual case: every non-machine
+        # bus loaded) is indexed by a slice, which numpy serves faster.
+        self.select = slice(shipped[0], shipped[-1] + 1) \
+            if shipped and shipped[-1] - shipped[0] == len(shipped) - 1 \
+            else self.index
+        self.y = np.array([complex(*loads[k].coeffs) for k in shipped],
+                          dtype=complex)
+        self.k = np.array([loads[k].exponent for k in shipped], dtype=float)
+        self.v_min = np.array([loads[k].v_min for k in shipped], dtype=float)
+        self.exponent = np.zeros(len(loads))
+        self.exponent[self.index] = self.k
+        # Impedance loads only: the admittance is y at every voltage.
+        self.constant = not (np.any(self.k) or np.any(self.v_min))
+        self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
+
+    def admittance(self, vb):
+        """y |v|^-k of the shipped loads at their complex voltages ``vb``,
+        whose last axis runs over the loads in bus order. Raises
+        :class:`LoadDomainError` naming the first bus whose voltage is below
+        its load's floor."""
+        if self.constant:
+            return self.y
+        mag = np.abs(vb)
+        below = mag < self.v_min
+        if np.count_nonzero(below):
+            j = np.nonzero(below)[-1][0]
+            bus, kind = self._named[j]
+            raise LoadDomainError(
+                f"bus {bus!r}: "
+                f"{_floor_message(kind, mag[below][0], self.v_min[j])}",
+                bus=bus)
+        return self.y / mag**self.k
+
+    def current(self, v):
+        """Currents of the shipped loads at voltage columns ``v`` of shape
+        (2, ..., m), the last axis running over the m loads in bus order,
+        so that :func:`equivariance_defect` probes the bank like one load."""
+        vb = v[0] + 1j * v[1]
+        i = self.admittance(vb) * vb
+        return np.stack([i.real, i.imag])
 
 
 def equivariance_defect(load, v, n_samples=360):
@@ -97,12 +155,17 @@ def equivariance_defect(load, v, n_samples=360):
 
     Zero (to rounding) exactly when the load commutes with rotations; a
     model that does not (e.g. an anisotropic test load) produces an O(|v|)
-    defect. Accepts any object with a ``current(v)`` method.
+    defect. Accepts any object whose ``current`` takes voltage columns of
+    shape (2, ...): the rotated voltages go to it as one (2, n_samples, ...)
+    batch, whose first sample (phi = 0) is v itself. ``v`` is one voltage
+    pair, or voltage columns of shape (2, ...) with one defect per column.
     """
-    base = load.current(v)
-    worst = 0.0
-    for phi in np.linspace(0.0, 2.0 * np.pi, int(n_samples), endpoint=False):
-        R = rot(phi)
-        defect = float(np.linalg.norm(load.current(R @ v) - R @ base))
-        worst = max(worst, defect)
-    return worst
+    v = np.asarray(v, dtype=float)
+    phi = np.linspace(0.0, 2.0 * np.pi, int(n_samples), endpoint=False)
+    c = np.cos(phi).reshape((-1,) + (1,) * (v.ndim - 1))
+    s = np.sin(phi).reshape(c.shape)
+    i = np.asarray(load.current(np.stack([c * v[0] - s * v[1],
+                                          s * v[0] + c * v[1]])), dtype=float)
+    i0 = i[:, 0]
+    return np.max(np.hypot(i[0] - (c * i0[0] - s * i0[1]),
+                           i[1] - (s * i0[0] + c * i0[1])), axis=0)

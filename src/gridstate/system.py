@@ -9,9 +9,9 @@ permutes user input into this order and remembers the permutation.
 import numpy as np
 
 from . import machine as machine_mod
-from .errors import LoadDomainError, ValidationError
+from .errors import ValidationError
 from .frame import rotate_pairs
-from .loads import Load
+from .loads import Load, LoadBank
 from .machine import validate_params
 from .network import NetworkParams, Topology, incidence_expand
 
@@ -64,7 +64,6 @@ class PowerSystem:
         self.machines = tuple(machines)
         self.topology = topology
         self.network = network
-        self.loads = tuple(loads)
         self.bus_ids = tuple(bus_ids)
         # input_position[k] = position of solve-order bus k in the user's input
         self.input_position = tuple(input_position)
@@ -86,9 +85,11 @@ class PowerSystem:
         self._l_sf = np.array([p.l_sf for p in self.machines])
         self._l_sd = np.array([p.l_sd for p in self.machines])
         self._l_sq = np.array([p.l_sq for p in self.machines])
-        # (bus index, load) of every bus that draws a current
-        self.loaded = [(k, ld) for k, ld in enumerate(self.loads) if ld is not None
-                       and getattr(ld, "kind", "custom") != "none"]
+        self._index_loads(loads)
+
+    def _index_loads(self, loads):
+        self.loads = tuple(loads)
+        self.load_bank = LoadBank(self.loads, self.bus_ids)
 
     @property
     def n_g(self):
@@ -113,14 +114,14 @@ class PowerSystem:
     def with_loads(self, loads):
         """Copy of this system with the per-bus loads replaced (solve order).
 
-        Accepts any objects with a ``current(v)`` method; used to probe how
-        non-conforming load models break the steady state.
+        Accepts any objects with a ``current(v)`` method taking voltage
+        columns of shape (2, ...); used to probe how non-conforming load
+        models break the steady state. The network solve refuses loads
+        other than :class:`Load`.
         """
         clone = PowerSystem.__new__(PowerSystem)
         clone.__dict__.update(self.__dict__)
-        clone.loads = tuple(loads)
-        clone.loaded = [(k, ld) for k, ld in enumerate(clone.loads) if ld is not None
-                        and getattr(ld, "kind", "custom") != "none"]
+        clone._index_loads(loads)
         return clone
 
     def inductance_stack(self, theta):
@@ -142,16 +143,17 @@ class PowerSystem:
         return L
 
     def load_currents(self, v):
-        """Per-bus load currents stacked into a 2*n_v vector."""
-        i_l = np.zeros(2 * self.n_v)
-        for k, load in self.loaded:
-            vk = v[2 * k:2 * k + 2]
-            try:
-                i_l[2 * k:2 * k + 2] = load.current(vk)
-            except LoadDomainError as err:
-                raise LoadDomainError(
-                    f"bus {self.bus_ids[k]!r}: {err}", bus=self.bus_ids[k]
-                ) from err
+        """Per-bus load currents stacked into a 2*n_v vector: the shipped
+        loads in one expression over the complex voltages (see
+        :class:`LoadBank`), custom loads one call each."""
+        bank = self.load_bank
+        vc = v.view(complex)
+        i_l = np.zeros(len(vc), dtype=complex)
+        vb = vc[bank.select]
+        i_l[bank.select] = bank.admittance(vb) * vb
+        i_l = i_l.view(float)
+        for k, load in bank.custom:
+            i_l[2 * k:2 * k + 2] = load.current(v[2 * k:2 * k + 2])
         return i_l
 
 

@@ -1,15 +1,18 @@
 """The benchmark's tracer wraps package functions by name; a rename or
-removal would otherwise surface only when a traced benchmark run fails."""
+removal would otherwise surface only when a traced benchmark run fails, and
+a traced run also fails when a wrapped function is never called."""
 
 import importlib
 import importlib.util
 import pathlib
 import types
 
+from gridstate.steady_state import compute_steady_state, verify_steady_state
+
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
 
 
-def test_every_traced_function_exists():
+def traced_targets():
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -17,8 +20,33 @@ def test_every_traced_function_exists():
     gs = types.SimpleNamespace(**{
         name: importlib.import_module(f"gridstate.{name}")
         for name in ("fileio", "simulate", "steady_state", "system")})
-    targets = spans.patch_targets(gs)
+    return spans.patch_targets(gs)
+
+
+def test_every_traced_function_exists():
+    targets = traced_targets()
     assert targets
     missing = [name for owner, attr, name in targets
                if not callable(vars(owner).get(attr))]
     assert missing == []
+
+
+def test_certify_runs_the_traced_load_and_network_spans(three_bus,
+                                                        monkeypatch):
+    sys_, spec = three_bus
+    watched = {"network.admittance", "loads.equivariance_defect",
+               "system.load_currents"}
+    calls = dict.fromkeys(watched, 0)
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, name in traced_targets():
+        if name in watched:
+            monkeypatch.setattr(owner, attr,
+                                counting(vars(owner)[attr], name))
+    verify_steady_state(sys_, compute_steady_state(sys_, spec))
+    assert all(calls.values()), calls

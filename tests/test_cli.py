@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridstate.cli import main
+from gridstate.errors import LoadDomainError, SolverError
 from gridstate.fileio import load_system_file, write_trajectory_csv
 from gridstate.simulate import SimConfig, simulate
 from gridstate.steady_state import compute_steady_state
@@ -101,6 +102,27 @@ def test_newton_failure_exit_code(tmp_path, fixture_path):
                                               "v_min": 1e-3}}
     path = write_variant(tmp_path, fixture_path, mutate)
     assert main(["steady-state", path]) == 4
+
+
+def test_newton_domain_error_names_file_bus(tmp_path, fixture_path, capsys):
+    # The loaded bus comes first in the file but last in solve order
+    # (machine buses first); the error must use the file's bus id.
+    def mutate(doc):
+        bus = doc["buses"].pop(2)
+        bus["load"] = {"type": "power",
+                       "params": {"P": 20, "Q": 0, "v_min": 5}}
+        doc["buses"].insert(0, bus)
+    path = write_variant(tmp_path, fixture_path, mutate)
+    assert main(["steady-state", path]) == 4
+    err = capsys.readouterr().err
+    assert "left a load's domain" in err and "bus 'b3'" in err
+    assert "bus index" not in err
+
+    sys_, spec = load_system_file(path)
+    with pytest.raises(SolverError, match="bus 'b3'") as info:
+        compute_steady_state(sys_, spec)
+    assert isinstance(info.value.__cause__, LoadDomainError)
+    assert info.value.__cause__.bus == "b3"
 
 
 def test_simulate_row_count_and_metrics(tmp_path, fixture_file, capsys):

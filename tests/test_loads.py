@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridstate.errors import LoadDomainError, ValidationError
 from gridstate.frame import rot
-from gridstate.loads import (Load, equivariance_defect, load_current,
-                             load_power)
+from gridstate.loads import Load, LoadBank, equivariance_defect
 
 from conftest import AnisotropicLoad
+from oracles import looped_equivariance_defect
 
 finite_pairs = st.tuples(
     st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -17,36 +17,36 @@ finite_pairs = st.tuples(
 
 
 def test_no_load_draws_nothing():
-    np.testing.assert_array_equal(load_current(Load.none(), [3.0, -4.0]),
+    np.testing.assert_array_equal(Load.none().current([3.0, -4.0]),
                                   [0.0, 0.0])
-    np.testing.assert_array_equal(load_current(Load.none(), [0.0, 0.0]),
+    np.testing.assert_array_equal(Load.none().current([0.0, 0.0]),
                                   [0.0, 0.0])
 
 
 def test_resistive_identity_and_dissipation():
     ld = Load.impedance(1.0, 0.0)
-    i = load_current(ld, [2.0, 0.0])
+    i = ld.current([2.0, 0.0])
     np.testing.assert_allclose(i, [2.0, 0.0], atol=1e-15)
     assert i @ [2.0, 0.0] == pytest.approx(4.0)
 
 
 def test_impedance_at_zero_voltage():
     np.testing.assert_array_equal(
-        load_current(Load.impedance(0.5, -0.2), [0.0, 0.0]), [0.0, 0.0])
+        Load.impedance(0.5, -0.2).current([0.0, 0.0]), [0.0, 0.0])
 
 
 def test_constant_power_halves_current_at_double_voltage():
     ld = Load.constant_power(1.0, 0.0)
-    i = load_current(ld, [2.0, 0.0])
+    i = ld.current([2.0, 0.0])
     np.testing.assert_allclose(i, [0.5, 0.0], atol=1e-15)
     # The drawn active power is the defining invariant.
     assert i @ [2.0, 0.0] == pytest.approx(1.0)
 
 
 def test_power_values():
-    assert load_power(Load.impedance(1.0, 0.0), [1.0, 0.0]) == \
+    assert Load.impedance(1.0, 0.0).power([1.0, 0.0]) == \
         pytest.approx((1.0, 0.0))
-    p, q = load_power(Load.constant_power(3.0, -1.0), [0.7, 1.9])
+    p, q = Load.constant_power(3.0, -1.0).power([0.7, 1.9])
     assert (p, q) == pytest.approx((3.0, -1.0))
 
 
@@ -59,17 +59,17 @@ def test_power_matches_current_dot_voltage():
         if np.linalg.norm(v) < 0.01:
             continue
         for ld in models:
-            p, _ = load_power(ld, v)
-            assert load_current(ld, v) @ v == pytest.approx(p, rel=1e-12,
-                                                            abs=1e-12)
+            p, _ = ld.power(v)
+            assert ld.current(v) @ v == pytest.approx(p, rel=1e-12,
+                                                      abs=1e-12)
 
 
 def test_singular_models_reject_low_voltage():
     for ld in (Load.constant_current(1.0, 0.0, v_min=0.5),
                Load.constant_power(1.0, 0.0, v_min=0.5)):
         with pytest.raises(LoadDomainError):
-            load_current(ld, [0.1, 0.0])
-        load_current(ld, [0.6, 0.0])  # inside the domain
+            ld.current([0.1, 0.0])
+        ld.current([0.6, 0.0])  # inside the domain
 
 
 def test_nonphysical_parameters_rejected():
@@ -124,3 +124,24 @@ def test_equivariance_defect_flags_anisotropic_model():
         for phi in np.linspace(0, 2 * np.pi, 360, endpoint=False))
     assert defect == pytest.approx(expected)
     assert defect > 0.4
+
+
+@settings(max_examples=100, derandomize=True)
+@given(finite_pairs, st.floats(min_value=-2.0, max_value=2.0),
+       st.sampled_from([1, 7, 360, 720]))
+def test_batched_probe_matches_looped_oracle(v, log_scale, n_samples):
+    v = np.array(v) * 10.0**log_scale
+    shipped = [Load.impedance(0.8, -0.3), Load.constant_current(1.2, 0.4, 1e-9),
+               Load.constant_power(2.0, 0.7, 1e-9)]
+    for ld in shipped:
+        assert abs(equivariance_defect(ld, v, n_samples)
+                   - looped_equivariance_defect(ld, v, n_samples)) <= 1e-12
+    # The whole bank in one call, one voltage column per load.
+    columns = np.column_stack([v, 1.5 * v[::-1], -0.7 * v])
+    bank = equivariance_defect(LoadBank(shipped, range(3)), columns, n_samples)
+    for j, ld in enumerate(shipped):
+        assert abs(bank[j] - looped_equivariance_defect(ld, columns[:, j],
+                                                        n_samples)) <= 1e-12
+    ld = AnisotropicLoad(1.0, 2.0)
+    assert equivariance_defect(ld, v, n_samples) == pytest.approx(
+        looped_equivariance_defect(ld, v, n_samples), rel=1e-12, abs=0.0)

@@ -3,11 +3,12 @@ import pytest
 
 from gridstate.errors import ValidationError
 from gridstate.frame import block_rotation_generator
-from gridstate.loads import Load
-from gridstate.network import (NetworkParams, NetworkState, Topology,
-                               admittance, branch_impedance, incidence_expand,
-                               network_residual, network_rhs,
-                               nodal_balance_residual, solve_branch_currents)
+from gridstate.loads import Load, LoadBank
+from gridstate.network import (NetworkParams, Topology, admittance,
+                               incidence_expand, solve_branch_currents)
+
+from oracles import (NetworkState, branch_impedance, network_residual,
+                     network_rhs, nodal_balance_residual)
 
 
 def chain_topology(n_v):
@@ -26,7 +27,7 @@ def random_tree(rng, n_v):
 
 
 def no_loads(n_v):
-    return [Load.none()] * n_v
+    return LoadBank([Load.none()] * n_v, range(n_v))
 
 
 def test_incidence_expand_single_line():
@@ -168,8 +169,9 @@ def test_impedance_load_adds_shunt_block():
                            r_T=np.array([0.5]))
     g, b = 0.7, -0.2
     base = admittance(params, top, no_loads(2), np.zeros(4), 0.0)
-    with_load = admittance(params, top, [Load.none(), Load.impedance(g, b)],
-                           np.zeros(4), 0.0)
+    with_load = admittance(
+        params, top, LoadBank([Load.none(), Load.impedance(g, b)], range(2)),
+        np.zeros(4), 0.0)
     delta = with_load - base
     np.testing.assert_allclose(delta[2:, 2:],
                                [[g, -b], [b, g]], atol=1e-15)
@@ -182,7 +184,7 @@ def test_network_residual_zero_case_and_lipschitz():
     params = NetworkParams(c=rng.uniform(1e-4, 1e-3, 4),
                            l_T=rng.uniform(1e-3, 5e-3, 3),
                            r_T=rng.uniform(0.2, 2.0, 3))
-    loads = no_loads(4)
+    loads = [Load.none()] * 4
     zero = network_residual(params, top, loads, np.zeros(2), np.zeros(8),
                             np.zeros(6), 314.0)
     np.testing.assert_array_equal(zero, np.zeros(14))

@@ -9,8 +9,7 @@ from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
 from gridstate.network import (NetworkParams, Topology, admittance,
-                               incidence_expand, network_residual,
-                               nodal_balance_residual, solve_branch_currents)
+                               incidence_expand, solve_branch_currents)
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
                                     assemble_steady_state, balance_jacobian,
                                     compute_steady_state, excitation_demand,
@@ -20,6 +19,7 @@ from gridstate.system import assemble, residual, tolerance_scale
 
 from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
                       slow_two_bus)
+from oracles import network_residual, nodal_balance_residual
 
 
 def eq_vec_residual(p, v, i_s, omega0, theta, i_f):
@@ -150,11 +150,11 @@ def test_balance_jacobian_matches_central_difference():
                         rng.uniform(5.0, 12.0, 2 * sys_.n_l)])
 
     def load_rows(w):
-        Y = admittance(sys_.network, sys_.topology, sys_.loads, w,
+        Y = admittance(sys_.network, sys_.topology, sys_.load_bank, w,
                        spec.omega0)
         return (Y @ w)[2 * n_g:]
 
-    Y = admittance(sys_.network, sys_.topology, sys_.loads, v, spec.omega0)
+    Y = admittance(sys_.network, sys_.topology, sys_.load_bank, v, spec.omega0)
     jac = balance_jacobian(sys_, Y, v)
     h = 1e-5 * float(np.max(np.abs(v)))
     fd = np.empty_like(jac)
@@ -196,6 +196,15 @@ def test_newton_failure_reports_residual():
                          newton=NewtonOptions(max_iter=1))
     with pytest.raises(SolverError, match="did not converge"):
         solve_network(sys_p, spec)
+
+
+def test_network_solve_refuses_custom_loads(three_bus):
+    # Custom loads are outside the load bank the Newton step is built from;
+    # solving without them would hand assembly a wrong network point.
+    sys_, spec = three_bus
+    bad = sys_.with_loads([sys_.loads[0], sys_.loads[1], AnisotropicLoad()])
+    with pytest.raises(SolverError, match="custom loads at bus.*'b3'"):
+        solve_network(bad, spec)
 
 
 def test_imbalanced_nodes_admit_no_line_currents(three_bus):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstate.errors import ValidationError
+from gridstate.errors import LoadDomainError, ValidationError
 from gridstate.frame import block_rotation_generator, \
     machine_rotation_generator
 from gridstate.loads import Load
@@ -15,6 +15,7 @@ from gridstate.system import (StateLayout, assemble, bus_indicator,
                               vector_field)
 
 from conftest import AnisotropicLoad, sample_machine, slow_two_bus
+from oracles import scalar_load_currents
 
 
 def tiny_system(load=None):
@@ -259,3 +260,85 @@ def test_total_energy_recomputed():
 def test_tolerance_scale_floor():
     assert tolerance_scale(np.zeros(3), np.zeros(2)) == 1.0
     assert tolerance_scale(np.array([0.5, -7.0]), np.zeros(2)) == 7.0
+
+
+LOAD_KINDS = ("none", "impedance", "current", "power")
+
+
+def chain_system(kinds, machine_bus, rng, floor):
+    """One machine on a chain of buses carrying loads of the given kinds,
+    with file ids 'n0', 'n1', ... in chain order."""
+    n = len(kinds)
+    E = np.zeros((n, n - 1))
+    for t in range(n - 1):
+        E[t, t], E[t + 1, t] = 1.0, -1.0
+    net = NetworkParams(c=rng.uniform(1e-4, 1e-3, n),
+                        l_T=rng.uniform(1e-3, 5e-3, n - 1),
+                        r_T=rng.uniform(0.1, 1.0, n - 1))
+    make = {"none": lambda g, b: Load.none(),
+            "impedance": Load.impedance,
+            "current": lambda g, b: Load.constant_current(g, b, floor),
+            "power": lambda g, b: Load.constant_power(g, b, floor)}
+    loads = [make[kind](rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0))
+             for kind in kinds]
+    return assemble([sample_machine()], [machine_bus], Topology(E), net,
+                    loads=loads, bus_ids=[f"n{k}" for k in range(n)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(LOAD_KINDS), min_size=2, max_size=10),
+       st.floats(min_value=-2.0, max_value=2.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_load_currents_match_scalar_oracle(kinds, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    sys_ = chain_system(kinds, int(rng.integers(len(kinds))), rng,
+                        floor=1e-3 * scale)
+    mags = scale * rng.uniform(0.5, 2.0, sys_.n_v)
+    angles = rng.uniform(-np.pi, np.pi, sys_.n_v)
+    v = np.empty(2 * sys_.n_v)
+    v[0::2], v[1::2] = mags * np.cos(angles), mags * np.sin(angles)
+
+    got = sys_.load_currents(v)
+    want = scalar_load_currents(sys_.loads, v, sys_.bus_ids)
+    per_bus = np.hypot(want[0::2], want[1::2]).repeat(2)
+    assert np.all(np.abs(got - want) <= 1e-14 * per_bus)
+
+    # One bus below its floor: both paths name it by its file id.
+    floored = [k for k, ld in enumerate(sys_.loads) if ld.v_min > 0.0]
+    if floored:
+        k = floored[int(rng.integers(len(floored)))]
+        low = v.copy()
+        low[2 * k:2 * k + 2] *= 0.5 * sys_.loads[k].v_min / mags[k]
+        for evaluate in (sys_.load_currents, lambda w: scalar_load_currents(
+                sys_.loads, w, sys_.bus_ids)):
+            with pytest.raises(LoadDomainError,
+                               match=f"bus {sys_.bus_ids[k]!r}") as info:
+                evaluate(low)
+            assert info.value.bus == sys_.bus_ids[k]
+
+    # A custom load swapped in changes the node rows of the residual by
+    # exactly the oracle's current difference, and nothing else.
+    bank = {name: getattr(sys_.load_bank, name).copy()
+            for name in ("index", "y", "k", "v_min", "exponent")}
+    k = int(rng.integers(sys_.n_v))
+    swapped = list(sys_.loads)
+    swapped[k] = AnisotropicLoad(*rng.uniform(0.5, 2.0, 2))
+    bad = sys_.with_loads(swapped)
+    x, u = random_point(sys_, rng)
+    x[sys_.layout.sl_v] = v
+    lay = sys_.layout
+    rho, rho_bad = residual(sys_, x, u, 60.0), residual(bad, x, u, 60.0)
+    delta = scalar_load_currents(swapped, v) - scalar_load_currents(
+        sys_.loads, v)
+    gauge = np.max(np.abs(rho[lay.sl_v])) + np.max(np.abs(delta))
+    assert np.max(np.abs(rho_bad[lay.sl_v] - rho[lay.sl_v] - delta)) \
+        <= 1e-14 * gauge
+    keep = np.ones(lay.n_x, dtype=bool)
+    keep[lay.sl_v] = False
+    np.testing.assert_array_equal(rho_bad[keep], rho[keep])
+    np.testing.assert_array_equal(bad.load_currents(v)[2 * k:2 * k + 2],
+                                  swapped[k].current(v[2 * k:2 * k + 2]))
+    for name, before in bank.items():
+        np.testing.assert_array_equal(getattr(sys_.load_bank, name), before)
+    np.testing.assert_array_equal(sys_.load_currents(v), got)
