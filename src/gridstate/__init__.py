@@ -16,7 +16,7 @@ from .loads import Load, equivariance_defect
 from .machine import (MachineParams, MachineState, electrical_torque,
                       induced_voltage, inductance_matrix, machine_rhs,
                       validate_params)
-from .network import NetworkParams, Topology, admittance, incidence_expand
+from .network import NetworkParams, Topology, incidence_expand
 from .simulate import (DriftMetrics, SimConfig, Trajectory, drift_metrics,
                        reference_trajectory, rk4_step, simulate)
 from .steady_state import (FullSteadyState, MachineRecovery, NetworkSolution,

@@ -103,24 +103,19 @@ class LoadBank:
     """
 
     def __init__(self, loads, bus_ids):
+        # Subclasses of Load may override ``current``, so only Load itself
+        # goes into the arrays; everything else is called on its own.
         shipped = [k for k, ld in enumerate(loads)
-                   if isinstance(ld, Load) and ld.kind != "none"]
+                   if type(ld) is Load and ld.kind != "none"]
         self.custom = [(k, ld) for k, ld in enumerate(loads)
-                       if ld is not None and not isinstance(ld, Load)]
+                       if ld is not None and type(ld) is not Load]
         self.index = np.array(shipped, dtype=np.intp)
-        # A run of consecutive buses (the usual case: every non-machine
-        # bus loaded) is indexed by a slice, which numpy serves faster.
-        self.select = slice(shipped[0], shipped[-1] + 1) \
-            if shipped and shipped[-1] - shipped[0] == len(shipped) - 1 \
-            else self.index
         self.y = np.array([complex(*loads[k].coeffs) for k in shipped],
                           dtype=complex)
         self.k = np.array([loads[k].exponent for k in shipped], dtype=float)
         self.v_min = np.array([loads[k].v_min for k in shipped], dtype=float)
         self.exponent = np.zeros(len(loads))
         self.exponent[self.index] = self.k
-        # Impedance loads only: the admittance is y at every voltage.
-        self.constant = not (np.any(self.k) or np.any(self.v_min))
         self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
 
     def admittance(self, vb):
@@ -128,8 +123,6 @@ class LoadBank:
         whose last axis runs over the loads in bus order. Raises
         :class:`LoadDomainError` naming the first bus whose voltage is below
         its load's floor."""
-        if self.constant:
-            return self.y
         mag = np.abs(vb)
         below = mag < self.v_min
         if np.count_nonzero(below):

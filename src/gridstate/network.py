@@ -89,13 +89,14 @@ def solve_branch_currents(params, omega0, w):
     return out
 
 
-def shunt_admittance(params, loads, v, omega0):
+def shunt_admittance(params, bank, v, omega0):
     """Block-diagonal bus shunt admittance: the load admittances of the
-    :class:`~gridstate.loads.LoadBank` ``loads`` at voltages ``v`` plus the
+    :class:`~gridstate.loads.LoadBank` ``bank`` at voltages ``v`` plus the
     capacitive susceptance omega0 c at each bus. Over complex pairs the
     block of a bus with admittance g + j b is g I + b J."""
     y = 1j * omega0 * params.c
-    y[loads.select] += loads.admittance(v.view(complex)[loads.select])
+    vc = np.ascontiguousarray(v, dtype=float).view(complex)
+    y[bank.index] += bank.admittance(vc[bank.index])
     d = np.arange(0, 2 * len(y), 2)
     Y = np.zeros((2 * len(y), 2 * len(y)))
     Y[d, d] = Y[d + 1, d + 1] = y.real
@@ -104,11 +105,12 @@ def shunt_admittance(params, loads, v, omega0):
     return Y
 
 
-def admittance(params, topology, loads, v, omega0):
+def admittance(params, topology, bank, v, omega0):
     """Full nodal admittance matrix: shunts plus incidence-weighted inverse
-    branch impedances, with ``loads`` the system's load bank. Depends on v
-    only through the load magnitudes, so it is constant for impedance-only
-    loads.
+    branch impedances, with ``bank`` the system's
+    :class:`~gridstate.loads.LoadBank` (``PowerSystem.load_bank``). Depends
+    on v only through the load magnitudes, so it is constant for
+    impedance-only loads.
 
     Each line's 2x2 admittance (r I + omega0 l J)^-1 is (r I - omega0 l J)
     / det with det = r^2 + omega0^2 l^2, so the line part is
@@ -119,4 +121,4 @@ def admittance(params, topology, loads, v, omega0):
     det = r**2 + (omega0 * l) ** 2
     lines = np.kron((E * (r / det)) @ E.T, np.eye(2)) \
         - np.kron((E * (omega0 * l / det)) @ E.T, ROT90)
-    return shunt_admittance(params, loads, v, omega0) + lines
+    return shunt_admittance(params, bank, v, omega0) + lines

@@ -116,8 +116,8 @@ class PowerSystem:
 
         Accepts any objects with a ``current(v)`` method taking voltage
         columns of shape (2, ...); used to probe how non-conforming load
-        models break the steady state. The network solve refuses loads
-        other than :class:`Load`.
+        models break the steady state. Subclasses of :class:`Load` count as
+        custom loads too. The network solve refuses custom loads.
         """
         clone = PowerSystem.__new__(PowerSystem)
         clone.__dict__.update(self.__dict__)
@@ -147,10 +147,11 @@ class PowerSystem:
         loads in one expression over the complex voltages (see
         :class:`LoadBank`), custom loads one call each."""
         bank = self.load_bank
+        v = np.ascontiguousarray(v, dtype=float)
         vc = v.view(complex)
         i_l = np.zeros(len(vc), dtype=complex)
-        vb = vc[bank.select]
-        i_l[bank.select] = bank.admittance(vb) * vb
+        vb = vc[bank.index]
+        i_l[bank.index] = bank.admittance(vb) * vb
         i_l = i_l.view(float)
         for k, load in bank.custom:
             i_l[2 * k:2 * k + 2] = load.current(v[2 * k:2 * k + 2])

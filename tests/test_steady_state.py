@@ -483,6 +483,35 @@ def test_verify_flags_anisotropic_load(three_bus, certified):
     assert any("not rotation-equivariant" in f for f in report.failures)
 
 
+class SkewedImpedance(Load):
+    """Test-only Load subclass whose ``current`` override scales the two
+    axes differently, like :class:`AnisotropicLoad` with (1, 2)."""
+
+    def current(self, v):
+        v = np.asarray(v, dtype=float)
+        return np.stack([v[0], 2.0 * v[1]])
+
+
+def test_verify_flags_anisotropic_load_subclass(three_bus, certified):
+    # A Load subclass is probed through its own ``current``, not through
+    # the coefficients it inherits, so the override is seen and rejected
+    # exactly as the plain anisotropic test load is.
+    sys_, _ = three_bus
+    skewed = SkewedImpedance("impedance", sys_.loads[2].coeffs)
+    bad_sys = sys_.with_loads([sys_.loads[0], sys_.loads[1], skewed])
+    report = verify_steady_state(bad_sys, certified)
+    assert not report.certificate
+    assert any("not rotation-equivariant" in f for f in report.failures)
+    plain = verify_steady_state(
+        sys_.with_loads([sys_.loads[0], sys_.loads[1],
+                         AnisotropicLoad(1.0, 2.0)]), certified)
+    assert report.equivariance_defects == plain.equivariance_defects
+    assert report.failures == plain.failures
+    v = certified.x[sys_.layout.sl_v]
+    np.testing.assert_array_equal(bad_sys.load_currents(v)[4:],
+                                  skewed.current(v[4:]))
+
+
 def test_verify_flags_wrong_speed(three_bus, certified):
     sys_, _ = three_bus
     ss = certified
