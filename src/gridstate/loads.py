@@ -117,12 +117,18 @@ class LoadBank:
         self.exponent = np.zeros(len(loads))
         self.exponent[self.index] = self.k
         self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
+        # Without exponents or floors the admittance is y at every voltage;
+        # skipping the magnitude work pays on small impedance-only systems,
+        # where numpy call overhead dominates the vector field.
+        self.constant = not (np.any(self.k) or np.any(self.v_min))
 
     def admittance(self, vb):
         """y |v|^-k of the shipped loads at their complex voltages ``vb``,
         whose last axis runs over the loads in bus order. Raises
         :class:`LoadDomainError` naming the first bus whose voltage is below
         its load's floor."""
+        if self.constant:
+            return self.y
         mag = np.abs(vb)
         below = mag < self.v_min
         if np.count_nonzero(below):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstate.errors import LoadDomainError, ValidationError
@@ -311,6 +311,7 @@ def chain_system(kinds, machine_bus, rng, floor):
 @given(st.lists(st.sampled_from(LOAD_KINDS), min_size=2, max_size=10),
        st.floats(min_value=-2.0, max_value=2.0),
        st.integers(min_value=0, max_value=2**32 - 1))
+@example(["impedance", "none", "impedance"], 0.0, 7)  # constant admittance
 def test_load_currents_match_scalar_oracle(kinds, log_scale, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0**log_scale
