@@ -97,14 +97,12 @@ class LoadBank:
     Over complex bus voltages v = v_alpha + j v_beta every shipped load is
     i = y |v|^-k v with admittance y = a_g + j a_b, so the bank keeps the
     bus index, y, k and v_min of each loaded bus and evaluates them all in
-    one numpy expression. Any other object with a ``current`` method (such
-    as a non-conforming test load) is kept in ``custom`` and called on its
-    own.
+    one numpy expression. Any other object with a ``current`` method (a
+    non-conforming test load, or a subclass of :class:`Load`, which may
+    override ``current``) is kept in ``custom`` and called on its own.
     """
 
     def __init__(self, loads, bus_ids):
-        # Subclasses of Load may override ``current``, so only Load itself
-        # goes into the arrays; everything else is called on its own.
         shipped = [k for k, ld in enumerate(loads)
                    if type(ld) is Load and ld.kind != "none"]
         self.custom = [(k, ld) for k, ld in enumerate(loads)
@@ -117,9 +115,8 @@ class LoadBank:
         self.exponent = np.zeros(len(loads))
         self.exponent[self.index] = self.k
         self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
-        # Without exponents or floors the admittance is y at every voltage;
-        # skipping the magnitude work pays on small impedance-only systems,
-        # where numpy call overhead dominates the vector field.
+        # Impedance only: y at every voltage, and skipping the magnitude
+        # work pays where numpy call overhead dominates (small systems).
         self.constant = not (np.any(self.k) or np.any(self.v_min))
 
     def admittance(self, vb):

@@ -9,7 +9,7 @@ permutes user input into this order and remembers the permutation.
 import numpy as np
 
 from . import machine as machine_mod
-from .errors import ValidationError
+from .errors import LoadDomainError, ValidationError
 from .frame import rotate_pairs
 from .loads import Load, LoadBank
 from .machine import validate_params
@@ -85,9 +85,6 @@ class PowerSystem:
         self._l_sf = np.array([p.l_sf for p in self.machines])
         self._l_sd = np.array([p.l_sd for p in self.machines])
         self._l_sq = np.array([p.l_sq for p in self.machines])
-        self._index_loads(loads)
-
-    def _index_loads(self, loads):
         self.loads = tuple(loads)
         self.load_bank = LoadBank(self.loads, self.bus_ids)
 
@@ -121,7 +118,8 @@ class PowerSystem:
         """
         clone = PowerSystem.__new__(PowerSystem)
         clone.__dict__.update(self.__dict__)
-        clone._index_loads(loads)
+        clone.loads = tuple(loads)
+        clone.load_bank = LoadBank(clone.loads, self.bus_ids)
         return clone
 
     def inductance_stack(self, theta):
@@ -147,14 +145,17 @@ class PowerSystem:
         loads in one expression over the complex voltages (see
         :class:`LoadBank`), custom loads one call each."""
         bank = self.load_bank
-        v = np.ascontiguousarray(v, dtype=float)
-        vc = v.view(complex)
+        vc = np.ascontiguousarray(v, dtype=float).view(complex)
         i_l = np.zeros(len(vc), dtype=complex)
         vb = vc[bank.index]
         i_l[bank.index] = bank.admittance(vb) * vb
         i_l = i_l.view(float)
         for k, load in bank.custom:
-            i_l[2 * k:2 * k + 2] = load.current(v[2 * k:2 * k + 2])
+            try:
+                i_l[2 * k:2 * k + 2] = load.current(v[2 * k:2 * k + 2])
+            except LoadDomainError as err:
+                raise LoadDomainError(f"bus {self.bus_ids[k]!r}: {err}",
+                                      bus=self.bus_ids[k]) from err
         return i_l
 
 

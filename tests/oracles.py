@@ -57,8 +57,9 @@ def branch_impedance(params, omega0):
 def scalar_load_current(load, v):
     """Current of one load at one voltage pair, from the exponential load
     formula i = |v|^-k (a_g I + a_b J) v in scalar arithmetic; objects
-    other than :class:`Load` are asked for their own ``current``."""
-    if not isinstance(load, Load):
+    other than a plain :class:`Load` (subclasses included) are asked for
+    their own ``current``."""
+    if type(load) is not Load:
         return np.asarray(load.current(np.asarray(v, dtype=float)))
     a, b = float(v[0]), float(v[1])
     mag = math.hypot(a, b)

@@ -265,6 +265,26 @@ def test_load_currents_accept_int_float32_and_strided_voltages():
                                   residual(sys_, x, u, 60.0))
 
 
+def test_load_subclass_is_custom_and_named_on_domain_error():
+    # A subclass may override ``current``, so it is called on its own; an
+    # inherited floor violation still names the bus, as for bank loads.
+    class Tagged(Load):
+        pass
+
+    sys_ = tiny_system()
+    ld = Tagged("power", (1.0, -0.5), 2, 0.5)
+    bad = sys_.with_loads([Load.none(), ld])
+    assert bad.load_bank.custom == [(1, ld)]
+    v = np.array([1.0, 0.0, 2.0, -3.0])
+    plain = sys_.with_loads([Load.none(), Load.constant_power(1.0, 0.5, 0.5)])
+    np.testing.assert_allclose(bad.load_currents(v), plain.load_currents(v),
+                               rtol=1e-14, atol=0.0)
+    with pytest.raises(LoadDomainError,
+                       match=f"bus {sys_.bus_ids[1]!r}") as info:
+        bad.load_currents(np.array([1.0, 0.0, 0.1, 0.0]))
+    assert info.value.bus == sys_.bus_ids[1]
+
+
 def test_total_energy_recomputed():
     sys_ = tiny_system()
     rng = np.random.default_rng(45)
