@@ -114,10 +114,10 @@ class LoadBank:
         self.v_min = np.array([loads[k].v_min for k in shipped], dtype=float)
         self.exponent = np.zeros(len(loads))
         self.exponent[self.index] = self.k
-        self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
         # Impedance only: y at every voltage, and skipping the magnitude
         # work pays where numpy call overhead dominates (small systems).
         self.constant = not (np.any(self.k) or np.any(self.v_min))
+        self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
 
     def admittance(self, vb):
         """y |v|^-k of the shipped loads at their complex voltages ``vb``,
