@@ -13,9 +13,8 @@ from .errors import (GridStateError, InfeasibleSteadyStateError,
 from .frame import (block_rotation_generator, machine_rotation_generator,
                     rot, rvec, wrap_angle)
 from .loads import Load, equivariance_defect
-from .machine import (MachineParams, MachineState, electrical_torque,
-                      induced_voltage, inductance_matrix, machine_rhs,
-                      validate_params)
+from .machine import (MachineParams, electrical_torque, induced_voltage,
+                      inductance_matrix, validate_params)
 from .network import NetworkParams, Topology, incidence_expand
 from .simulate import (DriftMetrics, SimConfig, Trajectory, drift_metrics,
                        reference_trajectory, rk4_step, simulate)

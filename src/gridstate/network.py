@@ -8,8 +8,6 @@ line current pairs in the stationary frame.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from .frame import ROT90
@@ -31,14 +29,14 @@ class Topology:
             raise ValidationError(f"incidence matrix must be 2-D, got shape {E.shape}")
         if not np.all(np.isin(E, (-1, 0, 1))):
             raise ValidationError("incidence entries must be in {-1, 0, 1}")
-        for t in range(E.shape[1]):
-            col = E[:, t]
-            if np.sum(col == 1) != 1 or np.sum(col == -1) != 1 or np.sum(col != 0) != 2:
-                raise ValidationError(
-                    f"line {t} must have exactly one +1 and one -1 endpoint"
-                )
-        adj = (E @ E.T != 0).astype(int)
-        n_comp, _ = connected_components(csr_matrix(adj), directed=False)
+        bad = np.flatnonzero((np.sum(E == 1, axis=0) != 1)
+                             | (np.sum(E == -1, axis=0) != 1))
+        if bad.size:
+            raise ValidationError(
+                f"line {bad[0]} must have exactly one +1 and one -1 endpoint"
+            )
+        n_comp = _count_components(E.shape[0], np.argmax(E == 1, axis=0),
+                                   np.argmax(E == -1, axis=0))
         if n_comp != 1:
             raise ValidationError(
                 f"network graph must be connected, found {n_comp} components"
@@ -52,6 +50,22 @@ class Topology:
     @property
     def n_t(self):
         return self.incidence.shape[1]
+
+
+def _count_components(n, heads, tails):
+    """Connected components of the graph on n nodes with edges
+    (heads[t], tails[t]), by union-find with path halving."""
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in zip(heads.tolist(), tails.tolist()):
+        root[find(a)] = find(b)
+    return sum(find(a) == a for a in range(n))
 
 
 @dataclass(frozen=True)
@@ -105,12 +119,9 @@ def shunt_admittance(params, bank, v, omega0):
     return Y
 
 
-def admittance(params, topology, bank, v, omega0):
-    """Full nodal admittance matrix: shunts plus incidence-weighted inverse
-    branch impedances, with ``bank`` the system's
-    :class:`~gridstate.loads.LoadBank` (``PowerSystem.load_bank``). Depends
-    on v only through the load magnitudes, so it is constant for
-    impedance-only loads.
+def line_admittance(params, topology, omega0):
+    """Incidence-weighted inverse branch impedances, the part of the nodal
+    admittance that does not depend on the voltages.
 
     Each line's 2x2 admittance (r I + omega0 l J)^-1 is (r I - omega0 l J)
     / det with det = r^2 + omega0^2 l^2, so the line part is
@@ -119,6 +130,18 @@ def admittance(params, topology, bank, v, omega0):
     E = topology.incidence
     r, l = params.r_T, params.l_T
     det = r**2 + (omega0 * l) ** 2
-    lines = np.kron((E * (r / det)) @ E.T, np.eye(2)) \
+    return np.kron((E * (r / det)) @ E.T, np.eye(2)) \
         - np.kron((E * (omega0 * l / det)) @ E.T, ROT90)
+
+
+def admittance(params, topology, bank, v, omega0, lines=None):
+    """Full nodal admittance matrix: shunts plus :func:`line_admittance`,
+    with ``bank`` the system's :class:`~gridstate.loads.LoadBank`
+    (``PowerSystem.load_bank``). Depends on v only through the load
+    magnitudes, so it is constant for impedance-only loads. ``lines`` is
+    the line part when the caller has already built it (it is built here
+    otherwise); the Newton solve builds it once per solve.
+    """
+    if lines is None:
+        lines = line_admittance(params, topology, omega0)
     return shunt_admittance(params, bank, v, omega0) + lines

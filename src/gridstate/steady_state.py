@@ -16,7 +16,7 @@ from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
 from .frame import ROT90, rot, rvec, wrap_angle
 from .loads import equivariance_defect
 from .machine import electrical_torque, stator_inductance
-from .network import admittance, solve_branch_currents
+from .network import admittance, line_admittance, solve_branch_currents
 from .system import (invariance_defect, residual, residual_block_norms,
                      tolerance_scale)
 
@@ -322,11 +322,12 @@ def solve_network(sys, spec):
     v[:2 * n_g] = spec.gen_voltages()
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
 
+    lines = line_admittance(sys.network, sys.topology, omega0)
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
             Y = admittance(sys.network, sys.topology, sys.load_bank, v,
-                           omega0)
+                           omega0, lines)
             balance = Y @ v
             res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
             history.append(res)

@@ -4,15 +4,23 @@ The flat state vector stacks, in this order: machine rotor angles, rotor
 speeds, machine winding currents (5 per machine), bus voltage pairs, line
 current pairs. Buses are ordered so machine k sits at bus k; the assembler
 permutes user input into this order and remembers the permutation.
+
+The machines are evaluated in their rotor frames. With the factorization
+L(theta) = T(theta) L0 T(theta)^T of :mod:`gridstate.machine`, the system
+precomputes L0, L0^-1 and J L0 - L0 J per machine as (n_g, 5, 5) stacks;
+each vector-field or residual call rotates the stator pairs by e^{-j theta}
+(on a complex view, as the load bank reads voltages), applies those
+constant matrices and rotates the winding rows back. Assembly validates
+every machine with one Cholesky of L0, which is exact for all angles.
 """
 
 import numpy as np
 
-from . import machine as machine_mod
 from .errors import LoadDomainError, ValidationError
 from .frame import rotate_pairs
 from .loads import Load, LoadBank
-from .machine import validate_params
+from .machine import (induction_matrix, inductance_matrix, rotor_torque,
+                      turn_stator, validate_params)
 from .network import NetworkParams, Topology, incidence_expand
 
 
@@ -77,14 +85,10 @@ class PowerSystem:
         self._m = np.array([p.m for p in self.machines])
         self._d = np.array([p.d for p in self.machines])
         self._r_winding = np.array([p.resistance_diag() for p in self.machines])
-        self._L_fixed = np.zeros((self.n_g, 5, 5))
-        for k, p in enumerate(self.machines):
-            self._L_fixed[k, 2:, 2:] = p.rotor_inductance()
-            self._L_fixed[k, :2, :2] = p.l_s * np.eye(2)
-        self._l_sa = np.array([p.l_sa for p in self.machines])
-        self._l_sf = np.array([p.l_sf for p in self.machines])
-        self._l_sd = np.array([p.l_sd for p in self.machines])
-        self._l_sq = np.array([p.l_sq for p in self.machines])
+        # Rotor-frame constants: L0 = L(0), its inverse, and J L0 - L0 J.
+        self._L0 = np.array([inductance_matrix(p, 0.0) for p in self.machines])
+        self._L0_inv = np.linalg.inv(self._L0)
+        self._K0 = induction_matrix(self._L0)
         self.loads = tuple(loads)
         self.load_bank = LoadBank(self.loads, self.bus_ids)
 
@@ -123,22 +127,11 @@ class PowerSystem:
         return clone
 
     def inductance_stack(self, theta):
-        """Winding inductance matrices of all machines, shape (n_g, 5, 5)."""
-        L = self._L_fixed.copy()
-        c1, s1 = np.cos(theta), np.sin(theta)
-        c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-        L[:, 0, 0] += self._l_sa * c2
-        L[:, 0, 1] += self._l_sa * s2
-        L[:, 1, 0] += self._l_sa * s2
-        L[:, 1, 1] -= self._l_sa * c2
-        L[:, 0, 2] = c1 * self._l_sf
-        L[:, 0, 3] = c1 * self._l_sd
-        L[:, 0, 4] = s1 * self._l_sq
-        L[:, 1, 2] = s1 * self._l_sf
-        L[:, 1, 3] = s1 * self._l_sd
-        L[:, 1, 4] = -c1 * self._l_sq
-        L[:, 2:, :2] = np.swapaxes(L[:, :2, 2:], 1, 2)
-        return L
+        """Winding inductance matrices L(theta) = T L0 T^T of all machines,
+        shape (n_g, 5, 5)."""
+        z = np.exp(1j * theta)[:, None]
+        L0_Tt = turn_stator(self._L0, z)
+        return turn_stator(np.swapaxes(L0_Tt, 1, 2), z).swapaxes(1, 2)
 
     def load_currents(self, v):
         """Per-bus load currents stacked into a 2*n_v vector: the shipped
@@ -168,21 +161,19 @@ def _rotate_stator(block):
 
 
 def _machine_block(sys, theta, omega, i, v, v_f):
-    """Terms shared by the vector field and the residual: the inductance
-    stack L, L J i, the electrical torque, the induced voltage and the
-    voltage applied to the windings (terminal pair, field voltage)."""
-    L = sys.inductance_stack(theta)
-    Ji = _rotate_stator(i)
-    Li = np.einsum("kab,kb->ka", L, i)
-    LJi = np.einsum("kab,kb->ka", L, Ji)
-    tau_e = np.einsum("ka,ka->k", Li, Ji)
-    v_ind = omega[:, None] * (_rotate_stator(Li) - LJi)
-
+    """Terms shared by the vector field and the residual, in the rotor frame
+    (see :mod:`gridstate.machine`): z = e^{j theta}, the rotor-frame
+    currents i_r = T^T i, the electrical torque, and the winding voltage
+    left to change the flux, applied - R i - induced, as T^T of it."""
+    z = np.exp(1j * theta)
+    to_rotor = z.conj()
+    i_r = turn_stator(i, to_rotor)
     applied = np.zeros((sys.n_g, 5))
-    applied[:, 0] = v[0:2 * sys.n_g:2]
-    applied[:, 1] = v[1:2 * sys.n_g:2]
+    applied[:, :2] = v[:2 * sys.n_g].reshape(-1, 2)
     applied[:, 2] = v_f
-    return L, LJi, tau_e, v_ind, applied
+    v_ind = omega[:, None] * (sys._K0 @ i_r[..., None])[..., 0]
+    drive = turn_stator(applied, to_rotor) - sys._r_winding * i_r - v_ind
+    return z, i_r, rotor_torque(sys._L0, i_r), drive
 
 
 def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=None):
@@ -251,9 +242,8 @@ def vector_field(sys, x, u):
     tau_m, v_f = lay.split_input(u)
     i = i_flat.reshape(sys.n_g, 5)
 
-    L, _, tau_e, v_ind, applied = _machine_block(sys, theta, omega, i, v, v_f)
-    winding_rhs = -sys._r_winding * i + applied - v_ind
-    di = np.linalg.solve(L, winding_rhs[..., None])[..., 0]
+    z, _, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
+    di = turn_stator((sys._L0_inv @ drive[..., None])[..., 0], z)
 
     i_l = sys.load_currents(v)
     i_in = i_l.copy()
@@ -290,11 +280,12 @@ def residual(sys, x, u, omega0):
     tau_m, v_f = lay.split_input(u)
     i = i_flat.reshape(sys.n_g, 5)
 
-    _, LJi, tau_e, v_ind, applied = _machine_block(sys, theta, omega, i, v, v_f)
+    z, i_r, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
 
     rho_freq = omega0 - omega
     rho_torque = sys._d * omega + tau_e - tau_m
-    rho_windings = sys._r_winding * i + omega0 * LJi - applied + v_ind
+    LJi = (sys._L0 @ _rotate_stator(i_r)[..., None])[..., 0]
+    rho_windings = turn_stator(omega0 * LJi - drive, z)
 
     i_l = sys.load_currents(v)
     inj = np.zeros(2 * sys.n_v)
@@ -382,20 +373,3 @@ def bus_indicator(n_g, n_v):
     stator pairs land on the machine buses, load buses get zero."""
     top = stator_indicator(n_g).T
     return np.vstack([top, np.zeros((2 * (n_v - n_g), 5 * n_g))])
-
-
-def single_machine_rhs(sys, k, x, u):
-    """Reference path: evaluate machine k's dynamics through the scalar
-    single-machine module. Used to cross-check the vectorized field."""
-    lay = sys.layout
-    theta, omega, i_flat, v, i_T = lay.split(x)
-    tau_m, v_f = lay.split_input(u)
-    i = i_flat.reshape(sys.n_g, 5)
-    state = machine_mod.MachineState(
-        theta=float(theta[k]), omega=float(omega[k]),
-        i_s=i[k, :2].copy(), i_f=float(i[k, 2]),
-        i_d=float(i[k, 3]), i_q=float(i[k, 4]),
-    )
-    v_term = v[2 * k:2 * k + 2]
-    return machine_mod.machine_rhs(sys.machines[k], state, v_term,
-                                   float(tau_m[k]), float(v_f[k]))

@@ -2,18 +2,21 @@
 
 These are the straightforward per-bus and per-sample forms: the network
 dynamics and Kirchhoff residuals written out with dense matrices, the
-load currents one bus at a time, and the equivariance probe one rotation
-at a time.
+load currents one bus at a time, the equivariance probe one rotation
+at a time, and one machine at a time through its full inductance matrix
+L(theta) with a Cholesky solve at every call.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from gridstate.errors import LoadDomainError
-from gridstate.frame import ROT90, rot, rotate_pairs
+from gridstate.frame import MACHINE_ROT90, ROT90, rot, rotate_pairs
 from gridstate.loads import Load, LoadBank
+from gridstate.machine import inductance_matrix
 from gridstate.network import admittance, incidence_expand
 
 
@@ -128,3 +131,132 @@ def looped_equivariance_defect(load, v, n_samples=360):
         defect = float(np.linalg.norm(load.current(R @ v) - R @ base))
         worst = max(worst, defect)
     return worst
+
+
+@dataclass
+class MachineState:
+    theta: float
+    omega: float
+    i_s: np.ndarray  # stator current pair (i_alpha, i_beta)
+    i_f: float
+    i_d: float
+    i_q: float
+
+    def currents(self):
+        """Winding currents as a 5-vector (i_alpha, i_beta, i_f, i_d, i_q)."""
+        return np.array([self.i_s[0], self.i_s[1], self.i_f, self.i_d, self.i_q])
+
+
+def electrical_torque(p, theta, i):
+    """Torque as the quadratic form 1/2 i^T (L J + J^T L) i of the
+    inductance matrix at angle theta."""
+    L = inductance_matrix(p, theta)
+    A = L @ MACHINE_ROT90 + MACHINE_ROT90.T @ L
+    return 0.5 * float(i @ A @ i)
+
+
+def induced_voltage(p, theta, omega, i):
+    """omega (L J^T + J L) i with the inductance matrix at angle theta."""
+    L = inductance_matrix(p, theta)
+    return omega * (L @ MACHINE_ROT90.T + MACHINE_ROT90 @ L) @ i
+
+
+def machine_rhs(p, state, v_term, tau_m, v_f):
+    """Time derivative of the 7 machine states (theta, omega, currents).
+
+    The terminal pair enters the stator rows, the excitation voltage the
+    field row; damper windings are short-circuited. The current derivative
+    solves the winding flux balance through a Cholesky factorization of
+    L(theta), recomputed each call.
+    """
+    i = state.currents()
+    L = inductance_matrix(p, state.theta)
+    tau_e = electrical_torque(p, state.theta, i)
+    v_ind = induced_voltage(p, state.theta, state.omega, i)
+
+    applied = np.array([v_term[0], v_term[1], v_f, 0.0, 0.0])
+    rhs = -p.resistance_diag() * i + applied - v_ind
+    di = cho_solve(cho_factor(L, lower=True), rhs)
+
+    dtheta = state.omega
+    domega = (tau_m - p.d * state.omega - tau_e) / p.m
+    return np.concatenate(([dtheta, domega], di))
+
+
+def machine_residual(p, state, v_term, tau_m, v_f, omega0):
+    """Rotating steady-state residual of one machine's 7 rows (frequency,
+    torque, windings) through L(theta)."""
+    i = state.currents()
+    L = inductance_matrix(p, state.theta)
+    applied = np.array([v_term[0], v_term[1], v_f, 0.0, 0.0])
+    windings = p.resistance_diag() * i + omega0 * L @ MACHINE_ROT90 @ i \
+        - applied + induced_voltage(p, state.theta, state.omega, i)
+    torque = p.d * state.omega + electrical_torque(p, state.theta, i) - tau_m
+    return np.concatenate(([omega0 - state.omega, torque], windings))
+
+
+def machine_inputs(sys, k, x, u):
+    """Machine k's parameters, :class:`MachineState`, terminal voltage pair,
+    mechanical torque and field voltage at system state x and input u."""
+    lay = sys.layout
+    theta, omega, i_flat, v, _ = lay.split(x)
+    tau_m, v_f = lay.split_input(u)
+    i = i_flat.reshape(sys.n_g, 5)
+    state = MachineState(
+        theta=float(theta[k]), omega=float(omega[k]),
+        i_s=i[k, :2].copy(), i_f=float(i[k, 2]),
+        i_d=float(i[k, 3]), i_q=float(i[k, 4]),
+    )
+    return (sys.machines[k], state, v[2 * k:2 * k + 2], float(tau_m[k]),
+            float(v_f[k]))
+
+
+def single_machine_rhs(sys, k, x, u):
+    """Machine k's dynamics evaluated through :func:`machine_rhs`."""
+    return machine_rhs(*machine_inputs(sys, k, x, u))
+
+
+def system_field(sys, x, u):
+    """Full vector field: machine rows one machine at a time through
+    :func:`machine_rhs`, network rows through :func:`network_rhs`."""
+    lay = sys.layout
+    _, _, i_flat, v, i_T = lay.split(x)
+    rows = np.array([single_machine_rhs(sys, k, x, u) for k in range(sys.n_g)])
+    i_in = scalar_load_currents(sys.loads, v)
+    i_in[:2 * sys.n_g] += i_flat.reshape(sys.n_g, 5)[:, :2].ravel()
+    dv, di_T = network_rhs(sys.network, sys.topology, NetworkState(v, i_T),
+                           i_in)
+    return lay.pack(rows[:, 0], rows[:, 1], rows[:, 2:], dv, di_T)
+
+
+def system_residual(sys, x, u, omega0):
+    """Full residual: machine rows through :func:`machine_residual`,
+    network rows through :func:`network_residual`."""
+    lay = sys.layout
+    _, _, i_flat, v, i_T = lay.split(x)
+    rows = np.array([machine_residual(*machine_inputs(sys, k, x, u), omega0)
+                     for k in range(sys.n_g)])
+    i_s = i_flat.reshape(sys.n_g, 5)[:, :2].ravel()
+    net = network_residual(sys.network, sys.topology, sys.loads, i_s, v, i_T,
+                           omega0)
+    return lay.pack(rows[:, 0], rows[:, 1], rows[:, 2:], net[:2 * sys.n_v],
+                    net[2 * sys.n_v:])
+
+
+def system_energy(sys, x):
+    """Stored energy with each machine's magnetic energy 1/2 i^T L(theta) i."""
+    lay = sys.layout
+    theta, omega, i_flat, v, i_T = lay.split(x)
+    i = i_flat.reshape(sys.n_g, 5)
+    e = sum(0.5 * i[k] @ inductance_matrix(p, theta[k]) @ i[k]
+            + 0.5 * p.m * omega[k] ** 2 for k, p in enumerate(sys.machines))
+    e += 0.5 * np.sum(np.repeat(sys.network.c, 2) * v**2)
+    return e + 0.5 * np.sum(np.repeat(sys.network.l_T, 2) * i_T**2)
+
+
+def grid_min_eigenvalue(p, n_theta=64):
+    """Smallest eigenvalue of L(theta) over a uniform grid of rotor angles:
+    the sampled positive-definiteness check."""
+    return min(float(np.linalg.eigvalsh(inductance_matrix(p, theta))[0])
+               for theta in np.linspace(0.0, 2.0 * np.pi, n_theta,
+                                        endpoint=False))

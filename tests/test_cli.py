@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridstate
 from gridstate.cli import main
 from gridstate.errors import LoadDomainError, SolverError
 from gridstate.fileio import load_system_file, write_trajectory_csv
@@ -210,3 +215,17 @@ def test_result_to_stdout(fixture_file, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert doc["diagnostics"]["certificate"] is True
+
+
+def test_cli_import_loads_no_scipy():
+    # Every CLI process pays for what the package imports at start-up.
+    src = str(pathlib.Path(gridstate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import gridstate, gridstate.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"

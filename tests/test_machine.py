@@ -7,12 +7,13 @@ from gridstate.frame import rot
 from gridstate.identities import (induced_voltage_flow_derivative_defect,
                                   random_valid_params,
                                   torque_flow_derivative_defect)
-from gridstate.machine import (MachineParams, MachineState, electrical_torque,
+from gridstate.machine import (MachineParams, electrical_torque,
                                induced_voltage, inductance_matrix,
-                               machine_rhs, mutual_inductance,
-                               stator_inductance, validate_params)
+                               mutual_inductance, stator_inductance,
+                               validate_params)
 
 from conftest import sample_machine
+from oracles import MachineState, grid_min_eigenvalue, machine_rhs
 
 
 def reference_inductance(p, theta):
@@ -175,6 +176,26 @@ def test_validate_params_flags_saliency_equal_to_stator():
     assert violation.kind == "positive_definite"
     assert violation.theta is not None
     assert violation.eigenvalue is not None and violation.eigenvalue <= 1e-12
+
+
+def test_validate_params_agrees_with_angle_grid():
+    # l_sf scaled across the positive-definiteness boundary: the one
+    # Cholesky of L0 must reach the verdict of the 64-angle eigenvalue grid.
+    rng = np.random.default_rng(18)
+    verdicts = set()
+    for _ in range(200):
+        p = random_valid_params(rng)
+        p = replace(p, l_sf=p.l_sf * rng.uniform(1.0, 5.0))
+        lam = grid_min_eigenvalue(p)
+        violation = validate_params(p)
+        verdicts.add(violation is None)
+        assert (violation is None) == (lam > 0.0)
+        if violation is not None:
+            assert violation.kind == "positive_definite"
+            assert violation.theta == 0.0
+            assert violation.eigenvalue == pytest.approx(lam, rel=1e-9,
+                                                         abs=1e-14)
+    assert verdicts == {True, False}
 
 
 def test_validate_params_flags_sign_violations():

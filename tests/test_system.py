@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,16 +8,20 @@ from hypothesis import strategies as st
 from gridstate.errors import LoadDomainError, ValidationError
 from gridstate.frame import block_rotation_generator, \
     machine_rotation_generator
+from gridstate.identities import random_valid_params
 from gridstate.loads import Load
+from gridstate.machine import electrical_torque, induced_voltage
 from gridstate.network import NetworkParams, Topology
 from gridstate.system import (StateLayout, assemble, bus_indicator,
                               field_indicator, invariance_defect, mass_matrix,
-                              residual, single_machine_rhs, steady_field,
-                              stator_indicator, tolerance_scale, total_energy,
-                              vector_field)
+                              residual, steady_field, stator_indicator,
+                              tolerance_scale, total_energy, vector_field)
 
 from conftest import AnisotropicLoad, sample_machine, slow_two_bus
-from oracles import scalar_load_currents
+from oracles import (electrical_torque as oracle_torque,
+                     induced_voltage as oracle_induced_voltage,
+                     scalar_load_currents, single_machine_rhs, system_energy,
+                     system_field, system_residual)
 
 
 def tiny_system(load=None):
@@ -170,6 +176,49 @@ def test_vector_field_matches_per_machine_module(three_bus):
         assert full[lay.sl_omega][k] == pytest.approx(ref[1], rel=1e-12)
         np.testing.assert_allclose(full[lay.sl_i][5 * k:5 * k + 5], ref[2:],
                                    rtol=1e-9, atol=1e-12)
+
+
+def machine_chain(machines, rng):
+    """The machines on the first buses of a path, a loaded bus at its end."""
+    n_v = len(machines) + 1
+    E = np.zeros((n_v, n_v - 1))
+    for t in range(n_v - 1):
+        E[t, t], E[t + 1, t] = 1.0, -1.0
+    net = NetworkParams(c=rng.uniform(1e-4, 1e-3, n_v),
+                        l_T=rng.uniform(2e-3, 4e-3, n_v - 1),
+                        r_T=rng.uniform(0.3, 0.5, n_v - 1))
+    loads = [Load.none()] * (n_v - 1) + [Load.constant_power(0.5, 0.2)]
+    return assemble(machines, list(range(len(machines))), Topology(E), net,
+                    loads=loads)
+
+
+@pytest.mark.parametrize("salient", [True, False])
+@pytest.mark.parametrize("n_g", [1, 2, 5])
+def test_rotor_frame_kernel_matches_inductance_oracle(n_g, salient):
+    rng = np.random.default_rng(60 + 2 * n_g + salient)
+    machines = [random_valid_params(rng) for _ in range(n_g)]
+    if not salient:
+        machines = [replace(p, l_sa=0.0) for p in machines]
+    sys_ = machine_chain(machines, rng)
+    lay = sys_.layout
+
+    def close(got, want):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+    for turns in (0, 1, -3, 8, -25):
+        x, u = random_point(sys_, rng, omega0=314.0)
+        x[lay.sl_theta] += 2.0 * np.pi * turns
+        close(vector_field(sys_, x, u), system_field(sys_, x, u))
+        close(residual(sys_, x, u, 314.0), system_residual(sys_, x, u, 314.0))
+        close(total_energy(sys_, x), system_energy(sys_, x))
+        theta, omega, i_flat, _, _ = lay.split(x)
+        for k, p in enumerate(machines):
+            i = i_flat[5 * k:5 * k + 5]
+            close(electrical_torque(p, theta[k], i),
+                  oracle_torque(p, theta[k], i))
+            close(induced_voltage(p, theta[k], omega[k], i),
+                  oracle_induced_voltage(p, theta[k], omega[k], i))
 
 
 def test_steady_field_cases(three_bus):
