@@ -114,9 +114,13 @@ def turn_stator(w, z):
     """Copy of the winding blocks ``w`` (..., 5) with each stator pair, read
     as the complex number w_alpha + j w_beta, multiplied by ``z``: T(theta) w
     for z = e^{j theta}, and the rotor-frame view T(theta)^T w for its
-    conjugate. The rotor entries are left alone."""
+    conjugate. The rotor entries are left alone, so z = 1j is not the stator
+    generator J, which zeroes them."""
     out = np.array(w, dtype=float, order="C")
-    out[..., :2].view(complex)[..., 0] *= z
+    # Complex view of the pairs from the row strides; numpy < 1.23 cannot
+    # .view() the strided slice out[..., :2] as complex.
+    pairs = np.ndarray(out.shape[:-1], complex, out, strides=out.strides[:-1])
+    pairs *= z
     return out
 
 

@@ -103,22 +103,6 @@ def solve_branch_currents(params, omega0, w):
     return out
 
 
-def shunt_admittance(params, bank, v, omega0):
-    """Block-diagonal bus shunt admittance: the load admittances of the
-    :class:`~gridstate.loads.LoadBank` ``bank`` at voltages ``v`` plus the
-    capacitive susceptance omega0 c at each bus. Over complex pairs the
-    block of a bus with admittance g + j b is g I + b J."""
-    y = 1j * omega0 * params.c
-    vc = np.ascontiguousarray(v, dtype=float).view(complex)
-    y[bank.index] += bank.admittance(vc[bank.index])
-    d = np.arange(0, 2 * len(y), 2)
-    Y = np.zeros((2 * len(y), 2 * len(y)))
-    Y[d, d] = Y[d + 1, d + 1] = y.real
-    Y[d + 1, d] = y.imag
-    Y[d, d + 1] = -y.imag
-    return Y
-
-
 def line_admittance(params, topology, omega0):
     """Incidence-weighted inverse branch impedances, the part of the nodal
     admittance that does not depend on the voltages.
@@ -134,14 +118,22 @@ def line_admittance(params, topology, omega0):
         - np.kron((E * (omega0 * l / det)) @ E.T, ROT90)
 
 
-def admittance(params, topology, bank, v, omega0, lines=None):
-    """Full nodal admittance matrix: shunts plus :func:`line_admittance`,
-    with ``bank`` the system's :class:`~gridstate.loads.LoadBank`
-    (``PowerSystem.load_bank``). Depends on v only through the load
-    magnitudes, so it is constant for impedance-only loads. ``lines`` is
-    the line part when the caller has already built it (it is built here
-    otherwise); the Newton solve builds it once per solve.
+def admittance(params, bank, v, omega0, lines):
+    """Full nodal admittance matrix: ``lines``, the :func:`line_admittance`
+    of the same network and frequency, plus the block-diagonal bus shunts.
+    A bus's shunt is the admittance of its load in the
+    :class:`~gridstate.loads.LoadBank` ``bank`` (``PowerSystem.load_bank``)
+    at voltages ``v`` plus the capacitive susceptance omega0 c; over complex
+    pairs its block for admittance g + j b is g I + b J. Depends on v only
+    through the load magnitudes, so it is constant for impedance-only loads.
     """
-    if lines is None:
-        lines = line_admittance(params, topology, omega0)
-    return shunt_admittance(params, bank, v, omega0) + lines
+    y = 1j * omega0 * params.c
+    vc = np.ascontiguousarray(v, dtype=float).view(complex)
+    y[bank.index] += bank.admittance(vc[bank.index])
+    d = np.arange(0, 2 * len(y), 2)
+    Y = lines.copy()
+    Y[d, d] += y.real
+    Y[d + 1, d + 1] += y.real
+    Y[d + 1, d] += y.imag
+    Y[d, d + 1] -= y.imag
+    return Y

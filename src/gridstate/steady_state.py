@@ -326,8 +326,7 @@ def solve_network(sys, spec):
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
-            Y = admittance(sys.network, sys.topology, sys.load_bank, v,
-                           omega0, lines)
+            Y = admittance(sys.network, sys.load_bank, v, omega0, lines)
             balance = Y @ v
             res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
             history.append(res)

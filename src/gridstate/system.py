@@ -17,7 +17,7 @@ every machine with one Cholesky of L0, which is exact for all angles.
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
-from .frame import rotate_pairs
+from .frame import MACHINE_ROT90, rotate_pairs
 from .loads import Load, LoadBank
 from .machine import (induction_matrix, inductance_matrix, rotor_torque,
                       turn_stator, validate_params)
@@ -152,14 +152,6 @@ class PowerSystem:
         return i_l
 
 
-def _rotate_stator(block):
-    """Apply the stator rotation generator to (n_g, 5) current blocks."""
-    out = np.zeros_like(block)
-    out[:, 0] = -block[:, 1]
-    out[:, 1] = block[:, 0]
-    return out
-
-
 def _machine_block(sys, theta, omega, i, v, v_f):
     """Terms shared by the vector field and the residual, in the rotor frame
     (see :mod:`gridstate.machine`): z = e^{j theta}, the rotor-frame
@@ -265,7 +257,7 @@ def steady_field(sys, x, omega0):
     return lay.pack(
         np.full(sys.n_g, omega0),
         np.zeros(sys.n_g),
-        omega0 * _rotate_stator(i),
+        omega0 * i @ MACHINE_ROT90.T,
         omega0 * rotate_pairs(v),
         omega0 * rotate_pairs(i_T),
     )
@@ -284,7 +276,7 @@ def residual(sys, x, u, omega0):
 
     rho_freq = omega0 - omega
     rho_torque = sys._d * omega + tau_e - tau_m
-    LJi = (sys._L0 @ _rotate_stator(i_r)[..., None])[..., 0]
+    LJi = (sys._L0 @ (i_r @ MACHINE_ROT90.T)[..., None])[..., 0]
     rho_windings = turn_stator(omega0 * LJi - drive, z)
 
     i_l = sys.load_currents(v)

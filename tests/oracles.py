@@ -17,7 +17,8 @@ from gridstate.errors import LoadDomainError
 from gridstate.frame import MACHINE_ROT90, ROT90, rot, rotate_pairs
 from gridstate.loads import Load, LoadBank
 from gridstate.machine import inductance_matrix
-from gridstate.network import admittance, incidence_expand
+from gridstate.network import (admittance, incidence_expand,
+                               line_admittance)
 
 
 @dataclass
@@ -116,7 +117,8 @@ def nodal_balance_residual(params, topology, loads, i_s, v, omega0):
     i_s = np.asarray(i_s, dtype=float)
     inj = np.zeros(2 * n_v)
     inj[:len(i_s)] = i_s
-    Y = admittance(params, topology, LoadBank(loads, range(n_v)), v, omega0)
+    Y = admittance(params, LoadBank(loads, range(n_v)), v, omega0,
+                   line_admittance(params, topology, omega0))
     return Y @ v + inj
 
 

@@ -43,3 +43,26 @@ def test_ellipse_bound_attained_within_samples(three_bus):
     bound = (geom.round_mag - geom.salient_mag) ** 2
     assert min(radii) >= bound - 1e-12
     assert min(radii) <= bound + 0.01 * max(1.0, bound)
+
+
+def test_machine_rows_fail_when_inductance_stops_factoring(three_bus,
+                                                           monkeypatch):
+    # The rotor-frame forms satisfy the flow identities for any L0; the
+    # machine rows must still fail when L(theta) is not T L0 T^T. Saliency
+    # turning at the rotor angle instead of twice it breaks the factoring.
+    import gridstate.identities as identities
+    from gridstate.frame import rot
+    from gridstate.machine import inductance_matrix
+
+    def unfactored(p, theta):
+        L = inductance_matrix(p, theta)
+        L[:2, :2] = p.l_s * np.eye(2) \
+            + rot(theta) @ np.diag([p.l_sa, -p.l_sa])
+        return L
+
+    monkeypatch.setattr(identities, "inductance_matrix", unfactored)
+    sys_, _ = three_bus
+    rows = run_identity_suite(sys_, n_samples=40, seed=0)
+    failed = {r.name for r in rows if not r.passed}
+    assert failed == {"torque constant along rotating flow",
+                      "induced voltage rotates along flow"}

@@ -5,7 +5,8 @@ from gridstate.errors import ValidationError
 from gridstate.frame import block_rotation_generator
 from gridstate.loads import Load, LoadBank
 from gridstate.network import (NetworkParams, Topology, admittance,
-                               incidence_expand, solve_branch_currents)
+                               incidence_expand, line_admittance,
+                               solve_branch_currents)
 
 from oracles import (NetworkState, branch_impedance, network_residual,
                      network_rhs, nodal_balance_residual)
@@ -171,7 +172,8 @@ def test_admittance_two_bus_hand_value():
     top = Topology(np.array([[1.0], [-1.0]]))
     params = NetworkParams(c=np.array([1e-4, 1e-4]), l_T=np.array([1e-3]),
                            r_T=np.array([0.5]))
-    Y = admittance(params, top, no_loads(2), np.zeros(4), 0.0)
+    Y = admittance(params, no_loads(2), np.zeros(4), 0.0,
+                   line_admittance(params, top, 0.0))
     np.testing.assert_allclose(Y, np.kron([[2.0, -2.0], [-2.0, 2.0]],
                                           np.eye(2)), atol=1e-12)
 
@@ -182,7 +184,8 @@ def test_admittance_is_weighted_laplacian_without_loads():
     params = NetworkParams(c=rng.uniform(1e-4, 1e-3, 5),
                            l_T=rng.uniform(1e-3, 5e-3, 4),
                            r_T=rng.uniform(0.2, 2.0, 4))
-    Y = admittance(params, top, no_loads(5), np.zeros(10), 0.0)
+    Y = admittance(params, no_loads(5), np.zeros(10), 0.0,
+                   line_admittance(params, top, 0.0))
     lap = top.incidence @ np.diag(1.0 / params.r_T) @ top.incidence.T
     np.testing.assert_allclose(Y, np.kron(lap, np.eye(2)), atol=1e-12)
     # PSD with nullspace spanned by uniform per-axis voltages
@@ -197,10 +200,11 @@ def test_impedance_load_adds_shunt_block():
     params = NetworkParams(c=np.array([1e-4, 1e-4]), l_T=np.array([1e-3]),
                            r_T=np.array([0.5]))
     g, b = 0.7, -0.2
-    base = admittance(params, top, no_loads(2), np.zeros(4), 0.0)
+    lines = line_admittance(params, top, 0.0)
+    base = admittance(params, no_loads(2), np.zeros(4), 0.0, lines)
     with_load = admittance(
-        params, top, LoadBank([Load.none(), Load.impedance(g, b)], range(2)),
-        np.zeros(4), 0.0)
+        params, LoadBank([Load.none(), Load.impedance(g, b)], range(2)),
+        np.zeros(4), 0.0, lines)
     delta = with_load - base
     np.testing.assert_allclose(delta[2:, 2:],
                                [[g, -b], [b, g]], atol=1e-15)

@@ -9,7 +9,8 @@ from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
 from gridstate.network import (NetworkParams, Topology, admittance,
-                               incidence_expand, solve_branch_currents)
+                               incidence_expand, line_admittance,
+                               solve_branch_currents)
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
                                     assemble_steady_state, balance_jacobian,
                                     compute_steady_state, excitation_demand,
@@ -149,12 +150,13 @@ def test_balance_jacobian_matches_central_difference():
     v = np.concatenate([spec.gen_voltages(),
                         rng.uniform(5.0, 12.0, 2 * sys_.n_l)])
 
+    lines = line_admittance(sys_.network, sys_.topology, spec.omega0)
+
     def load_rows(w):
-        Y = admittance(sys_.network, sys_.topology, sys_.load_bank, w,
-                       spec.omega0)
+        Y = admittance(sys_.network, sys_.load_bank, w, spec.omega0, lines)
         return (Y @ w)[2 * n_g:]
 
-    Y = admittance(sys_.network, sys_.topology, sys_.load_bank, v, spec.omega0)
+    Y = admittance(sys_.network, sys_.load_bank, v, spec.omega0, lines)
     jac = balance_jacobian(sys_, Y, v)
     h = 1e-5 * float(np.max(np.abs(v)))
     fd = np.empty_like(jac)
