@@ -106,14 +106,10 @@ def system_from_dict(doc):
         vals = [_require(m, key, float, where) for key in MACHINE_KEYS]
         machines.append(MachineParams(*vals))
 
-    try:
-        topology = Topology(incidence)
-        network = NetworkParams(c=np.array(caps), l_T=np.array(l_T),
-                                r_T=np.array(r_T))
-        sys_ = assemble(machines, machine_buses, topology, network,
-                        loads=loads, bus_ids=bus_ids)
-    except ValidationError:
-        raise
+    network = NetworkParams(c=np.array(caps), l_T=np.array(l_T),
+                            r_T=np.array(r_T))
+    sys_ = assemble(machines, machine_buses, Topology(incidence), network,
+                    loads=loads, bus_ids=bus_ids)
 
     gen_volts = _require(op, "generator_voltages", list, "operating_point")
     mag = np.empty(len(machines))
@@ -299,7 +295,11 @@ def write_trajectory_csv(fh, sys, traj):
 
 
 def read_trajectory_csv(path, sys, inputs=None):
-    """Load a trajectory CSV, checking the header against the system."""
+    """Load a trajectory CSV, checking the header against the system.
+
+    numpy's text parser reads all samples in one call. Rows it rejects are
+    read again as Python floats, which name the first bad file line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         expected = trajectory_header(sys)
@@ -308,21 +308,28 @@ def read_trajectory_csv(path, sys, inputs=None):
                 f"{path}: trajectory header does not match the system; "
                 f"expected {expected!r}"
             )
+        lines = fh.readlines()
+    if not any(line.strip() for line in lines):
+        raise SchemaError(f"{path}: no samples")
+    width = sys.n_x + 1
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != width:
         rows = []
-        for n, line in enumerate(fh, start=2):
+        for n, line in enumerate(lines, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != sys.n_x + 1:
+            if len(parts) != width:
                 raise SchemaError(f"{path}: line {n}: expected "
-                                  f"{sys.n_x + 1} columns, got {len(parts)}")
+                                  f"{width} columns, got {len(parts)}")
             try:
                 rows.append([float(p) for p in parts])
             except ValueError as err:
                 raise SchemaError(f"{path}: line {n}: {err}") from err
-    if not rows:
-        raise SchemaError(f"{path}: no samples")
-    data = np.array(rows)
+        data = np.array(rows)
     u = np.zeros(sys.layout.n_u) if inputs is None else np.asarray(inputs)
     return Trajectory(times=data[:, 0], states=data[:, 1:], inputs=u)

@@ -54,12 +54,12 @@ def machine_rotation_generator(n_g):
 
 
 def rotate_pairs(w):
-    """Apply (I kron ROT90) to a flat vector of stacked planar pairs.
+    """Apply (I kron ROT90) to planar pairs stacked along the last axis.
 
-    Equivalent to ``block_rotation_generator(len(w)//2) @ w`` without
-    building the matrix.
+    Equivalent to ``block_rotation_generator(n) @ w`` for a flat vector of
+    n pairs, without building the matrix.
     """
     out = np.empty_like(w)
-    out[0::2] = -w[1::2]
-    out[1::2] = w[0::2]
+    out[..., 0::2] = -w[..., 1::2]
+    out[..., 1::2] = w[..., 0::2]
     return out

@@ -76,7 +76,7 @@ def park_factorization_defect(p, theta):
     forms stand for the L(theta) model only through this factorization."""
     z = complex(*rvec(theta))
     L = inductance_matrix(p, theta)
-    L0_Tt = turn_stator(inductance_matrix(p, 0.0), z)
+    L0_Tt = turn_stator(p.rotor_frame_inductance(), z)
     gap = turn_stator(L0_Tt.T, z).T - L
     return float(np.max(np.abs(gap))) / max(1.0, float(np.max(np.abs(L))))
 

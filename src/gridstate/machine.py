@@ -80,6 +80,16 @@ class MachineParams:
             [0.0, 0.0, -self.l_sq],
         ])
 
+    def rotor_frame_inductance(self):
+        """L0 = L(0), the winding inductance in the rotor frame: stator
+        diag(l_s + l_sa, l_s - l_sa), the mutual coupling and the rotor
+        block, assembled without rotating anything."""
+        L = np.diag([self.l_s + self.l_sa, self.l_s - self.l_sa, 0.0, 0.0, 0.0])
+        L[:2, 2:] = self.mutual_coupling()
+        L[2:, :2] = L[:2, 2:].T
+        L[2:, 2:] = self.rotor_inductance()
+        return L
+
 
 @dataclass(frozen=True)
 class ParamViolation:
@@ -116,12 +126,17 @@ def turn_stator(w, z):
     for z = e^{j theta}, and the rotor-frame view T(theta)^T w for its
     conjugate. The rotor entries are left alone, so z = 1j is not the stator
     generator J, which zeroes them."""
-    out = np.array(w, dtype=float, order="C")
+    return turn_stator_in_place(np.array(w, dtype=float, order="C"), z)
+
+
+def turn_stator_in_place(w, z):
+    """:func:`turn_stator` applied to a C-contiguous float array ``w`` the
+    caller owns, which is overwritten and returned."""
     # Complex view of the pairs from the row strides; numpy < 1.23 cannot
-    # .view() the strided slice out[..., :2] as complex.
-    pairs = np.ndarray(out.shape[:-1], complex, out, strides=out.strides[:-1])
+    # .view() the strided slice w[..., :2] as complex.
+    pairs = np.ndarray(w.shape[:-1], complex, w, strides=w.strides[:-1])
     pairs *= z
-    return out
+    return w
 
 
 def rotor_torque(L0, i_r):
@@ -143,7 +158,7 @@ def electrical_torque(p, theta, i):
     the inductance is the constant L0.
     """
     i_r = turn_stator(i, complex(*rvec(-theta)))
-    return float(rotor_torque(inductance_matrix(p, 0.0), i_r))
+    return float(rotor_torque(p.rotor_frame_inductance(), i_r))
 
 
 def induced_voltage(p, theta, omega, i):
@@ -151,7 +166,7 @@ def induced_voltage(p, theta, omega, i):
     omega (J L(theta) - L(theta) J) i, taken in the rotor frame."""
     z = complex(*rvec(theta))
     i_r = turn_stator(i, z.conjugate())
-    K = induction_matrix(inductance_matrix(p, 0.0))
+    K = induction_matrix(p.rotor_frame_inductance())
     return turn_stator(omega * (K @ i_r), z)
 
 
@@ -172,7 +187,7 @@ def validate_params(p):
         return ParamViolation("sign", f"l_sa must be >= 0, got {p.l_sa!r}")
 
     theta = 0.0
-    L0 = inductance_matrix(p, theta)
+    L0 = p.rotor_frame_inductance()
     try:
         np.linalg.cholesky(L0)
     except np.linalg.LinAlgError:

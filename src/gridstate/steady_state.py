@@ -8,7 +8,7 @@ verified against the full-system residual and a set of numeric probes.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -120,16 +120,7 @@ class VerificationReport:
     tolerances: dict
 
     def as_dict(self):
-        return {
-            "residual_blocks": self.residual_blocks,
-            "residual_inf": self.residual_inf,
-            "scale": self.scale,
-            "invariance_defect": self.invariance_defect,
-            "equivariance_defects": self.equivariance_defects,
-            "certificate": self.certificate,
-            "failures": self.failures,
-            "tolerances": self.tolerances,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import LoadDomainError, ValidationError
 from .frame import MACHINE_ROT90, rotate_pairs
 from .loads import Load, LoadBank
-from .machine import (induction_matrix, inductance_matrix, rotor_torque,
-                      turn_stator, validate_params)
+from .machine import (induction_matrix, rotor_torque, turn_stator,
+                      turn_stator_in_place, validate_params)
 from .network import NetworkParams, Topology, incidence_expand
 
 
@@ -37,20 +37,28 @@ class StateLayout:
         self.sl_i = slice(o, o + 5 * n_g); o += 5 * n_g
         self.sl_v = slice(o, o + 2 * n_v); o += 2 * n_v
         self.sl_iT = slice(o, o + 2 * n_t)
+        # Block indices into the last axis, built once for the hot paths.
+        self._blocks = tuple((Ellipsis, sl) for sl in (
+            self.sl_theta, self.sl_omega, self.sl_i, self.sl_v, self.sl_iT))
 
     def pack(self, theta, omega, i, v, i_T):
-        x = np.empty(self.n_x)
-        x[self.sl_theta] = theta
-        x[self.sl_omega] = omega
-        x[self.sl_i] = np.asarray(i).ravel()
-        x[self.sl_v] = v
-        x[self.sl_iT] = i_T
+        """State(s) of shape (..., n_x); the batch shape is that of ``v``, the
+        other blocks broadcast to it, the currents are (..., n_g, 5) blocks
+        or flat."""
+        b_theta, b_omega, b_i, b_v, b_iT = self._blocks
+        i = np.asarray(i)
+        x = np.empty(np.shape(v)[:-1] + (self.n_x,))
+        x[b_theta] = theta
+        x[b_omega] = omega
+        x[b_i] = i.reshape(i.shape[:-2] + (-1,))
+        x[b_v] = v
+        x[b_iT] = i_T
         return x
 
     def split(self, x):
-        """Views (theta, omega, i, v, i_T) into a flat state vector."""
-        return (x[self.sl_theta], x[self.sl_omega], x[self.sl_i],
-                x[self.sl_v], x[self.sl_iT])
+        """Views (theta, omega, i, v, i_T) into state(s) of shape (..., n_x)."""
+        b_theta, b_omega, b_i, b_v, b_iT = self._blocks
+        return x[b_theta], x[b_omega], x[b_i], x[b_v], x[b_iT]
 
     def pack_input(self, tau_m, v_f):
         return np.concatenate([np.asarray(tau_m, dtype=float).ravel(),
@@ -75,7 +83,11 @@ class PowerSystem:
         self.bus_ids = tuple(bus_ids)
         # input_position[k] = position of solve-order bus k in the user's input
         self.input_position = tuple(input_position)
-        self.layout = StateLayout(len(machines), topology.n_v, topology.n_t)
+        self.n_g = len(self.machines)
+        self.n_v, self.n_t = topology.n_v, topology.n_t
+        self.n_l = self.n_v - self.n_g
+        self.layout = StateLayout(self.n_g, self.n_v, self.n_t)
+        self.n_x = self.layout.n_x
 
         self.incidence2 = incidence_expand(topology)
         self._c2 = np.repeat(network.c, 2)
@@ -86,31 +98,11 @@ class PowerSystem:
         self._d = np.array([p.d for p in self.machines])
         self._r_winding = np.array([p.resistance_diag() for p in self.machines])
         # Rotor-frame constants: L0 = L(0), its inverse, and J L0 - L0 J.
-        self._L0 = np.array([inductance_matrix(p, 0.0) for p in self.machines])
+        self._L0 = np.array([p.rotor_frame_inductance() for p in self.machines])
         self._L0_inv = np.linalg.inv(self._L0)
         self._K0 = induction_matrix(self._L0)
         self.loads = tuple(loads)
         self.load_bank = LoadBank(self.loads, self.bus_ids)
-
-    @property
-    def n_g(self):
-        return len(self.machines)
-
-    @property
-    def n_v(self):
-        return self.topology.n_v
-
-    @property
-    def n_l(self):
-        return self.n_v - self.n_g
-
-    @property
-    def n_t(self):
-        return self.topology.n_t
-
-    @property
-    def n_x(self):
-        return self.layout.n_x
 
     def with_loads(self, loads):
         """Copy of this system with the per-bus loads replaced (solve order).
@@ -134,18 +126,21 @@ class PowerSystem:
         return turn_stator(np.swapaxes(L0_Tt, 1, 2), z).swapaxes(1, 2)
 
     def load_currents(self, v):
-        """Per-bus load currents stacked into a 2*n_v vector: the shipped
-        loads in one expression over the complex voltages (see
-        :class:`LoadBank`), custom loads one call each."""
+        """Per-bus load currents stacked like the voltages ``v``, shape
+        (..., 2*n_v): the shipped loads in one expression over the complex
+        voltages (see :class:`LoadBank`), custom loads one call each, with
+        their voltage columns of shape (2, ...)."""
         bank = self.load_bank
         vc = np.ascontiguousarray(v, dtype=float).view(complex)
-        i_l = np.zeros(len(vc), dtype=complex)
-        vb = vc[bank.index]
-        i_l[bank.index] = bank.admittance(vb) * vb
+        i_l = np.zeros(vc.shape, dtype=complex)
+        # Bus axis indexed through .T: cheaper than [..., index] per call.
+        vb = vc.T[bank.index].T
+        i_l.T[bank.index] = (bank.admittance(vb) * vb).T
         i_l = i_l.view(float)
         for k, load in bank.custom:
             try:
-                i_l[2 * k:2 * k + 2] = load.current(v[2 * k:2 * k + 2])
+                pair = np.moveaxis(v[..., 2 * k:2 * k + 2], -1, 0)
+                i_l[..., 2 * k:2 * k + 2] = np.moveaxis(load.current(pair), 0, -1)
             except LoadDomainError as err:
                 raise LoadDomainError(f"bus {self.bus_ids[k]!r}: {err}",
                                       bus=self.bus_ids[k]) from err
@@ -156,15 +151,17 @@ def _machine_block(sys, theta, omega, i, v, v_f):
     """Terms shared by the vector field and the residual, in the rotor frame
     (see :mod:`gridstate.machine`): z = e^{j theta}, the rotor-frame
     currents i_r = T^T i, the electrical torque, and the winding voltage
-    left to change the flux, applied - R i - induced, as T^T of it."""
+    left to change the flux, applied - R i - induced, as T^T of it, for
+    currents ``i`` of shape (..., n_g, 5)."""
     z = np.exp(1j * theta)
     to_rotor = z.conj()
     i_r = turn_stator(i, to_rotor)
-    applied = np.zeros((sys.n_g, 5))
-    applied[:, :2] = v[:2 * sys.n_g].reshape(-1, 2)
-    applied[:, 2] = v_f
-    v_ind = omega[:, None] * (sys._K0 @ i_r[..., None])[..., 0]
-    drive = turn_stator(applied, to_rotor) - sys._r_winding * i_r - v_ind
+    drive = np.zeros(i.shape)
+    drive[..., :2] = v[..., :2 * sys.n_g].reshape(theta.shape + (2,))
+    drive[..., 2] = v_f
+    turn_stator_in_place(drive, to_rotor)
+    drive -= sys._r_winding * i_r
+    drive -= omega[..., None] * (sys._K0 @ i_r[..., None])[..., 0]
     return z, i_r, rotor_torque(sys._L0, i_r), drive
 
 
@@ -228,20 +225,20 @@ def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=Non
 
 
 def vector_field(sys, x, u):
-    """Time derivative of the full power system state."""
+    """Time derivative of the full power system state, for states of shape
+    (..., n_x)."""
     lay = sys.layout
     theta, omega, i_flat, v, i_T = lay.split(x)
     tau_m, v_f = lay.split_input(u)
-    i = i_flat.reshape(sys.n_g, 5)
+    i = i_flat.reshape(theta.shape + (5,))
 
     z, _, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
-    di = turn_stator((sys._L0_inv @ drive[..., None])[..., 0], z)
+    di = turn_stator_in_place((sys._L0_inv @ drive[..., None])[..., 0], z)
 
-    i_l = sys.load_currents(v)
-    i_in = i_l.copy()
-    i_in[:2 * sys.n_g] += i[:, :2].ravel()
-    dv = (-sys.incidence2 @ i_T - i_in) / sys._c2
-    di_T = (-sys._r_T2 * i_T + sys.incidence2.T @ v) / sys._l_T2
+    i_in = sys.load_currents(v)
+    i_in[..., :2 * sys.n_g] += i[..., :2].reshape(omega.shape[:-1] + (-1,))
+    dv = (-(i_T @ sys.incidence2.T) - i_in) / sys._c2
+    di_T = (-sys._r_T2 * i_T + v @ sys.incidence2) / sys._l_T2
 
     domega = (tau_m - sys._d * omega - tau_e) / sys._m
     return lay.pack(omega, domega, di, dv, di_T)
@@ -250,13 +247,13 @@ def vector_field(sys, x, u):
 def steady_field(sys, x, omega0):
     """Rotating steady-state vector field: angles advance at omega0, speeds
     hold, and every planar pair (stator currents, bus voltages, line
-    currents) rotates rigidly at omega0."""
+    currents) rotates rigidly at omega0. States are (..., n_x)."""
     lay = sys.layout
     _, _, i_flat, v, i_T = lay.split(x)
-    i = i_flat.reshape(sys.n_g, 5)
+    i = i_flat.reshape(i_flat.shape[:-1] + (sys.n_g, 5))
     return lay.pack(
-        np.full(sys.n_g, omega0),
-        np.zeros(sys.n_g),
+        omega0,
+        0.0,
         omega0 * i @ MACHINE_ROT90.T,
         omega0 * rotate_pairs(v),
         omega0 * rotate_pairs(i_T),
@@ -266,25 +263,26 @@ def steady_field(sys, x, omega0):
 def residual(sys, x, u, omega0):
     """Gap between the rotating steady-state dynamics and the model dynamics,
     scaled by the (block-diagonal) mass matrix. Zero exactly on steady
-    states at frequency omega0 with input u."""
+    states at frequency omega0 with input u. States are (..., n_x)."""
     lay = sys.layout
     theta, omega, i_flat, v, i_T = lay.split(x)
     tau_m, v_f = lay.split_input(u)
-    i = i_flat.reshape(sys.n_g, 5)
+    i = i_flat.reshape(theta.shape + (5,))
 
     z, i_r, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
 
     rho_freq = omega0 - omega
     rho_torque = sys._d * omega + tau_e - tau_m
     LJi = (sys._L0 @ (i_r @ MACHINE_ROT90.T)[..., None])[..., 0]
-    rho_windings = turn_stator(omega0 * LJi - drive, z)
+    rho_windings = turn_stator_in_place(omega0 * LJi - drive, z)
 
     i_l = sys.load_currents(v)
-    inj = np.zeros(2 * sys.n_v)
-    inj[:2 * sys.n_g] = i[:, :2].ravel()
-    rho_nodes = omega0 * sys._c2 * rotate_pairs(v) + inj + sys.incidence2 @ i_T + i_l
+    inj = np.zeros(v.shape)
+    inj[..., :2 * sys.n_g] = i[..., :2].reshape(omega.shape[:-1] + (-1,))
+    rho_nodes = omega0 * sys._c2 * rotate_pairs(v) + inj \
+        + i_T @ sys.incidence2.T + i_l
     rho_lines = sys._r_T2 * i_T + omega0 * sys._l_T2 * rotate_pairs(i_T) \
-        - sys.incidence2.T @ v
+        - v @ sys.incidence2
     return lay.pack(rho_freq, rho_torque, rho_windings, rho_nodes, rho_lines)
 
 

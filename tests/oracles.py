@@ -3,8 +3,9 @@
 These are the straightforward per-bus and per-sample forms: the network
 dynamics and Kirchhoff residuals written out with dense matrices, the
 load currents one bus at a time, the equivariance probe one rotation
-at a time, and one machine at a time through its full inductance matrix
-L(theta) with a Cholesky solve at every call.
+at a time, one machine at a time through its full inductance matrix
+L(theta) with a Cholesky solve at every call, and the drift metrics one
+trajectory sample at a time.
 """
 
 import math
@@ -19,6 +20,8 @@ from gridstate.loads import Load, LoadBank
 from gridstate.machine import inductance_matrix
 from gridstate.network import (admittance, incidence_expand,
                                line_admittance)
+from gridstate.simulate import DriftMetrics, reference_trajectory
+from gridstate.system import residual, tolerance_scale
 
 
 @dataclass
@@ -262,3 +265,34 @@ def grid_min_eigenvalue(p, n_theta=64):
     return min(float(np.linalg.eigvalsh(inductance_matrix(p, theta))[0])
                for theta in np.linspace(0.0, 2.0 * np.pi, n_theta,
                                         endpoint=False))
+
+
+def looped_drift_metrics(sys, traj, x0, omega0):
+    """:class:`DriftMetrics` of a trajectory, one reference state and one
+    residual call per sample."""
+    lay = sys.layout
+    x0 = np.asarray(x0, dtype=float)
+    scale = tolerance_scale(x0, traj.inputs)
+    v0 = x0[lay.sl_v].reshape(-1, 2)
+    vmag0 = np.maximum(np.linalg.norm(v0, axis=1), 1e-12)
+
+    state_dev = np.empty(len(traj.times))
+    vmag_dev = np.empty(len(traj.times))
+    freq_dev = np.empty(len(traj.times))
+    rho_dev = np.empty(len(traj.times))
+    for idx, (t, x) in enumerate(zip(traj.times, traj.states)):
+        ref = reference_trajectory(sys, x0, omega0, t)
+        state_dev[idx] = np.max(np.abs(x - ref)) / scale
+        vmag = np.linalg.norm(x[lay.sl_v].reshape(-1, 2), axis=1)
+        vmag_dev[idx] = np.max(np.abs(vmag - vmag0) / vmag0)
+        freq_dev[idx] = np.max(np.abs(x[lay.sl_omega] - omega0))
+        rho_dev[idx] = np.max(np.abs(residual(sys, x, traj.inputs,
+                                              omega0))) / scale
+
+    return DriftMetrics(
+        state_deviation=float(np.max(state_dev)),
+        voltage_magnitude_deviation=float(np.max(vmag_dev)),
+        frequency_deviation=float(np.max(freq_dev)),
+        residual=float(np.max(rho_dev)),
+        worst_sample=int(np.argmax(state_dev)),
+    )

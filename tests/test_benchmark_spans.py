@@ -7,6 +7,7 @@ import importlib.util
 import pathlib
 import types
 
+from gridstate.simulate import SimConfig, drift_metrics, simulate
 from gridstate.steady_state import compute_steady_state, verify_steady_state
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
@@ -50,3 +51,27 @@ def test_certify_runs_the_traced_load_and_network_spans(three_bus,
                                 counting(vars(owner)[attr], name))
     verify_steady_state(sys_, compute_steady_state(sys_, spec))
     assert all(calls.values()), calls
+
+
+def test_drift_metrics_runs_the_traced_residual_and_reference(three_bus,
+                                                             certified,
+                                                             monkeypatch):
+    # The traced benchmark takes the medians of these two spans, which the
+    # batched drift metrics must still open: once per trajectory.
+    sys_, _ = three_bus
+    ss = certified
+    watched = {"residual", "reference_trajectory"}
+    calls = dict.fromkeys(watched, 0)
+
+    def counting(fn, attr):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, name in traced_targets():
+        if owner.__name__ == "gridstate.simulate" and attr in watched:
+            monkeypatch.setattr(owner, attr, counting(vars(owner)[attr], attr))
+    traj = simulate(sys_, ss.x, ss.u, SimConfig(dt=1e-5, t_end=1e-4))
+    drift_metrics(sys_, traj, ss.x, ss.omega0)
+    assert calls == dict.fromkeys(watched, 1)

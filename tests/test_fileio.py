@@ -168,3 +168,48 @@ def test_trajectory_header_mismatch_rejected(tmp_path, three_bus):
     path.write_text("t,wrong\n0.0,1.0\n")
     with pytest.raises(SchemaError, match="header"):
         read_trajectory_csv(path, sys_)
+
+
+def csv_with_rows(tmp_path, sys_, rows):
+    """A trajectory file with the system's header and the given data lines."""
+    path = tmp_path / "traj.csv"
+    path.write_text(trajectory_header(sys_) + "\n" + "".join(
+        row + "\n" for row in rows))
+    return path
+
+
+def test_trajectory_csv_bad_row_names_its_file_line(tmp_path, three_bus):
+    sys_, _ = three_bus
+    good = ",".join(["0.5"] * (sys_.n_x + 1))
+    # Blank lines are skipped but still counted: the bad row is file line 5.
+    short = ",".join(["0.5"] * sys_.n_x)
+    path = csv_with_rows(tmp_path, sys_, [good, "", good, short, good])
+    with pytest.raises(SchemaError,
+                       match=f"line 5: expected {sys_.n_x + 1} columns, "
+                             f"got {sys_.n_x}"):
+        read_trajectory_csv(path, sys_)
+    bad_number = good.replace("0.5", "0.5x", 1)
+    path = csv_with_rows(tmp_path, sys_, [good, "", bad_number, good])
+    with pytest.raises(SchemaError, match="line 4: could not convert "
+                                          "string to float: '0.5x'"):
+        read_trajectory_csv(path, sys_)
+    # In file order, the first bad line is reported whatever its fault.
+    path = csv_with_rows(tmp_path, sys_, [bad_number, short])
+    with pytest.raises(SchemaError, match="line 2: could not convert"):
+        read_trajectory_csv(path, sys_)
+    path = csv_with_rows(tmp_path, sys_, [short, bad_number])
+    with pytest.raises(SchemaError, match="line 2: expected"):
+        read_trajectory_csv(path, sys_)
+
+
+def test_trajectory_csv_skips_blank_lines_and_needs_a_sample(tmp_path,
+                                                              three_bus):
+    sys_, _ = three_bus
+    row = [float(k) for k in range(sys_.n_x + 1)]
+    path = csv_with_rows(tmp_path, sys_,
+                         ["", " ", ",".join(map(repr, row)), ""])
+    traj = read_trajectory_csv(path, sys_)
+    np.testing.assert_array_equal(traj.times, [0.0])
+    np.testing.assert_array_equal(traj.states, [row[1:]])
+    with pytest.raises(SchemaError, match="no samples"):
+        read_trajectory_csv(csv_with_rows(tmp_path, sys_, ["", ""]), sys_)

@@ -178,6 +178,15 @@ def test_validate_params_flags_saliency_equal_to_stator():
     assert violation.eigenvalue is not None and violation.eigenvalue <= 1e-12
 
 
+def test_rotor_frame_inductance_is_inductance_at_zero_angle():
+    # L0 is assembled without rotations; it must be L(0) bit for bit.
+    rng = np.random.default_rng(21)
+    draws = [random_valid_params(rng) for _ in range(100)]
+    for p in [sample_machine(True), sample_machine(False)] + draws:
+        L0 = p.rotor_frame_inductance()
+        assert L0.tobytes() == inductance_matrix(p, 0.0).tobytes()
+
+
 def test_validate_params_agrees_with_angle_grid():
     # l_sf scaled across the positive-definiteness boundary: the one
     # Cholesky of L0 must reach the verdict of the 64-angle eigenvalue grid.
