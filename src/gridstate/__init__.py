@@ -10,12 +10,10 @@ conditions the steady state rests on.
 from .errors import (GridStateError, InfeasibleSteadyStateError,
                      LoadDomainError, SchemaError, SolverError, UsageError,
                      ValidationError)
-from .frame import (block_rotation_generator, machine_rotation_generator,
-                    rot, rvec, wrap_angle)
+from .frame import wrap_angle
 from .loads import Load, equivariance_defect
-from .machine import (MachineParams, electrical_torque, induced_voltage,
-                      inductance_matrix, validate_params)
-from .network import NetworkParams, Topology, incidence_expand
+from .machine import MachineParams, validate_params
+from .network import NetworkParams, Topology
 from .simulate import (DriftMetrics, SimConfig, Trajectory, drift_metrics,
                        reference_trajectory, rk4_step, simulate)
 from .steady_state import (FullSteadyState, MachineRecovery, NetworkSolution,

@@ -12,8 +12,8 @@ import numpy as np
 from .frame import MACHINE_ROT90, block_rotation_generator, \
     machine_rotation_generator, rvec
 from .machine import MachineParams, electrical_torque, induced_voltage, \
-    inductance_matrix, turn_stator, validate_params
-from .steady_state import recovery_geometry, rotor_frame_mismatch
+    inductance_matrix, stack_params, turn_stator, validate_params
+from .steady_state import recovery_parts
 from .system import (bus_indicator, field_indicator, mass_matrix, residual,
                      steady_field, vector_field)
 
@@ -160,22 +160,25 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     rows.append(IdentityCheck("rotation annihilates excitation injection",
                               d3, EXACT_TOL, d3 <= EXACT_TOL))
 
-    # Rotor-frame mismatch traces an origin-centered ellipse whose squared
-    # radius never drops below the squared difference of the two component
-    # magnitudes.
-    worst_ellipse = 0.0
+    # Rotor-frame mismatch e^{-j theta} a + e^{j theta} b traces an
+    # origin-centered ellipse whose squared radius never drops below
+    # (|a| - |b|)^2; all draws and angles in one array expression.
+    draws = []
     for idx in range(n_samples):
         p = random_valid_params(rng) if idx % 2 else sys.machines[idx % sys.n_g]
-        v = rng.uniform(-3.0, 3.0, 2)
-        i_s = rng.uniform(-3.0, 3.0, 2)
+        v = complex(*rng.uniform(-3.0, 3.0, 2))
+        i_s = complex(*rng.uniform(-3.0, 3.0, 2))
         omega0 = rng.uniform(0.5, 400.0) * rng.choice((-1.0, 1.0))
-        geom = recovery_geometry(p, v, i_s, omega0)
-        bound = (geom.round_mag - geom.salient_mag) ** 2
-        gauge = max(1.0, (geom.round_mag + geom.salient_mag) ** 2)
-        for theta in rng.uniform(-np.pi, np.pi, 32):
-            eps = rotor_frame_mismatch(geom, theta)
-            shortfall = (bound - float(eps @ eps)) / gauge
-            worst_ellipse = max(worst_ellipse, shortfall)
+        draws.append((p, v, i_s, omega0, rng.uniform(-np.pi, np.pi, 32)))
+    ps, v, i_s, omega0, theta = zip(*draws)
+    a, b = recovery_parts(stack_params(ps), np.array(v), np.array(i_s),
+                          np.array(omega0))
+    a, b, z = a[:, None], b[:, None], np.exp(1j * np.array(theta))
+    eps = np.conj(z) * a + z * b
+    bound = (np.abs(a) - np.abs(b)) ** 2
+    gauge = np.maximum(1.0, (np.abs(a) + np.abs(b)) ** 2)
+    worst_ellipse = float(np.max((bound - np.abs(eps) ** 2) / gauge,
+                                 initial=0.0))
     rows.append(IdentityCheck("rotor-frame mismatch ellipse lower bound",
                               worst_ellipse, ELLIPSE_TOL,
                               worst_ellipse <= ELLIPSE_TOL))

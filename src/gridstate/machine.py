@@ -20,7 +20,8 @@ and L(theta) is positive definite at every angle exactly when L0 is.
 :mod:`gridstate.system` evaluates the same forms on (n_g, 5, 5) stacks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -63,8 +64,9 @@ class MachineParams:
     l_sq: float
 
     def resistance_diag(self):
-        """Winding resistances as the diagonal of the 5x5 resistance matrix."""
-        return np.array([self.r_s, self.r_s, self.r_f, self.r_d, self.r_q])
+        """Winding resistances as the diagonal of the 5x5 resistance matrix
+        (one row per machine for constants from :func:`stack_params`)."""
+        return np.stack([self.r_s, self.r_s, self.r_f, self.r_d, self.r_q], -1)
 
     def rotor_inductance(self):
         return np.array([
@@ -83,12 +85,28 @@ class MachineParams:
     def rotor_frame_inductance(self):
         """L0 = L(0), the winding inductance in the rotor frame: stator
         diag(l_s + l_sa, l_s - l_sa), the mutual coupling and the rotor
-        block, assembled without rotating anything."""
-        L = np.diag([self.l_s + self.l_sa, self.l_s - self.l_sa, 0.0, 0.0, 0.0])
-        L[:2, 2:] = self.mutual_coupling()
-        L[2:, :2] = L[:2, 2:].T
-        L[2:, 2:] = self.rotor_inductance()
+        block, assembled without rotating anything. For constants from
+        :func:`stack_params`, one matrix per machine, shape (n_g, 5, 5)."""
+        L = np.zeros(np.shape(self.l_s) + (5, 5))
+        L[..., 0, 0] = self.l_s + self.l_sa
+        L[..., 1, 1] = self.l_s - self.l_sa
+        L[..., 0, 2] = L[..., 2, 0] = self.l_sf
+        L[..., 0, 3] = L[..., 3, 0] = self.l_sd
+        L[..., 1, 4] = L[..., 4, 1] = -self.l_sq
+        L[..., 2, 2], L[..., 3, 3], L[..., 4, 4] = self.l_f, self.l_d, self.l_q
+        L[..., 2, 3] = L[..., 3, 2] = self.l_fd
         return L
+
+
+_FIELD_VALUES = attrgetter(*(f.name for f in fields(MachineParams)))
+
+
+def stack_params(machines):
+    """The constants of several machines as one :class:`MachineParams`
+    whose fields are (n_g,) float arrays, machine k at index k: the form the
+    array code reads, so ``p.r_s * i_s`` is one expression over machines."""
+    return MachineParams(*np.array([_FIELD_VALUES(p) for p in machines],
+                                   dtype=float).T.copy())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,14 @@ current balance for the load-bus voltages, read off the injected stator
 currents and line currents, then recover each machine's rotor angle,
 excitation current and inputs in closed form. The recovered point is
 verified against the full-system residual and a set of numeric probes.
+
+The recovery is one array pass over the machines, with terminal voltages
+v and stator currents i as complex numbers alpha + j beta:
+a = -j (v - (r_s + j omega0 l_s) i), b = -omega0 l_sa conj(i),
+theta = arctan2(-(Im a + Im b), Re b - Re a), or (arg a - arg b + pi) / 2
+at equal |a| and |b|, i_f = Re(e^{-j theta} a + e^{j theta} b) / (omega0 l_sf)
+and nu = j (a + e^{2j theta} b). :func:`recover_machine` is the same code
+for one machine.
 """
 
 import logging
@@ -13,9 +21,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
-from .frame import ROT90, rot, rvec, wrap_angle
+from .frame import wrap_angle
 from .loads import equivariance_defect
-from .machine import electrical_torque, stator_inductance
+from .machine import rotor_torque, stack_params
 from .network import admittance, line_admittance, solve_branch_currents
 from .system import (invariance_defect, residual, residual_block_norms,
                      tolerance_scale)
@@ -123,63 +131,106 @@ class VerificationReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class RecoveryGeometry:
-    """Rotor-frame decomposition of the stator voltage mismatch.
-
-    Seen from the rotor, the voltage the excitation winding must induce is
-    the sum of a component counter-rotating with the rotor angle (the
-    round-rotor circuit) and one co-rotating with it (the saliency term).
-    Together they trace an origin-centered ellipse as the angle sweeps.
-    """
-
-    round_part: np.ndarray
-    salient_part: np.ndarray
-
-    @property
-    def round_mag(self):
-        return float(np.linalg.norm(self.round_part))
-
-    @property
-    def round_angle(self):
-        return float(np.arctan2(self.round_part[1], self.round_part[0]))
-
-    @property
-    def salient_mag(self):
-        return float(np.linalg.norm(self.salient_part))
-
-    @property
-    def salient_angle(self):
-        return float(np.arctan2(self.salient_part[1], self.salient_part[0]))
+def recovery_parts(p, v, i_s, omega0):
+    """Rotor-frame parts (a, b) of the excitation demand: seen from a rotor
+    at angle theta, the voltage the excitation winding must induce, turned
+    back a quarter turn, is e^{-j theta} a + e^{j theta} b, an
+    origin-centered ellipse as the angle sweeps. ``v`` and ``i_s`` are
+    complex; ``p`` holds scalars or, from :func:`machine.stack_params`,
+    arrays, and everything broadcasts."""
+    a = -1j * (v - (p.r_s + 1j * omega0 * p.l_s) * i_s)
+    b = -omega0 * p.l_sa * np.conj(i_s)
+    return a, b
 
 
-def recovery_geometry(p, v_term, i_s, omega0):
-    """Split the excitation demand into its rotor-frame components."""
-    v_term = np.asarray(v_term, dtype=float)
-    i_s = np.asarray(i_s, dtype=float)
-    round_drop = p.r_s * i_s + omega0 * p.l_s * (ROT90 @ i_s)
-    round_part = ROT90.T @ (v_term - round_drop)
-    salient_part = omega0 * p.l_sa * np.array([-i_s[0], i_s[1]])
-    return RecoveryGeometry(round_part, salient_part)
+def _recover(p, L0, v, i_s, omega0, sigma):
+    """Closed-form recovery of a stack of machines: constants ``p`` with
+    (n,) array fields, rotor-frame inductances L0 (n, 5, 5), complex
+    terminal voltages and stator currents (n,), polarizations (n,)."""
+    sigma = np.asarray(sigma)
+    bad = (sigma != 1) & (sigma != -1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"machine {k + 1}: sigma must be -1 or +1, "
+                         f"got {sigma[k]!r}")
+    a, b = recovery_parts(p, v, i_s, omega0)
+    if omega0 == 0.0:
+        # The frequency is shared, so this branch holds for every machine.
+        # Here a = -j (v - r_s i_s) and b = 0.
+        infeasible = np.abs(a) > RECOVERY_TOL * np.maximum(1.0, np.abs(v))
+        if infeasible.any():
+            k = int(np.argmax(infeasible))
+            raise InfeasibleSteadyStateError(
+                f"machine {k + 1}: no steady state at zero frequency: the net "
+                f"stator voltage |v - r_s i_s| = {abs(a[k]):.3e} is nonzero "
+                "(any rotor angle and excitation current would leave it "
+                "unbalanced)")
+        theta = np.zeros(len(v))
+        i_f = np.zeros(len(v))
+        case = np.full(len(v), "omega_zero")
+    else:
+        ra, rb = np.abs(a), np.abs(b)
+        # Equal radii: the ellipse may collapse through the origin; the
+        # aligned angle is fixed by the two part directions alone. Otherwise
+        # the quadrature part Im(e^{-j theta} a + e^{j theta} b) is linear in
+        # (cos, sin) of the angle.
+        alpha_equal = np.abs(ra - rb) <= DEGENERACY_BAND * (ra + rb)
+        theta = np.where(alpha_equal,
+                         0.5 * (np.angle(a) - np.angle(b) + np.pi),
+                         np.arctan2(-(a.imag + b.imag), b.real - a.real))
+        z = np.exp(1j * theta)
+        i_f = (np.conj(z) * a + z * b).real / (omega0 * p.l_sf)
+        nu_zero = np.abs(a + z * z * b) <= DEGENERACY_BAND * np.abs(v)
+        # The two solutions are antipodal: advancing the angle by pi flips
+        # the excitation current's sign. The polarization fixes the sign of
+        # omega0 * l_sf * i_f, at positive frequency that of i_f itself.
+        flip = ~nu_zero & (sigma * omega0 * p.l_sf * i_f < 0.0)
+        theta = theta + np.pi * flip
+        i_f = np.where(nu_zero, 0.0, np.where(flip, -i_f, i_f))
+        case = np.where(nu_zero, "nu_zero",
+                        np.where(alpha_equal, "alpha_equal", "regular"))
+
+    z = np.exp(1j * theta)
+    nu = 1j * (a + z * z * b)
+    nu_norm = np.abs(nu)
+    gauge = np.maximum(1.0, nu_norm)
+    exc_res = np.abs(omega0 * p.l_sf * i_f - sigma * nu_norm) / gauge
+    ali_res = np.abs(1j * z * nu_norm - sigma * nu) / gauge
+    degenerate = (case == "nu_zero") | (case == "omega_zero")
+    bad = ~degenerate & (np.maximum(exc_res, ali_res) > RECOVERY_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SolverError(
+            f"machine {k + 1}: machine recovery inconsistent: excitation "
+            f"residual {exc_res[k]:.3e}, alignment residual {ali_res[k]:.3e} "
+            f"exceed {RECOVERY_TOL:.1e}")
+    for k in np.flatnonzero(degenerate):
+        log.warning("machine %d: recovery hit degenerate case %r; this does "
+                    "not define a sensible operating point", k + 1,
+                    str(case[k]))
+    # Degenerate machines have i_f = 0: nothing is left to balance.
+    exc_res[degenerate] = ali_res[degenerate] = 0.0
+
+    i_rotor = np.conj(z) * i_s
+    i_r = np.zeros((len(v), 5))
+    i_r[:, 0], i_r[:, 1], i_r[:, 2] = i_rotor.real, i_rotor.imag, i_f
+    tau_m = p.d * omega0 + rotor_torque(L0, i_r)
+    rows = zip(theta.tolist(), i_f.tolist(), tau_m.tolist(),
+               (p.r_f * i_f).tolist(), nu.view(float).reshape(-1, 2),
+               sigma.astype(int).tolist(), case.tolist(), exc_res.tolist(),
+               ali_res.tolist())
+    return [MachineRecovery(theta=th, i_f=f, i_d=0.0, i_q=0.0, tau_m=tm,
+                            v_f=vf, nu=n, sigma=s, case=c,
+                            excitation_residual=e, alignment_residual=al)
+            for th, f, tm, vf, n, s, c, e, al in rows]
 
 
-def rotor_frame_mismatch(geom, theta):
-    """Excitation demand seen in the rotor frame at angle theta (2-vector).
-
-    Its second component must vanish at a steady-state rotor angle; its
-    first component, divided by omega0*l_sf, is the excitation current.
-    """
-    return rot(theta).T @ geom.round_part + rot(theta) @ geom.salient_part
+def _as_complex(pairs):
+    """Stacked (alpha, beta) pairs as complex numbers alpha + j beta."""
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)
 
 
-def excitation_demand(p, v_term, i_s, omega0, theta):
-    """Stator voltage left for the excitation winding to induce:
-    v - (r_s I + omega0 J L_s(theta)) i_s."""
-    Zs = p.r_s * np.eye(2) + omega0 * ROT90 @ stator_inductance(p, theta)
-    return np.asarray(v_term, dtype=float) - Zs @ np.asarray(i_s, dtype=float)
-
-
-def recover_machine(p, v_term, i_s, omega0, sigma, tol=RECOVERY_TOL):
+def recover_machine(p, v_term, i_s, omega0, sigma):
     """Closed-form rotor angle, excitation current and inputs for one machine
     given its terminal voltage and injected stator current.
 
@@ -187,84 +238,12 @@ def recover_machine(p, v_term, i_s, omega0, sigma, tol=RECOVERY_TOL):
     excitation current carries the sign. Degenerate situations are returned
     flagged, not silently: a vanishing excitation demand (nu_zero), equal
     ellipse radii (alpha_equal), and zero frequency (omega_zero, feasible
-    only when the terminal voltage exactly covers the resistive drop).
+    only when the terminal voltage exactly covers the resistive drop). This
+    is :func:`recover_all`'s code for a single machine.
     """
-    if sigma not in (-1, 1):
-        raise ValueError(f"sigma must be -1 or +1, got {sigma!r}")
-    v_term = np.asarray(v_term, dtype=float)
-    i_s = np.asarray(i_s, dtype=float)
-    v_scale = max(1.0, float(np.linalg.norm(v_term)))
-
-    if omega0 == 0.0:
-        nu = v_term - p.r_s * i_s
-        if np.linalg.norm(nu) > tol * v_scale:
-            raise InfeasibleSteadyStateError(
-                "no steady state at zero frequency: the net stator voltage "
-                f"|v - r_s i_s| = {np.linalg.norm(nu):.3e} is nonzero (any "
-                "rotor angle and excitation current would leave it unbalanced)"
-            )
-        return _finalize_recovery(p, v_term, i_s, omega0, sigma,
-                                  theta=0.0, i_f=0.0, case="omega_zero")
-
-    geom = recovery_geometry(p, v_term, i_s, omega0)
-    a_round, a_sal = geom.round_mag, geom.salient_mag
-    if abs(a_round - a_sal) <= DEGENERACY_BAND * (a_round + a_sal):
-        # Equal radii: the ellipse may collapse through the origin; the
-        # aligned angle is determined by the two component directions alone.
-        case = "alpha_equal"
-        theta = 0.5 * (geom.round_angle - geom.salient_angle + np.pi)
-    else:
-        case = "regular"
-        # Second rotor-frame component is linear in (cos, sin) of the angle.
-        a = geom.salient_part[0] - geom.round_part[0]
-        b = geom.round_part[1] + geom.salient_part[1]
-        theta = float(np.arctan2(-b, a))
-
-    aligned = rotor_frame_mismatch(geom, theta)
-    i_f = float(aligned[0]) / (omega0 * p.l_sf)
-
-    nu_now = excitation_demand(p, v_term, i_s, omega0, theta)
-    if np.linalg.norm(nu_now) <= DEGENERACY_BAND * np.linalg.norm(v_term):
-        return _finalize_recovery(p, v_term, i_s, omega0, sigma,
-                                  theta=theta, i_f=0.0, case="nu_zero")
-
-    if sigma * omega0 * p.l_sf * i_f < 0.0:
-        # The two solutions are antipodal: advancing the angle by pi flips
-        # the excitation current's sign. The polarization fixes the sign of
-        # the product omega0 * l_sf * i_f, which at positive frequency is
-        # just the sign of the excitation current.
-        theta += np.pi
-        i_f = -i_f
-    return _finalize_recovery(p, v_term, i_s, omega0, sigma,
-                              theta=theta, i_f=i_f, case=case, tol=tol)
-
-
-def _finalize_recovery(p, v_term, i_s, omega0, sigma, theta, i_f, case,
-                       tol=RECOVERY_TOL):
-    nu = excitation_demand(p, v_term, i_s, omega0, theta)
-    nu_norm = float(np.linalg.norm(nu))
-    gauge = max(1.0, nu_norm)
-    exc_res = abs(omega0 * p.l_sf * i_f - sigma * nu_norm) / gauge
-    ali_res = float(np.linalg.norm(ROT90 @ rvec(theta) * nu_norm - sigma * nu)) / gauge
-    if case in ("regular", "alpha_equal") and max(exc_res, ali_res) > tol:
-        raise SolverError(
-            f"machine recovery inconsistent: excitation residual {exc_res:.3e}, "
-            f"alignment residual {ali_res:.3e} exceed {tol:.1e}"
-        )
-    if case in ("nu_zero", "omega_zero"):
-        log.warning("machine recovery hit degenerate case %r; this does not "
-                    "define a sensible operating point", case)
-        exc_res = abs(omega0 * p.l_sf * i_f) / gauge
-        ali_res = 0.0
-
-    currents = np.array([i_s[0], i_s[1], i_f, 0.0, 0.0])
-    tau_e = electrical_torque(p, theta, currents)
-    return MachineRecovery(
-        theta=float(theta), i_f=float(i_f), i_d=0.0, i_q=0.0,
-        tau_m=float(p.d * omega0 + tau_e), v_f=float(p.r_f * i_f),
-        nu=nu, sigma=int(sigma), case=case,
-        excitation_residual=float(exc_res), alignment_residual=float(ali_res),
-    )
+    stack = stack_params([p])
+    return _recover(stack, stack.rotor_frame_inductance(), _as_complex(v_term),
+                    _as_complex(i_s), omega0, [sigma])[0]
 
 
 def balance_jacobian(sys, Y, v):
@@ -350,20 +329,13 @@ def solve_network(sys, spec):
 
 
 def recover_all(sys, spec, net):
-    """Machine recoveries for every machine behind one network solution."""
-    out = []
-    for k, p in enumerate(sys.machines):
-        v_k = net.v[2 * k:2 * k + 2]
-        i_sk = net.i_s[2 * k:2 * k + 2]
-        try:
-            out.append(recover_machine(p, v_k, i_sk, spec.omega0,
-                                       int(spec.sigma[k])))
-        except SolverError as err:
-            raise SolverError(f"machine {k + 1}: {err}") from err
-    return out
+    """Machine recoveries for every machine behind one network solution, in
+    one array pass over the machines."""
+    return _recover(sys.params, sys._L0, _as_complex(net.v[:2 * sys.n_g]),
+                    _as_complex(net.i_s), spec.omega0, spec.sigma)
 
 
-def assemble_steady_state(sys, net, recoveries, omega0, tol=CERT_RESIDUAL_TOL):
+def assemble_steady_state(sys, net, recoveries, omega0):
     """Stack a network solution and machine recoveries into a full state and
     input, and verify the full-system residual meets the tolerance."""
     if len(recoveries) != sys.n_g:
@@ -389,11 +361,12 @@ def assemble_steady_state(sys, net, recoveries, omega0, tol=CERT_RESIDUAL_TOL):
     scale = tolerance_scale(x, u)
     diagnostics = {"residual_blocks": blocks, "residual_inf": rho_inf,
                    "scale": scale}
-    if rho_inf > tol * scale:
+    if rho_inf > CERT_RESIDUAL_TOL * scale:
         detail = ", ".join(f"{k}={val:.3e}" for k, val in blocks.items())
         raise SolverError(
             f"assembled steady state fails verification: |residual|_inf = "
-            f"{rho_inf:.3e} > {tol:.1e} * scale ({scale:.3e}); blocks: {detail}"
+            f"{rho_inf:.3e} > {CERT_RESIDUAL_TOL:.1e} * scale ({scale:.3e}); "
+            f"blocks: {detail}"
         )
     return FullSteadyState(x=x, u=u, omega0=omega0, recoveries=recoveries,
                            network=net, diagnostics=diagnostics)
@@ -406,8 +379,7 @@ def compute_steady_state(sys, spec):
     return assemble_steady_state(sys, net, recoveries, spec.omega0)
 
 
-def verify_steady_state(sys, ss, h=CERT_INVARIANCE_STEP,
-                        equivariance_samples=360):
+def verify_steady_state(sys, ss, h=CERT_INVARIANCE_STEP):
     """Numeric certificate that (x, u) is a synchronous steady state.
 
     Three gates: the full-system residual vanishes (machine and network
@@ -427,11 +399,10 @@ def verify_steady_state(sys, ss, h=CERT_INVARIANCE_STEP,
     i_l = sys.load_currents(v)
     bank = sys.load_bank
     equiv = np.zeros(sys.n_v)
-    equiv[bank.index] = equivariance_defect(
-        bank, v.reshape(-1, 2).T[:, bank.index], equivariance_samples)
+    equiv[bank.index] = equivariance_defect(bank,
+                                            v.reshape(-1, 2).T[:, bank.index])
     for k, load in bank.custom:
-        equiv[k] = equivariance_defect(load, v[2 * k:2 * k + 2],
-                                       equivariance_samples)
+        equiv[k] = equivariance_defect(load, v[2 * k:2 * k + 2])
     equiv = (equiv / np.maximum(1.0, np.hypot(i_l[0::2], i_l[1::2]))).tolist()
 
     failures = []

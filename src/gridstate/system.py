@@ -19,8 +19,8 @@ import numpy as np
 from .errors import LoadDomainError, ValidationError
 from .frame import MACHINE_ROT90, rotate_pairs
 from .loads import Load, LoadBank
-from .machine import (induction_matrix, rotor_torque, turn_stator,
-                      turn_stator_in_place, validate_params)
+from .machine import (induction_matrix, rotor_torque, stack_params,
+                      turn_stator, turn_stator_in_place, validate_params)
 from .network import NetworkParams, Topology, incidence_expand
 
 
@@ -94,11 +94,10 @@ class PowerSystem:
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
 
-        self._m = np.array([p.m for p in self.machines])
-        self._d = np.array([p.d for p in self.machines])
-        self._r_winding = np.array([p.resistance_diag() for p in self.machines])
+        self.params = stack_params(self.machines)
+        self._r_winding = self.params.resistance_diag()
         # Rotor-frame constants: L0 = L(0), its inverse, and J L0 - L0 J.
-        self._L0 = np.array([p.rotor_frame_inductance() for p in self.machines])
+        self._L0 = self.params.rotor_frame_inductance()
         self._L0_inv = np.linalg.inv(self._L0)
         self._K0 = induction_matrix(self._L0)
         self.loads = tuple(loads)
@@ -240,7 +239,7 @@ def vector_field(sys, x, u):
     dv = (-(i_T @ sys.incidence2.T) - i_in) / sys._c2
     di_T = (-sys._r_T2 * i_T + v @ sys.incidence2) / sys._l_T2
 
-    domega = (tau_m - sys._d * omega - tau_e) / sys._m
+    domega = (tau_m - sys.params.d * omega - tau_e) / sys.params.m
     return lay.pack(omega, domega, di, dv, di_T)
 
 
@@ -272,7 +271,7 @@ def residual(sys, x, u, omega0):
     z, i_r, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
 
     rho_freq = omega0 - omega
-    rho_torque = sys._d * omega + tau_e - tau_m
+    rho_torque = sys.params.d * omega + tau_e - tau_m
     LJi = (sys._L0 @ (i_r @ MACHINE_ROT90.T)[..., None])[..., 0]
     rho_windings = turn_stator_in_place(omega0 * LJi - drive, z)
 
@@ -319,7 +318,7 @@ def mass_matrix(sys, x):
     lay = sys.layout
     theta = x[lay.sl_theta]
     diag = np.ones(sys.n_x)
-    diag[lay.sl_omega] = sys._m
+    diag[lay.sl_omega] = sys.params.m
     diag[lay.sl_v] = sys._c2
     diag[lay.sl_iT] = sys._l_T2
     M = np.diag(diag)
@@ -338,7 +337,7 @@ def total_energy(sys, x):
     i = i_flat.reshape(sys.n_g, 5)
     L = sys.inductance_stack(theta)
     e_mag = 0.5 * float(np.einsum("ka,kab,kb->", i, L, i))
-    e_kin = 0.5 * float(np.sum(sys._m * omega**2))
+    e_kin = 0.5 * float(np.sum(sys.params.m * omega**2))
     e_cap = 0.5 * float(np.sum(sys._c2 * v**2))
     e_lines = 0.5 * float(np.sum(sys._l_T2 * i_T**2))
     return e_mag + e_kin + e_cap + e_lines

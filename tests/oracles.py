@@ -4,24 +4,31 @@ These are the straightforward per-bus and per-sample forms: the network
 dynamics and Kirchhoff residuals written out with dense matrices, the
 load currents one bus at a time, the equivariance probe one rotation
 at a time, one machine at a time through its full inductance matrix
-L(theta) with a Cholesky solve at every call, and the drift metrics one
-trajectory sample at a time.
+L(theta) with a Cholesky solve at every call, the drift metrics one
+trajectory sample at a time, and the closed-form machine recovery one
+machine at a time in 2x2 rotation matrices.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from gridstate.errors import LoadDomainError
-from gridstate.frame import MACHINE_ROT90, ROT90, rot, rotate_pairs
+from gridstate.errors import (InfeasibleSteadyStateError, LoadDomainError,
+                              SolverError)
+from gridstate.frame import MACHINE_ROT90, ROT90, rot, rotate_pairs, rvec
 from gridstate.loads import Load, LoadBank
 from gridstate.machine import inductance_matrix
 from gridstate.network import (admittance, incidence_expand,
                                line_admittance)
 from gridstate.simulate import DriftMetrics, reference_trajectory
+from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
+                                    MachineRecovery)
 from gridstate.system import residual, tolerance_scale
+
+log = logging.getLogger("oracles")
 
 
 @dataclass
@@ -295,4 +302,152 @@ def looped_drift_metrics(sys, traj, x0, omega0):
         frequency_deviation=float(np.max(freq_dev)),
         residual=float(np.max(rho_dev)),
         worst_sample=int(np.argmax(state_dev)),
+    )
+
+
+@dataclass(frozen=True)
+class RecoveryGeometry:
+    """Rotor-frame decomposition of the stator voltage mismatch.
+
+    Seen from the rotor, the voltage the excitation winding must induce is
+    the sum of a component counter-rotating with the rotor angle (the
+    round-rotor circuit) and one co-rotating with it (the saliency term).
+    Together they trace an origin-centered ellipse as the angle sweeps.
+    """
+
+    round_part: np.ndarray
+    salient_part: np.ndarray
+
+    @property
+    def round_mag(self):
+        return float(np.linalg.norm(self.round_part))
+
+    @property
+    def round_angle(self):
+        return float(np.arctan2(self.round_part[1], self.round_part[0]))
+
+    @property
+    def salient_mag(self):
+        return float(np.linalg.norm(self.salient_part))
+
+    @property
+    def salient_angle(self):
+        return float(np.arctan2(self.salient_part[1], self.salient_part[0]))
+
+
+def recovery_geometry(p, v_term, i_s, omega0):
+    """Split the excitation demand into its rotor-frame components."""
+    v_term = np.asarray(v_term, dtype=float)
+    i_s = np.asarray(i_s, dtype=float)
+    round_drop = p.r_s * i_s + omega0 * p.l_s * (ROT90 @ i_s)
+    round_part = ROT90.T @ (v_term - round_drop)
+    salient_part = omega0 * p.l_sa * np.array([-i_s[0], i_s[1]])
+    return RecoveryGeometry(round_part, salient_part)
+
+
+def rotor_frame_mismatch(geom, theta):
+    """Excitation demand seen in the rotor frame at angle theta (2-vector).
+
+    Its second component must vanish at a steady-state rotor angle; its
+    first component, divided by omega0*l_sf, is the excitation current.
+    """
+    return rot(theta).T @ geom.round_part + rot(theta) @ geom.salient_part
+
+
+def excitation_demand(p, v_term, i_s, omega0, theta):
+    """Stator voltage left for the excitation winding to induce:
+    v - (r_s I + omega0 J L_s(theta)) i_s. ``theta`` may be an array of
+    angles; the result then has one (alpha, beta) row per angle."""
+    c, s = np.cos(2.0 * np.asarray(theta)), np.sin(2.0 * np.asarray(theta))
+    # L_s(theta) = l_s I + R(2 theta) diag(l_sa, -l_sa), one matrix per angle.
+    sal = np.moveaxis(np.array([[c, s], [s, -c]]), (0, 1), (-2, -1))
+    Zs = p.r_s * np.eye(2) + omega0 * ROT90 @ (p.l_s * np.eye(2) + p.l_sa * sal)
+    return np.asarray(v_term, dtype=float) - Zs @ np.asarray(i_s, dtype=float)
+
+
+def recover_machine(p, v_term, i_s, omega0, sigma, tol=RECOVERY_TOL):
+    """Closed-form rotor angle, excitation current and inputs for one machine
+    given its terminal voltage and injected stator current.
+
+    ``sigma`` in {-1, +1} picks between the two antipodal rotor angles; the
+    excitation current carries the sign. Degenerate situations are returned
+    flagged, not silently: a vanishing excitation demand (nu_zero), equal
+    ellipse radii (alpha_equal), and zero frequency (omega_zero, feasible
+    only when the terminal voltage exactly covers the resistive drop).
+    """
+    if sigma not in (-1, 1):
+        raise ValueError(f"sigma must be -1 or +1, got {sigma!r}")
+    v_term = np.asarray(v_term, dtype=float)
+    i_s = np.asarray(i_s, dtype=float)
+    v_scale = max(1.0, float(np.linalg.norm(v_term)))
+
+    if omega0 == 0.0:
+        nu = v_term - p.r_s * i_s
+        if np.linalg.norm(nu) > tol * v_scale:
+            raise InfeasibleSteadyStateError(
+                "no steady state at zero frequency: the net stator voltage "
+                f"|v - r_s i_s| = {np.linalg.norm(nu):.3e} is nonzero (any "
+                "rotor angle and excitation current would leave it unbalanced)"
+            )
+        return _finalize_recovery(p, v_term, i_s, omega0, sigma,
+                                  theta=0.0, i_f=0.0, case="omega_zero")
+
+    geom = recovery_geometry(p, v_term, i_s, omega0)
+    a_round, a_sal = geom.round_mag, geom.salient_mag
+    if abs(a_round - a_sal) <= DEGENERACY_BAND * (a_round + a_sal):
+        # Equal radii: the ellipse may collapse through the origin; the
+        # aligned angle is determined by the two component directions alone.
+        case = "alpha_equal"
+        theta = 0.5 * (geom.round_angle - geom.salient_angle + np.pi)
+    else:
+        case = "regular"
+        # Second rotor-frame component is linear in (cos, sin) of the angle.
+        a = geom.salient_part[0] - geom.round_part[0]
+        b = geom.round_part[1] + geom.salient_part[1]
+        theta = float(np.arctan2(-b, a))
+
+    aligned = rotor_frame_mismatch(geom, theta)
+    i_f = float(aligned[0]) / (omega0 * p.l_sf)
+
+    nu_now = excitation_demand(p, v_term, i_s, omega0, theta)
+    if np.linalg.norm(nu_now) <= DEGENERACY_BAND * np.linalg.norm(v_term):
+        return _finalize_recovery(p, v_term, i_s, omega0, sigma,
+                                  theta=theta, i_f=0.0, case="nu_zero")
+
+    if sigma * omega0 * p.l_sf * i_f < 0.0:
+        # The two solutions are antipodal: advancing the angle by pi flips
+        # the excitation current's sign. The polarization fixes the sign of
+        # the product omega0 * l_sf * i_f, which at positive frequency is
+        # just the sign of the excitation current.
+        theta += np.pi
+        i_f = -i_f
+    return _finalize_recovery(p, v_term, i_s, omega0, sigma,
+                              theta=theta, i_f=i_f, case=case, tol=tol)
+
+
+def _finalize_recovery(p, v_term, i_s, omega0, sigma, theta, i_f, case,
+                       tol=RECOVERY_TOL):
+    nu = excitation_demand(p, v_term, i_s, omega0, theta)
+    nu_norm = float(np.linalg.norm(nu))
+    gauge = max(1.0, nu_norm)
+    exc_res = abs(omega0 * p.l_sf * i_f - sigma * nu_norm) / gauge
+    ali_res = float(np.linalg.norm(ROT90 @ rvec(theta) * nu_norm - sigma * nu)) / gauge
+    if case in ("regular", "alpha_equal") and max(exc_res, ali_res) > tol:
+        raise SolverError(
+            f"machine recovery inconsistent: excitation residual {exc_res:.3e}, "
+            f"alignment residual {ali_res:.3e} exceed {tol:.1e}"
+        )
+    if case in ("nu_zero", "omega_zero"):
+        log.warning("machine recovery hit degenerate case %r; this does not "
+                    "define a sensible operating point", case)
+        exc_res = abs(omega0 * p.l_sf * i_f) / gauge
+        ali_res = 0.0
+
+    currents = np.array([i_s[0], i_s[1], i_f, 0.0, 0.0])
+    tau_e = electrical_torque(p, theta, currents)
+    return MachineRecovery(
+        theta=float(theta), i_f=float(i_f), i_d=0.0, i_q=0.0,
+        tau_m=float(p.d * omega0 + tau_e), v_f=float(p.r_f * i_f),
+        nu=nu, sigma=int(sigma), case=case,
+        excitation_residual=float(exc_res), alignment_residual=float(ali_res),
     )

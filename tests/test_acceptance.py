@@ -17,11 +17,12 @@ from gridstate.identities import random_valid_params, run_identity_suite
 from gridstate.simulate import (SimConfig, drift_metrics,
                                 reference_trajectory, rk4_step_fn, simulate)
 from gridstate.steady_state import (OperatingSpec, compute_steady_state,
-                                    excitation_demand, recover_machine,
-                                    solve_network, verify_steady_state)
+                                    recover_machine, solve_network,
+                                    verify_steady_state)
 from gridstate.system import tolerance_scale, total_energy, vector_field
 
 from conftest import AnisotropicLoad
+from oracles import excitation_demand
 
 OMEGA0 = 2 * np.pi * 50
 TEN_PERIODS = 0.2
@@ -151,11 +152,9 @@ def test_criterion_5_recovery_equation_residuals():
 
         # Brute-force scan: the closed-form roots bracket the grid minima of
         # the stator-balance residual over the angle.
-        def angle_residual(th):
-            nu_th = excitation_demand(p, v, i_s, omega0, th)
-            return abs((rot(th).T @ ROT90.T @ nu_th)[1])
-
-        f = np.array([angle_residual(th) for th in grid])
+        # |(rot(th).T @ ROT90.T @ nu(th))[1]| at every grid angle at once.
+        w = excitation_demand(p, v, i_s, omega0, grid) @ ROT90
+        f = np.abs(np.cos(grid) * w[:, 1] - np.sin(grid) * w[:, 0])
         if np.max(f) > 1e-6 * gauge:
             for idx in range(3600):
                 if not (f[idx] < f[idx - 1] and f[idx] <= f[(idx + 1) % 3600]

@@ -32,15 +32,15 @@ def test_ellipse_bound_attained_within_samples(three_bus):
     # The lower bound is tight: over a fine angle grid the squared radius
     # comes close to it.
     from gridstate.identities import random_valid_params
-    from gridstate.steady_state import recovery_geometry, rotor_frame_mismatch
+    from gridstate.steady_state import recovery_parts
     rng = np.random.default_rng(9)
     p = random_valid_params(rng)
-    v = rng.uniform(-3, 3, 2)
-    i_s = rng.uniform(-3, 3, 2)
-    geom = recovery_geometry(p, v, i_s, 120.0)
-    radii = [rotor_frame_mismatch(geom, th) @ rotor_frame_mismatch(geom, th)
-             for th in np.linspace(-np.pi, np.pi, 720)]
-    bound = (geom.round_mag - geom.salient_mag) ** 2
+    v = complex(*rng.uniform(-3, 3, 2))
+    i_s = complex(*rng.uniform(-3, 3, 2))
+    a, b = recovery_parts(p, v, i_s, 120.0)
+    theta = np.linspace(-np.pi, np.pi, 720)
+    radii = np.abs(np.exp(-1j * theta) * a + np.exp(1j * theta) * b) ** 2
+    bound = (abs(a) - abs(b)) ** 2
     assert min(radii) >= bound - 1e-12
     assert min(radii) <= bound + 0.01 * max(1.0, bound)
 

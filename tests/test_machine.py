@@ -9,8 +9,8 @@ from gridstate.identities import (induced_voltage_flow_derivative_defect,
                                   torque_flow_derivative_defect)
 from gridstate.machine import (MachineParams, electrical_torque,
                                induced_voltage, inductance_matrix,
-                               mutual_inductance, stator_inductance,
-                               validate_params)
+                               mutual_inductance, stack_params,
+                               stator_inductance, validate_params)
 
 from conftest import sample_machine
 from oracles import MachineState, grid_min_eigenvalue, machine_rhs
@@ -185,6 +185,20 @@ def test_rotor_frame_inductance_is_inductance_at_zero_angle():
     for p in [sample_machine(True), sample_machine(False)] + draws:
         L0 = p.rotor_frame_inductance()
         assert L0.tobytes() == inductance_matrix(p, 0.0).tobytes()
+
+
+def test_stacked_constants_give_each_machines_matrices():
+    # PowerSystem builds its L0 and resistance stacks from stack_params in
+    # one pass; row k must be machine k's own, bit for bit.
+    rng = np.random.default_rng(22)
+    machines = [sample_machine(True), sample_machine(False)] + \
+        [random_valid_params(rng) for _ in range(30)]
+    stack = stack_params(machines)
+    assert stack.l_sq.shape == (32,)
+    assert stack.rotor_frame_inductance().tobytes() == np.array(
+        [inductance_matrix(p, 0.0) for p in machines]).tobytes()
+    assert stack.resistance_diag().tobytes() == np.array(
+        [[p.r_s, p.r_s, p.r_f, p.r_d, p.r_q] for p in machines]).tobytes()
 
 
 def test_validate_params_agrees_with_angle_grid():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridstate.errors import InfeasibleSteadyStateError, SolverError
-from gridstate.frame import ROT90, rot, rvec, wrap_angle
+from gridstate.frame import ROT90, rvec, wrap_angle
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
@@ -13,14 +13,15 @@ from gridstate.network import (NetworkParams, Topology, admittance,
                                solve_branch_currents)
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
                                     assemble_steady_state, balance_jacobian,
-                                    compute_steady_state, excitation_demand,
-                                    recover_all, recover_machine,
-                                    solve_network, verify_steady_state)
+                                    compute_steady_state, recover_all,
+                                    recover_machine, solve_network,
+                                    verify_steady_state)
 from gridstate.system import assemble, residual, tolerance_scale
 
 from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
                       slow_two_bus)
-from oracles import network_residual, nodal_balance_residual
+from oracles import (excitation_demand, network_residual,
+                     nodal_balance_residual)
 
 
 def eq_vec_residual(p, v, i_s, omega0, theta, i_f):
@@ -32,27 +33,44 @@ def eq_vec_residual(p, v, i_s, omega0, theta, i_f):
 
 def rotor_frame_second_component(p, v, i_s, omega0, theta):
     """Brute-force path: rotate the voltage demand into the rotor frame and
-    read its quadrature component (must vanish at steady-state angles)."""
-    nu = excitation_demand(p, v, i_s, omega0, theta)
-    return (rot(theta).T @ ROT90.T @ nu)[1]
+    read its quadrature component (must vanish at steady-state angles).
+    ``theta`` may be an array of angles, giving one component per angle."""
+    w = excitation_demand(p, v, i_s, omega0, theta) @ ROT90  # ROT90.T @ nu
+    # Second row of rot(theta).T @ w.
+    return np.cos(theta) * w[..., 1] - np.sin(theta) * w[..., 0]
 
 
 # ---------------------------------------------------------------- network
 
 
-def test_solve_network_all_generator_buses_zero_frequency():
-    # Equal voltages, no loads, omega0 = 0: nothing flows.
+def two_generator_buses(omega0, magnitudes):
     top = Topology(np.array([[1.0], [-1.0]]))
     net = NetworkParams(c=np.array([1e-3, 1e-3]), l_T=np.array([1e-2]),
                         r_T=np.array([0.5]))
     sys_ = assemble([sample_machine(True), sample_machine(False)], [0, 1],
                     top, net)
-    spec = OperatingSpec(omega0=0.0, gen_voltage_mag=np.array([2.0, 2.0]),
+    spec = OperatingSpec(omega0=omega0, gen_voltage_mag=np.array(magnitudes),
                          gen_voltage_angle=np.array([0.0, 0.0]),
                          sigma=np.array([1, 1]))
+    return sys_, spec
+
+
+def test_solve_network_all_generator_buses_zero_frequency():
+    # Equal voltages, no loads, omega0 = 0: nothing flows.
+    sys_, spec = two_generator_buses(0.0, [2.0, 2.0])
     sol = solve_network(sys_, spec)
     np.testing.assert_allclose(sol.i_T, np.zeros(2), atol=1e-14)
     np.testing.assert_allclose(sol.i_s, np.zeros(4), atol=1e-14)
+
+
+def test_zero_frequency_infeasible_keeps_its_class():
+    # Unequal voltages at omega0 = 0 drive a direct current through the
+    # line; the stator resistance cannot absorb the terminal voltage, so no
+    # machine has a steady state and the error names the first one.
+    sys_, spec = two_generator_buses(0.0, [2.0, 1.0])
+    with pytest.raises(InfeasibleSteadyStateError,
+                       match=r"^machine 1: no steady state at zero frequency"):
+        compute_steady_state(sys_, spec)
 
 
 def test_solve_network_two_bus_analytic():
@@ -299,8 +317,7 @@ def test_recover_satisfies_defining_equation_randomized():
         assert dtheta == pytest.approx(np.pi, abs=1e-9)
 
         # Brute-force scan of the rotor-frame quadrature component.
-        f = np.array([rotor_frame_second_component(p, v, i_s, omega0, th)
-                      for th in grid])
+        f = rotor_frame_second_component(p, v, i_s, omega0, grid)
         absf = np.abs(f)
         if np.max(absf) > 1e-6 * gauge:
             # The closed-form roots bracket grid sign changes.
