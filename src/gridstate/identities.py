@@ -12,15 +12,13 @@ import numpy as np
 from .frame import MACHINE_ROT90, block_rotation_generator, \
     machine_rotation_generator, rvec
 from .machine import MachineParams, electrical_torque, induced_voltage, \
-    inductance_matrix, stack_params, turn_stator, validate_params
-from .steady_state import recovery_parts
+    inductance_matrix, turn_stator, validate_params
 from .system import (bus_indicator, field_indicator, mass_matrix, residual,
                      steady_field, vector_field)
 
 FD_STEP = 1e-6
 FD_TOL = 1e-6
 EXACT_TOL = 1e-14
-ELLIPSE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
@@ -160,39 +158,29 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     rows.append(IdentityCheck("rotation annihilates excitation injection",
                               d3, EXACT_TOL, d3 <= EXACT_TOL))
 
-    # Rotor-frame mismatch e^{-j theta} a + e^{j theta} b traces an
-    # origin-centered ellipse whose squared radius never drops below
-    # (|a| - |b|)^2; all draws and angles in one array expression.
-    draws = []
-    for idx in range(n_samples):
-        p = random_valid_params(rng) if idx % 2 else sys.machines[idx % sys.n_g]
-        v = complex(*rng.uniform(-3.0, 3.0, 2))
-        i_s = complex(*rng.uniform(-3.0, 3.0, 2))
-        omega0 = rng.uniform(0.5, 400.0) * rng.choice((-1.0, 1.0))
-        draws.append((p, v, i_s, omega0, rng.uniform(-np.pi, np.pi, 32)))
-    ps, v, i_s, omega0, theta = zip(*draws)
-    a, b = recovery_parts(stack_params(ps), np.array(v), np.array(i_s),
-                          np.array(omega0))
-    a, b, z = a[:, None], b[:, None], np.exp(1j * np.array(theta))
-    eps = np.conj(z) * a + z * b
-    bound = (np.abs(a) - np.abs(b)) ** 2
-    gauge = np.maximum(1.0, (np.abs(a) + np.abs(b)) ** 2)
-    worst_ellipse = float(np.max((bound - np.abs(eps) ** 2) / gauge,
-                                 initial=0.0))
-    rows.append(IdentityCheck("rotor-frame mismatch ellipse lower bound",
-                              worst_ellipse, ELLIPSE_TOL,
-                              worst_ellipse <= ELLIPSE_TOL))
-
     # Defining equation of the residual: mass matrix times the gap between
-    # the steady-state and model vector fields.
-    worst_res = 0.0
+    # the steady-state and model vector fields. And the identity the
+    # certificate's invariance gate rests on: along the steady field f the
+    # residual turns with every stator, bus and line pair, D rho[f] =
+    # omega0 G rho (G: J on those pairs, zero on the angle and speed rows).
+    worst_res = worst_flow = 0.0
+    h = FD_STEP
     for _ in range(max(10, n_samples // 10)):
         x, u, omega0 = _random_state(sys, rng)
         rho = residual(sys, x, u, omega0)
-        gap = steady_field(sys, x, omega0) - vector_field(sys, x, u)
-        alt = mass_matrix(sys, x) @ gap
+        f = steady_field(sys, x, omega0)
+        alt = mass_matrix(sys, x) @ (f - vector_field(sys, x, u))
         gauge = max(1.0, float(np.max(np.abs(rho))))
         worst_res = max(worst_res, float(np.max(np.abs(rho - alt))) / gauge)
+        d_rho = (residual(sys, x + h * f, u, omega0)
+                 - residual(sys, x - h * f, u, omega0)) / (2.0 * h)
+        g_rho = steady_field(sys, rho, omega0)
+        g_rho[sys.layout.sl_theta] = 0.0
+        gauge = max(1.0, float(np.max(np.abs(d_rho))))
+        worst_flow = max(worst_flow,
+                         float(np.max(np.abs(d_rho - g_rho))) / gauge)
     rows.append(IdentityCheck("residual equals mass-matrix field gap",
                               worst_res, RESIDUAL_TOL, worst_res <= RESIDUAL_TOL))
+    rows.append(IdentityCheck("residual rotates along flow",
+                              worst_flow, FD_TOL, worst_flow <= FD_TOL))
     return rows

@@ -137,13 +137,16 @@ class LoadBank:
                 bus=bus)
         return self.y / mag**self.k
 
-    def current(self, v):
-        """Currents of the shipped loads at voltage columns ``v`` of shape
-        (2, ..., m), the last axis running over the m loads in bus order,
-        so that :func:`equivariance_defect` probes the bank like one load."""
-        vb = v[0] + 1j * v[1]
-        i = self.admittance(vb) * vb
-        return np.stack([i.real, i.imag])
+
+def rotation_commutator(load, v):
+    """D i(v)[J v] - J i(v) at one voltage pair, zero for a load that
+    commutes with rotations: a central difference along J v, whose step
+    t |v| is relative to the bus voltage, in one (2, 3) ``current`` call."""
+    v = np.asarray(v, dtype=float)
+    jv, t = np.array([-v[1], v[0]]), 6e-6  # t about eps**(1/3)
+    i = np.asarray(load.current(np.column_stack([v + t * jv, v - t * jv, v])),
+                   dtype=float)
+    return (i[:, 0] - i[:, 1]) / (2.0 * t) - np.array([-i[1, 2], i[0, 2]])
 
 
 def equivariance_defect(load, v, n_samples=360):

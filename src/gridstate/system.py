@@ -12,13 +12,18 @@ each vector-field or residual call rotates the stator pairs by e^{-j theta}
 (on a complex view, as the load bank reads voltages), applies those
 constant matrices and rotates the winding rows back. Assembly validates
 every machine with one Cholesky of L0, which is exact for all angles.
+
+The steady field turns every planar pair at omega0 and advances the rotor
+angles with it; with loads that commute with rotations the residual turns
+along, so :func:`invariance_defect` reads the residual's derivative along
+that field off the residual itself, exactly and with no extra evaluation.
 """
 
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
 from .frame import MACHINE_ROT90, rotate_pairs
-from .loads import Load, LoadBank
+from .loads import Load, LoadBank, rotation_commutator
 from .machine import (induction_matrix, rotor_torque, stack_params,
                       turn_stator, turn_stator_in_place, validate_params)
 from .network import NetworkParams, Topology, incidence_expand
@@ -294,17 +299,27 @@ def residual_block_norms(sys, rho):
             for name, sl in zip(names, slices)}
 
 
-def invariance_defect(sys, x, u, omega0, h=1e-7):
-    """Forward-difference directional derivative of the residual along the
-    steady-state field, max-norm.
+def invariance_defect(sys, x, u, omega0, rho=None):
+    """Max-norm of the derivative of the residual along the steady field,
+    D rho(x)[f(x)] with f = steady_field(sys, x, omega0), exact at any x.
 
-    Near zero at a steady state with conforming loads and constant inputs
-    (the residual is constant along the rotating flow); bounded away from
-    zero when a load model breaks rotation equivariance.
+    The field advances the angles and turns every planar pair at omega0;
+    with loads that commute with rotations the residual turns along, so
+    D rho[f] = omega0 G rho, G being J on each stator, bus and line pair
+    and 0 on the angle and speed rows. A custom load adds omega0 times its
+    :func:`~gridstate.loads.rotation_commutator` on its bus rows. ``rho``
+    is the residual at (x, u) when the caller has it already.
     """
-    rho0 = residual(sys, x, u, omega0)
-    rho1 = residual(sys, x + h * steady_field(sys, x, omega0), u, omega0)
-    return float(np.max(np.abs(rho1 - rho0))) / h
+    if rho is None:
+        rho = residual(sys, x, u, omega0)
+    lay = sys.layout
+    drift = steady_field(sys, rho, omega0)
+    drift[lay.sl_theta] = 0.0
+    v, drift_v = x[lay.sl_v], drift[lay.sl_v]
+    for k, load in sys.load_bank.custom:
+        drift_v[2 * k:2 * k + 2] += omega0 * rotation_commutator(
+            load, v[2 * k:2 * k + 2])
+    return float(np.max(np.abs(drift)))
 
 
 def tolerance_scale(x, u):

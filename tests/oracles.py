@@ -3,7 +3,8 @@
 These are the straightforward per-bus and per-sample forms: the network
 dynamics and Kirchhoff residuals written out with dense matrices, the
 load currents one bus at a time, the equivariance probe one rotation
-at a time, one machine at a time through its full inductance matrix
+at a time, the invariance defect as a central difference of the residual,
+one machine at a time through its full inductance matrix
 L(theta) with a Cholesky solve at every call, the drift metrics one
 trajectory sample at a time, and the closed-form machine recovery one
 machine at a time in 2x2 rotation matrices.
@@ -26,7 +27,7 @@ from gridstate.network import (admittance, incidence_expand,
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery)
-from gridstate.system import residual, tolerance_scale
+from gridstate.system import residual, steady_field, tolerance_scale
 
 log = logging.getLogger("oracles")
 
@@ -253,6 +254,16 @@ def system_residual(sys, x, u, omega0):
                            omega0)
     return lay.pack(rows[:, 0], rows[:, 1], rows[:, 2:], net[:2 * sys.n_v],
                     net[2 * sys.n_v:])
+
+
+def central_invariance_defect(sys, x, u, omega0, h):
+    """Max-norm of the central difference of the residual along the steady
+    field f = steady_field(sys, x, omega0),
+    (rho(x + h f) - rho(x - h f)) / 2h, through :func:`system_residual`."""
+    f = steady_field(sys, x, omega0)
+    d = system_residual(sys, x + h * f, u, omega0) \
+        - system_residual(sys, x - h * f, u, omega0)
+    return float(np.max(np.abs(d))) / (2.0 * h)
 
 
 def system_energy(sys, x):

@@ -10,6 +10,8 @@ import types
 from gridstate.simulate import SimConfig, drift_metrics, simulate
 from gridstate.steady_state import compute_steady_state, verify_steady_state
 
+from conftest import AnisotropicLoad
+
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
 
 
@@ -32,11 +34,8 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
-def test_certify_runs_the_traced_load_and_network_spans(three_bus,
-                                                        monkeypatch):
-    sys_, spec = three_bus
-    watched = {"network.admittance", "loads.equivariance_defect",
-               "system.load_currents"}
+def count_spans(monkeypatch, watched):
+    """Counts of calls into the traced functions named ``watched``."""
     calls = dict.fromkeys(watched, 0)
 
     def counting(fn, name):
@@ -49,8 +48,27 @@ def test_certify_runs_the_traced_load_and_network_spans(three_bus,
         if name in watched:
             monkeypatch.setattr(owner, attr,
                                 counting(vars(owner)[attr], name))
-    verify_steady_state(sys_, compute_steady_state(sys_, spec))
-    assert all(calls.values()), calls
+    return calls
+
+
+def test_certify_runs_the_traced_load_and_network_spans(three_bus,
+                                                        monkeypatch):
+    # The shipped loads commute with rotations by construction, so the
+    # fixture's certificate probes none; the benchmark's anisotropic control
+    # (a custom load) keeps the probe's span populated.
+    sys_, spec = three_bus
+    probe = "loads.equivariance_defect"
+    calls = count_spans(monkeypatch, {
+        "network.admittance", "system.load_currents",
+        "system.invariance_defect", "system.residual", probe})
+    ss = compute_steady_state(sys_, spec)
+    verify_steady_state(sys_, ss)
+    assert calls[probe] == 0
+    assert all(n for name, n in calls.items() if name != probe), calls
+    loads = list(sys_.loads)
+    loads[2] = AnisotropicLoad()
+    verify_steady_state(sys_.with_loads(loads), ss)
+    assert calls[probe] == 1
 
 
 def test_drift_metrics_runs_the_traced_residual_and_reference(three_bus,

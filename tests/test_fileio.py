@@ -213,3 +213,26 @@ def test_trajectory_csv_skips_blank_lines_and_needs_a_sample(tmp_path,
     np.testing.assert_array_equal(traj.states, [row[1:]])
     with pytest.raises(SchemaError, match="no samples"):
         read_trajectory_csv(csv_with_rows(tmp_path, sys_, ["", ""]), sys_)
+
+
+def test_result_diagnostics_carry_margins_that_reload_ignores(tmp_path,
+                                                              three_bus,
+                                                              certified):
+    sys_, _ = three_bus
+    report = verify_steady_state(sys_, certified)
+    assert set(report.margins) == {"residual", "frequency", "invariance",
+                                   "equivariance"}
+    assert report.margins["invariance"] == report.invariance_defect / (
+        report.tolerances["invariance"] * report.scale)
+    assert max(report.margins.values()) <= 1.0
+    path = tmp_path / "result.json"
+    with open(path, "w") as fh:
+        write_result_file(fh, sys_, certified, report)
+    doc = json.loads(path.read_text())
+    assert doc["diagnostics"]["margins"] == report.margins
+    del doc["diagnostics"]["margins"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    for a, b in zip(load_result_file(path, sys_),
+                    load_result_file(bare, sys_)):
+        np.testing.assert_array_equal(a, b)

@@ -2,6 +2,8 @@ import numpy as np
 
 from gridstate.identities import run_identity_suite
 
+from conftest import AnisotropicLoad
+
 
 def test_suite_passes_on_fixture(three_bus):
     sys_, _ = three_bus
@@ -66,3 +68,13 @@ def test_machine_rows_fail_when_inductance_stops_factoring(three_bus,
     failed = {r.name for r in rows if not r.passed}
     assert failed == {"torque constant along rotating flow",
                       "induced voltage rotates along flow"}
+
+
+def test_flow_row_fails_with_anisotropic_load(three_bus):
+    # The residual turns with the flow only if every load commutes with
+    # rotations; an anisotropic load breaks that row and no other.
+    sys_, _ = three_bus
+    bad = sys_.with_loads([sys_.loads[0], sys_.loads[1], AnisotropicLoad()])
+    rows = run_identity_suite(bad, n_samples=40, seed=0)
+    assert {r.name for r in rows if not r.passed} == \
+        {"residual rotates along flow"}

@@ -211,3 +211,20 @@ def test_bad_polarization_names_machine():
                       np.array([1, 0, -1]))
     with pytest.raises(ValueError, match="sigma must be -1 or"):
         recover_machine(machines[0], [1.0, 0.0], [0.5, 0.0], 50.0, sigma=2)
+
+
+def test_round_rotor_without_demand_reports_zero_angle():
+    # With no saliency (b = 0) and no demand left every angle balances, so
+    # the angle rounding would pick is replaced by 0; salient machines
+    # keep the aligned angle that cancels their demand.
+    rng = np.random.default_rng(67)
+    for k in range(200):
+        omega0 = rng.uniform(10, 400) * (1 if k % 2 else -1)
+        sigma = int(rng.choice((-1, 1)))
+        for kind in ("nu_zero", "nu_small"):
+            p, v, i_s = degenerate_machine(kind, rng, omega0)
+            rec = recover_machine(p, v, i_s, omega0, sigma)
+            assert rec.case == "nu_zero" and rec.theta == 0.0
+        p, v, i_s = degenerate_machine("nu_zero_salient", rng, omega0)
+        assert_matches_oracle(recover_machine(p, v, i_s, omega0, sigma), p, v,
+                              i_s, omega0, sigma)

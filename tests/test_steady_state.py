@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstate.errors import InfeasibleSteadyStateError, SolverError
 from gridstate.frame import ROT90, rvec, wrap_angle
@@ -541,3 +543,89 @@ def test_verify_flags_wrong_speed(three_bus, certified):
     assert not report.certificate
     assert any("rotor speeds deviate" in f for f in report.failures)
     assert report.residual_blocks["frequency"] == pytest.approx(1.0)
+
+
+# ------------------------------------------------- certificate at any scale
+# The invariance gate is exact, so its margin does not grow with the
+# voltage: genuine steady states certify from millivolts to tens of volts.
+
+LOAD_KINDS = ("impedance", "current", "power")
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.3, 10.0, 33.0])
+def test_fixture_certifies_at_scaled_voltages(three_bus, factor):
+    sys_, spec = three_bus
+    scaled = replace(spec, gen_voltage_mag=factor * spec.gen_voltage_mag)
+    report = verify_steady_state(sys_, compute_steady_state(sys_, scaled))
+    assert report.certificate, report.failures
+    assert report.margins["invariance"] <= 1e-6
+
+
+@pytest.mark.parametrize("level", [0.02, 2.0, 60.0])
+def test_ring_mesh_certifies_at_any_voltage(level):
+    sys_, spec = ring_mesh(32, LOAD_KINDS, seed=1, level=level)
+    report = verify_steady_state(sys_, compute_steady_state(sys_, spec))
+    assert report.certificate, report.failures
+    assert report.margins["invariance"] <= 1e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([8, 12, 16, 24]),
+       st.lists(st.sampled_from(LOAD_KINDS), min_size=1, max_size=3,
+                unique=True),
+       st.integers(0, 2**32 - 1), st.floats(-2.0, 2.0))
+def test_genuine_steady_states_certify(n_bus, kinds, seed, log_level):
+    # Seeded ring-plus-chord topologies (connected by the ring), load mixes
+    # and generator voltages from 0.01 to 100 V.
+    sys_, spec = ring_mesh(n_bus, kinds, seed=seed, level=10.0**log_level)
+    report = verify_steady_state(sys_, compute_steady_state(sys_, spec))
+    assert report.certificate, report.failures
+    assert max(report.margins.values()) <= 0.1
+
+
+def test_controls_fail_by_wide_margins_at_low_voltage():
+    # An anisotropic load fails the invariance gate (omega0 |v| against
+    # 1e-5 omega0) and the rotation probe; a 1% input error fails the
+    # residual gate. Each by at least 1e3 times its threshold, at 0.02 V.
+    sys_, spec = ring_mesh(24, LOAD_KINDS, seed=1, level=0.02)
+    ss = compute_steady_state(sys_, spec)
+    loads = list(sys_.loads)
+    loads[next(k for k, ld in enumerate(loads) if ld.kind != "none")] = \
+        AnisotropicLoad()
+    bad = verify_steady_state(sys_.with_loads(loads), ss)
+    assert not bad.certificate
+    assert bad.margins["invariance"] >= 1e3
+    assert bad.margins["equivariance"] >= 1e3
+    shifted = verify_steady_state(sys_, replace(ss, u=1.01 * ss.u))
+    assert not shifted.certificate
+    assert shifted.margins["residual"] >= 1e3
+
+
+def test_round_rotor_without_demand_reports_zero_angle():
+    # Machine 2 is a round rotor whose terminal voltage exactly covers its
+    # stator drop: no excitation demand is left, every rotor angle balances
+    # and none draws torque, so the recovery reports theta = 0 whatever the
+    # rounding, and the assembled state passes the residual gate.
+    round_ = sample_machine(salient=False)
+    omega0 = 314.0
+    c = np.array([1e-3, 2e-3])
+    z_line = 0.4 + 1j * omega0 * 3e-3
+    z_s = round_.r_s + 1j * omega0 * round_.l_s
+    # Bus 2's balance, i_s = (v1 - v2) / z_line - j omega0 c2 v2, with
+    # v2 = z_s i_s solved for v1.
+    v2 = 5.0 * np.exp(0.2j)
+    v1 = v2 * (1.0 + z_line / z_s + 1j * omega0 * c[1] * z_line)
+    sys_ = assemble([sample_machine(salient=True), round_], [0, 1],
+                    Topology(np.array([[1.0], [-1.0]])),
+                    NetworkParams(c=c, l_T=np.array([3e-3]),
+                                  r_T=np.array([0.4])))
+    spec = OperatingSpec(omega0=omega0, gen_voltage_mag=np.abs([v1, v2]),
+                         gen_voltage_angle=np.angle([v1, v2]),
+                         sigma=np.array([1, 1]))
+    ss = compute_steady_state(sys_, spec)
+    rec = ss.recoveries[1]
+    assert rec.case == "nu_zero"
+    assert rec.theta == 0.0 and rec.i_f == 0.0
+    assert ss.recoveries[0].case == "regular"
+    assert ss.diagnostics["residual_inf"] <= 1e-9 * ss.diagnostics["scale"]
+    assert verify_steady_state(sys_, ss).certificate

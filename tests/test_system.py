@@ -17,8 +17,9 @@ from gridstate.system import (StateLayout, assemble, bus_indicator,
                               residual, steady_field, stator_indicator,
                               tolerance_scale, total_energy, vector_field)
 
-from conftest import AnisotropicLoad, sample_machine, slow_two_bus
-from oracles import (electrical_torque as oracle_torque,
+from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
+from oracles import (central_invariance_defect,
+                     electrical_torque as oracle_torque,
                      induced_voltage as oracle_induced_voltage,
                      scalar_load_currents, single_machine_rhs, system_energy,
                      system_field, system_residual)
@@ -265,22 +266,60 @@ def test_residual_is_mass_matrix_times_field_gap(three_bus):
 
 
 def test_invariance_defect_low_frequency_bound():
-    # At a certified low-frequency steady state the forward-difference
-    # truncation is far below the documented bound.
+    # At a certified low-frequency steady state the defect is far below the
+    # documented bound.
     from gridstate.steady_state import compute_steady_state
     sys_, spec = slow_two_bus(omega0=5.0)
     ss = compute_steady_state(sys_, spec)
     scale = tolerance_scale(ss.x, ss.u)
-    assert invariance_defect(sys_, ss.x, ss.u, ss.omega0, h=1e-7) \
+    assert invariance_defect(sys_, ss.x, ss.u, ss.omega0) \
         <= 1e-5 * scale
 
 
-def test_invariance_defect_halves_with_step(certified, three_bus):
+def test_invariance_defect_is_exact_at_the_fixture(certified, three_bus):
+    # With shipped loads the defect is omega0 times the largest residual
+    # entry on the stator, bus and line pairs, exactly: the rotation only
+    # permutes entries and flips signs. At the certified fixture that is
+    # at least 1e8 times inside the gate.
     sys_, _ = three_bus
     ss = certified
-    d1 = invariance_defect(sys_, ss.x, ss.u, ss.omega0, h=1e-7)
-    d2 = invariance_defect(sys_, ss.x, ss.u, ss.omega0, h=5e-8)
-    assert d1 / d2 == pytest.approx(2.0, rel=0.2)
+    lay = sys_.layout
+    rho = residual(sys_, ss.x, ss.u, ss.omega0)
+    pairs = np.concatenate([rho[lay.sl_i].reshape(-1, 5)[:, :2].ravel(),
+                            rho[lay.sl_v], rho[lay.sl_iT]])
+    defect = invariance_defect(sys_, ss.x, ss.u, ss.omega0)
+    assert defect == abs(ss.omega0) * float(np.max(np.abs(pairs)))
+    assert defect == invariance_defect(sys_, ss.x, None, ss.omega0, rho)
+    assert defect <= 1e-8 * 1e-5 * tolerance_scale(ss.x, ss.u)
+
+
+@pytest.mark.parametrize("mesh", ["fixture", "ring"])
+@pytest.mark.parametrize("anisotropic", [False, True])
+@pytest.mark.parametrize("perturb", [0.0, 0.01])
+def test_invariance_defect_matches_central_difference(three_bus, mesh,
+                                                      anisotropic, perturb):
+    # The identity holds at any state, not only at steady states. As h
+    # shrinks the oracle's O(h^2) error falls by 100 per decade until
+    # rounding, and the gap ends far below the gate.
+    from gridstate.steady_state import compute_steady_state
+    sys_, spec = three_bus if mesh == "fixture" else ring_mesh(
+        8, ["impedance", "current", "power"], seed=3, level=2.0)
+    ss = compute_steady_state(sys_, spec)
+    if anisotropic:
+        sys_ = sys_.with_loads([AnisotropicLoad() if ld.kind != "none"
+                                else ld for ld in sys_.loads])
+    rng = np.random.default_rng(71)
+    x = ss.x * (1.0 + perturb * rng.standard_normal(ss.x.shape))
+    gate = 1e-5 * tolerance_scale(x, ss.u)
+    exact = invariance_defect(sys_, x, ss.u, ss.omega0)
+    gaps = [abs(exact - central_invariance_defect(sys_, x, ss.u, ss.omega0,
+                                                  h)) / gate
+            for h in (1e-4, 1e-5, 1e-6, 1e-7)]
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert narrow <= max(wide / 50.0, 1e-5), gaps
+    assert gaps[-1] <= 1e-3, gaps
+    if anisotropic:
+        assert exact >= 1e3 * gate
 
 
 def test_invariance_defect_flags_anisotropic_load(certified, three_bus):
@@ -288,7 +327,7 @@ def test_invariance_defect_flags_anisotropic_load(certified, three_bus):
     ss = certified
     bad = sys_.with_loads([sys_.loads[0], sys_.loads[1], AnisotropicLoad()])
     scale = tolerance_scale(ss.x, ss.u)
-    assert invariance_defect(bad, ss.x, ss.u, ss.omega0, h=1e-7) \
+    assert invariance_defect(bad, ss.x, ss.u, ss.omega0) \
         >= 1e-2 * scale
 
 
