@@ -2,7 +2,11 @@
 
 Every AC quantity in the model is a pair (alpha, beta); the 90-degree
 rotation matrix plays the role the imaginary unit plays in complex phasor
-analysis. Angles are stored unwrapped; wrap only at reporting boundaries.
+analysis. This module owns that encoding: :func:`as_complex` reads stacked
+pairs as complex numbers alpha + j beta, and :func:`real_blocks` writes a
+complex matrix back as the real matrix that acts on stacked pairs, so
+``real_blocks(Y) @ w`` is ``Y @ as_complex(w)`` read as pairs. Angles are
+stored unwrapped; wrap only at reporting boundaries.
 """
 
 import numpy as np
@@ -39,11 +43,30 @@ def wrap_angle(theta):
     return -(np.remainder(np.pi - np.asarray(theta), 2.0 * np.pi) - np.pi)
 
 
+def as_complex(pairs):
+    """(alpha, beta) pairs stacked along the last axis as complex numbers
+    alpha + j beta; a view of ``pairs`` when it is contiguous float64."""
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)
+
+
+def real_blocks(Y):
+    """Real form of a complex (or real) matrix on stacked pairs: each entry
+    g + j b becomes the 2x2 block [[g, -b], [b, g]]."""
+    Y = np.asarray(Y)
+    g, b = Y.real, Y.imag
+    out = np.empty((Y.shape[0], 2, Y.shape[1], 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = g
+    out[:, 0, :, 1] = -b
+    out[:, 1, :, 0] = b
+    return out.reshape(2 * Y.shape[0], 2 * Y.shape[1])
+
+
 def block_rotation_generator(n):
-    """I_n kron ROT90: simultaneous 90-degree rotation of n planar pairs."""
+    """I_n kron ROT90, the real form of j I_n: simultaneous 90-degree
+    rotation of n planar pairs."""
     if n < 1:
         raise ValueError(f"need at least one planar pair, got n={n}")
-    return np.kron(np.eye(int(n)), ROT90)
+    return real_blocks(1j * np.eye(int(n)))
 
 
 def machine_rotation_generator(n_g):

@@ -3,6 +3,12 @@
 The network is a connected graph of AC voltage buses (shunt capacitance at
 every bus) joined by series R-L lines. States are the bus voltage pairs and
 line current pairs in the stationary frame.
+
+At a steady state every pair rotates at omega0, so the network equations
+are complex phasor equations on the pairs read as alpha + j beta (see
+:mod:`gridstate.frame`): a line's impedance is r + j omega0 l, a bus's
+shunt j omega0 c plus its load's admittance, and the nodal admittance is
+the complex n_v x n_v matrix of :func:`admittance`.
 """
 
 from dataclasses import dataclass
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .frame import ROT90
+from .frame import as_complex
 
 
 @dataclass(frozen=True)
@@ -86,54 +92,31 @@ class NetworkParams:
             raise ValidationError("l_T and r_T must have one entry per line")
 
 
-def incidence_expand(topology):
-    """Incidence matrix lifted to planar pairs: E kron I_2."""
-    return np.kron(topology.incidence, np.eye(2))
-
-
 def solve_branch_currents(params, omega0, w):
-    """Solve (branch impedance) @ i_T = w per 2x2 block in closed form."""
-    r, l = params.r_T, params.l_T
-    det = r**2 + (omega0 * l) ** 2
-    wa, wb = w[0::2], w[1::2]
-    ia = (r * wa + omega0 * l * wb) / det
-    ib = (-omega0 * l * wa + r * wb) / det
-    out = np.empty_like(w)
-    out[0::2], out[1::2] = ia, ib
-    return out
+    """Line current pairs i_T with (r + j omega0 l) i_T = w on every line,
+    for the stacked voltage-drop pairs ``w``."""
+    z = params.r_T + 1j * omega0 * params.l_T
+    return (as_complex(w) / z).view(float)
 
 
 def line_admittance(params, topology, omega0):
-    """Incidence-weighted inverse branch impedances, the part of the nodal
-    admittance that does not depend on the voltages.
-
-    Each line's 2x2 admittance (r I + omega0 l J)^-1 is (r I - omega0 l J)
-    / det with det = r^2 + omega0^2 l^2, so the line part is
-    kron(E diag(r/det) E^T, I) - kron(E diag(omega0 l/det) E^T, J).
-    """
+    """Complex Laplacian E diag(1 / (r + j omega0 l)) E^T of the lines, the
+    part of the nodal admittance that does not depend on the voltages."""
     E = topology.incidence
-    r, l = params.r_T, params.l_T
-    det = r**2 + (omega0 * l) ** 2
-    return np.kron((E * (r / det)) @ E.T, np.eye(2)) \
-        - np.kron((E * (omega0 * l / det)) @ E.T, ROT90)
+    return (E / (params.r_T + 1j * omega0 * params.l_T)) @ E.T
 
 
 def admittance(params, bank, v, omega0, lines):
-    """Full nodal admittance matrix: ``lines``, the :func:`line_admittance`
-    of the same network and frequency, plus the block-diagonal bus shunts.
-    A bus's shunt is the admittance of its load in the
+    """Complex nodal admittance matrix (n_v x n_v): ``lines``, the
+    :func:`line_admittance` of the same network and frequency, plus the bus
+    shunts on the diagonal. A bus's shunt is the capacitive susceptance
+    j omega0 c plus the admittance of its load in the
     :class:`~gridstate.loads.LoadBank` ``bank`` (``PowerSystem.load_bank``)
-    at voltages ``v`` plus the capacitive susceptance omega0 c; over complex
-    pairs its block for admittance g + j b is g I + b J. Depends on v only
-    through the load magnitudes, so it is constant for impedance-only loads.
+    at the voltage pairs ``v``. Depends on v only through the load
+    magnitudes, so it is constant for impedance-only loads.
     """
     y = 1j * omega0 * params.c
-    vc = np.ascontiguousarray(v, dtype=float).view(complex)
-    y[bank.index] += bank.admittance(vc[bank.index])
-    d = np.arange(0, 2 * len(y), 2)
+    y[bank.index] += bank.admittance(as_complex(v)[bank.index])
     Y = lines.copy()
-    Y[d, d] += y.real
-    Y[d + 1, d + 1] += y.real
-    Y[d + 1, d] += y.imag
-    Y[d, d + 1] -= y.imag
+    Y[np.diag_indices_from(Y)] += y
     return Y

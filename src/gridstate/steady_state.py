@@ -1,19 +1,21 @@
 """Constructive steady-state computation and certification.
 
 Pipeline: fix the machine-bus voltage phasors, Newton-solve the nodal
-current balance for the load-bus voltages, read off the injected stator
-currents and line currents, then recover each machine's rotor angle,
-excitation current and inputs in closed form. The recovered point is
-certified from one full-system residual evaluation: its size, its exact
-derivative along the rotating flow, and a rotation probe of any custom
-load (the shipped loads commute with rotations by construction).
+current balance for the load-bus voltages (on the complex admittance of
+:mod:`gridstate.network`, with the pairs read as alpha + j beta), read off
+the injected stator currents and line currents, then recover each
+machine's rotor angle, excitation current and inputs in closed form. The
+recovered point is certified from one full-system residual evaluation:
+its size, its exact derivative along the rotating flow, and a rotation
+probe of any custom load (the shipped loads commute with rotations by
+construction).
 
 The recovery is one array pass over the machines, with terminal voltages
 v and stator currents i as complex numbers alpha + j beta:
 a = -j (v - (r_s + j omega0 l_s) i), b = -omega0 l_sa conj(i),
-theta = arctan2(-(Im a + Im b), Re b - Re a), or (arg a - arg b + pi) / 2
-at equal |a| and |b|, i_f = Re(e^{-j theta} a + e^{j theta} b) / (omega0 l_sf)
-and nu = j (a + e^{2j theta} b). :func:`recover_machine` is the same code
+theta = arctan2(-(Im a + Im b), Re b - Re a),
+i_f = Re(e^{-j theta} a + e^{j theta} b) / (omega0 l_sf) and
+nu = j (a + e^{2j theta} b). :func:`recover_machine` is the same code
 for one machine.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
-from .frame import wrap_angle
+from .frame import as_complex, real_blocks, wrap_angle
 from .loads import equivariance_defect
 from .machine import rotor_torque, stack_params
 from .network import admittance, line_admittance, solve_branch_currents
@@ -171,15 +173,13 @@ def _recover(p, L0, v, i_s, omega0, sigma):
         i_f = np.zeros(len(v))
         case = np.full(len(v), "omega_zero")
     else:
+        # The quadrature part Im(e^{-j theta} a + e^{j theta} b) is linear
+        # in (cos, sin) of the angle; its zero is defined unless
+        # a = conj(b), equal radii included. Near-equal radii, where the
+        # ellipse may collapse through the origin, are only flagged.
         ra, rb = np.abs(a), np.abs(b)
-        # Equal radii: the ellipse may collapse through the origin; the
-        # aligned angle is fixed by the two part directions alone. Otherwise
-        # the quadrature part Im(e^{-j theta} a + e^{j theta} b) is linear in
-        # (cos, sin) of the angle.
         alpha_equal = np.abs(ra - rb) <= DEGENERACY_BAND * (ra + rb)
-        theta = np.where(alpha_equal,
-                         0.5 * (np.angle(a) - np.angle(b) + np.pi),
-                         np.arctan2(-(a.imag + b.imag), b.real - a.real))
+        theta = np.arctan2(-(a.imag + b.imag), b.real - a.real)
         z = np.exp(1j * theta)
         i_f = (np.conj(z) * a + z * b).real / (omega0 * p.l_sf)
         nu_zero = np.abs(a + z * z * b) <= DEGENERACY_BAND * np.abs(v)
@@ -229,11 +229,6 @@ def _recover(p, L0, v, i_s, omega0, sigma):
             for th, f, tm, vf, n, s, c, e, al in rows]
 
 
-def _as_complex(pairs):
-    """Stacked (alpha, beta) pairs as complex numbers alpha + j beta."""
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)
-
-
 def recover_machine(p, v_term, i_s, omega0, sigma):
     """Closed-form rotor angle, excitation current and inputs for one machine
     given its terminal voltage and injected stator current.
@@ -246,43 +241,44 @@ def recover_machine(p, v_term, i_s, omega0, sigma):
     is :func:`recover_all`'s code for a single machine.
     """
     stack = stack_params([p])
-    return _recover(stack, stack.rotor_frame_inductance(), _as_complex(v_term),
-                    _as_complex(i_s), omega0, [sigma])[0]
+    return _recover(stack, stack.rotor_frame_inductance(), as_complex(v_term),
+                    as_complex(i_s), omega0, [sigma])[0]
 
 
 def balance_jacobian(sys, Y, v):
-    """Jacobian of the load-bus rows of the nodal balance Y(v) v with respect
-    to the load-bus voltage pairs, given Y = Y(v).
+    """Jacobian of the load-bus rows of the nodal balance Y(v) v, read as
+    pairs, with respect to the load-bus voltage pairs ``v``, given the
+    complex admittance Y = Y(v).
 
-    A load of exponent k draws i = |v|^-k (a_g I + a_b J) v, whose
-    derivative is |v|^-k (a_g I + a_b J) - k i v^T / |v|^2. The first term
-    is the load's block of Y, so the Jacobian is Y restricted to the load
-    buses minus the rank-one terms, subtracted entry by entry.
+    A load of exponent k draws i = y |v|^-k v, whose derivative on the pair
+    is the real form of y |v|^-k minus k i v^T / |v|^2. The first term is
+    the load's entry of Y, so the Jacobian is the real form of Y on the
+    load buses minus one rank-one 2x2 block per loaded bus.
     """
     n_g = sys.n_g
     k = sys.load_bank.exponent[n_g:]
-    i_l = sys.load_currents(v)[2 * n_g:]
-    v_l = v[2 * n_g:]
+    i_l = sys.load_currents(v)[2 * n_g:].reshape(-1, 2)
+    v_l = v[2 * n_g:].reshape(-1, 2)
     # Only k > 0 loads have a floor that keeps |v| > 0; the rest add nothing.
-    w = np.divide(k, v_l[0::2] ** 2 + v_l[1::2] ** 2, out=np.zeros_like(k),
+    w = np.divide(k, np.sum(v_l ** 2, axis=1), out=np.zeros_like(k),
                   where=k > 0)
-    jac = Y[2 * n_g:, 2 * n_g:].copy()
-    d = np.arange(0, len(v_l), 2)
-    for a in (0, 1):
-        for b in (0, 1):
-            jac[d + a, d + b] -= w * i_l[a::2] * v_l[b::2]
+    jac = real_blocks(Y[n_g:, n_g:])
+    d = np.arange(len(k))
+    jac.reshape(len(k), 2, len(k), 2)[d, :, d, :] -= \
+        w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
     return jac
 
 
 def solve_network(sys, spec):
     """Solve the nodal current balance with machine-bus voltages pinned.
 
-    Newton iteration on the load-bus voltage pairs with the analytic
-    Jacobian of :func:`balance_jacobian` (Newton power flow, Tinney &
-    Walker, Proc. IEEE 1967); the machine-bus rows of the converged balance
-    are the injected stator currents, and the line currents follow from
-    the branch impedances. For impedance-only loads the balance is affine,
-    so the first step lands on the solution.
+    Newton iteration on the load-bus voltage pairs. The balance is one
+    product of the complex nodal admittance with the complex voltages, and
+    the step uses its analytic Jacobian, :func:`balance_jacobian` (Newton
+    power flow, Tinney & Walker, Proc. IEEE 1967). The machine-bus rows of
+    the converged balance are the injected stator currents, and the line
+    currents follow from the branch impedances. For impedance-only loads
+    the balance is affine, so the first step lands on the solution.
     """
     n_g = sys.n_g
     opts = spec.newton
@@ -296,12 +292,13 @@ def solve_network(sys, spec):
     v[:2 * n_g] = spec.gen_voltages()
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
 
+    vc = as_complex(v)  # a view: the Newton updates of v show through
     lines = line_admittance(sys.network, sys.topology, omega0)
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
             Y = admittance(sys.network, sys.load_bank, v, omega0, lines)
-            balance = Y @ v
+            balance = (Y @ vc).view(float)
             res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
             history.append(res)
             gauge = max(1.0, float(np.max(np.abs(v))))
@@ -335,8 +332,8 @@ def solve_network(sys, spec):
 def recover_all(sys, spec, net):
     """Machine recoveries for every machine behind one network solution, in
     one array pass over the machines."""
-    return _recover(sys.params, sys._L0, _as_complex(net.v[:2 * sys.n_g]),
-                    _as_complex(net.i_s), spec.omega0, spec.sigma)
+    return _recover(sys.params, sys._L0, as_complex(net.v[:2 * sys.n_g]),
+                    as_complex(net.i_s), spec.omega0, spec.sigma)
 
 
 def assemble_steady_state(sys, net, recoveries, omega0):

@@ -22,11 +22,11 @@ that field off the residual itself, exactly and with no extra evaluation.
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
-from .frame import MACHINE_ROT90, rotate_pairs
+from .frame import MACHINE_ROT90, as_complex, real_blocks, rotate_pairs
 from .loads import Load, LoadBank, rotation_commutator
 from .machine import (induction_matrix, rotor_torque, stack_params,
                       turn_stator, turn_stator_in_place, validate_params)
-from .network import NetworkParams, Topology, incidence_expand
+from .network import NetworkParams, Topology
 
 
 class StateLayout:
@@ -94,7 +94,8 @@ class PowerSystem:
         self.layout = StateLayout(self.n_g, self.n_v, self.n_t)
         self.n_x = self.layout.n_x
 
-        self.incidence2 = incidence_expand(topology)
+        # E kron I_2, the incidence acting on stacked pairs.
+        self.incidence2 = real_blocks(topology.incidence)
         self._c2 = np.repeat(network.c, 2)
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
@@ -135,7 +136,7 @@ class PowerSystem:
         voltages (see :class:`LoadBank`), custom loads one call each, with
         their voltage columns of shape (2, ...)."""
         bank = self.load_bank
-        vc = np.ascontiguousarray(v, dtype=float).view(complex)
+        vc = as_complex(v)
         i_l = np.zeros(vc.shape, dtype=complex)
         # Bus axis indexed through .T: cheaper than [..., index] per call.
         vb = vc.T[bank.index].T

@@ -20,10 +20,8 @@ from scipy.linalg import cho_factor, cho_solve
 from gridstate.errors import (InfeasibleSteadyStateError, LoadDomainError,
                               SolverError)
 from gridstate.frame import MACHINE_ROT90, ROT90, rot, rotate_pairs, rvec
-from gridstate.loads import Load, LoadBank
+from gridstate.loads import Load
 from gridstate.machine import inductance_matrix
-from gridstate.network import (admittance, incidence_expand,
-                               line_admittance)
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery)
@@ -44,7 +42,7 @@ def network_rhs(params, topology, state, i_in):
     ``i_in`` is the total current flowing out of each bus into machines and
     loads, stacked pairs of length 2*n_v.
     """
-    E2 = incidence_expand(topology)
+    E2 = np.kron(topology.incidence, np.eye(2))
     v = np.asarray(state.v, dtype=float)
     i_T = np.asarray(state.i_T, dtype=float)
     i_in = np.asarray(i_in, dtype=float)
@@ -111,7 +109,7 @@ def network_residual(params, topology, loads, i_s, v, i_T, omega0):
     i_s = np.asarray(i_s, dtype=float)
     if i_s.ndim != 1 or len(i_s) > 2 * n_v or len(i_s) % 2 != 0:
         raise ValueError(f"stator current vector has bad shape {i_s.shape}")
-    E2 = incidence_expand(topology)
+    E2 = np.kron(topology.incidence, np.eye(2))
     inj = np.zeros(2 * n_v)
     inj[:len(i_s)] = i_s
     top = scalar_load_currents(loads, v) \
@@ -123,14 +121,18 @@ def network_residual(params, topology, loads, i_s, v, i_T, omega0):
 
 def nodal_balance_residual(params, topology, loads, i_s, v, omega0):
     """Residual of the nodal current balance after eliminating line currents
-    through the branch impedances: Y_N(v) v + (i_s, 0)."""
+    through the branch impedances Z: the bus rows of
+    :func:`network_residual` at i_T = Z^-1 E2^T v, with E2 = E kron I_2,
+    written out with dense real matrices."""
     n_v = topology.n_v
+    E2 = np.kron(topology.incidence, np.eye(2))
+    v = np.asarray(v, dtype=float)
     i_s = np.asarray(i_s, dtype=float)
     inj = np.zeros(2 * n_v)
     inj[:len(i_s)] = i_s
-    Y = admittance(params, LoadBank(loads, range(n_v)), v, omega0,
-                   line_admittance(params, topology, omega0))
-    return Y @ v + inj
+    i_T = np.linalg.solve(branch_impedance(params, omega0), E2.T @ v)
+    shunts = omega0 * np.kron(np.diag(params.c), ROT90)
+    return scalar_load_currents(loads, v) + shunts @ v + inj + E2 @ i_T
 
 
 def looped_equivariance_defect(load, v, n_samples=360):
@@ -334,16 +336,8 @@ class RecoveryGeometry:
         return float(np.linalg.norm(self.round_part))
 
     @property
-    def round_angle(self):
-        return float(np.arctan2(self.round_part[1], self.round_part[0]))
-
-    @property
     def salient_mag(self):
         return float(np.linalg.norm(self.salient_part))
-
-    @property
-    def salient_angle(self):
-        return float(np.arctan2(self.salient_part[1], self.salient_part[0]))
 
 
 def recovery_geometry(p, v_term, i_s, omega0):
@@ -405,17 +399,15 @@ def recover_machine(p, v_term, i_s, omega0, sigma, tol=RECOVERY_TOL):
 
     geom = recovery_geometry(p, v_term, i_s, omega0)
     a_round, a_sal = geom.round_mag, geom.salient_mag
-    if abs(a_round - a_sal) <= DEGENERACY_BAND * (a_round + a_sal):
-        # Equal radii: the ellipse may collapse through the origin; the
-        # aligned angle is determined by the two component directions alone.
-        case = "alpha_equal"
-        theta = 0.5 * (geom.round_angle - geom.salient_angle + np.pi)
-    else:
-        case = "regular"
-        # Second rotor-frame component is linear in (cos, sin) of the angle.
-        a = geom.salient_part[0] - geom.round_part[0]
-        b = geom.round_part[1] + geom.salient_part[1]
-        theta = float(np.arctan2(-b, a))
+    # Equal radii: the ellipse may collapse through the origin. The case is
+    # flagged; the angle is the regular one, defined unless the two parts
+    # are mirror images.
+    equal = abs(a_round - a_sal) <= DEGENERACY_BAND * (a_round + a_sal)
+    case = "alpha_equal" if equal else "regular"
+    # Second rotor-frame component is linear in (cos, sin) of the angle.
+    a = geom.salient_part[0] - geom.round_part[0]
+    b = geom.round_part[1] + geom.salient_part[1]
+    theta = float(np.arctan2(-b, a))
 
     aligned = rotor_frame_mismatch(geom, theta)
     i_f = float(aligned[0]) / (omega0 * p.l_sf)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridstate.frame import (MACHINE_ROT90, ROT90, block_rotation_generator,
-                             machine_rotation_generator, rot, rotate_pairs,
-                             rvec, wrap_angle)
+from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex,
+                             block_rotation_generator,
+                             machine_rotation_generator, real_blocks, rot,
+                             rotate_pairs, rvec, wrap_angle)
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -121,3 +122,23 @@ def test_wrap_angle_half_open_interval():
     assert wrap_angle(0.0) == 0.0
     assert wrap_angle(2 * np.pi + 0.25) == pytest.approx(0.25)
     assert -np.pi < wrap_angle(-123.456) <= np.pi
+
+
+def test_real_blocks_act_like_the_complex_matrix():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1), (3, 3), (4, 2), (2, 5)):
+        Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = rng.standard_normal(2 * shape[1])
+        np.testing.assert_allclose(real_blocks(Y) @ w,
+                                   (Y @ as_complex(w)).view(float),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(real_blocks(Y)[:2, :2],
+                                      [[Y[0, 0].real, -Y[0, 0].imag],
+                                       [Y[0, 0].imag, Y[0, 0].real]])
+
+
+def test_real_blocks_of_a_real_matrix_is_kron_identity():
+    rng = np.random.default_rng(4)
+    E = rng.integers(-1, 2, (5, 3)).astype(float)
+    np.testing.assert_array_equal(real_blocks(E), np.kron(E, np.eye(2)))
+

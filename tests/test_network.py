@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from gridstate.errors import ValidationError
-from gridstate.frame import block_rotation_generator
+from gridstate.frame import as_complex, block_rotation_generator, real_blocks
 from gridstate.loads import Load, LoadBank
 from gridstate.network import (NetworkParams, Topology, admittance,
-                               incidence_expand, line_admittance,
-                               solve_branch_currents)
+                               line_admittance, solve_branch_currents)
 
 from oracles import (NetworkState, branch_impedance, network_residual,
                      network_rhs, nodal_balance_residual)
@@ -31,25 +30,31 @@ def no_loads(n_v):
     return LoadBank([Load.none()] * n_v, range(n_v))
 
 
-def test_incidence_expand_single_line():
+def test_incidence_real_blocks_single_line():
     top = Topology(np.array([[1.0], [-1.0]]))
-    np.testing.assert_array_equal(incidence_expand(top),
+    np.testing.assert_array_equal(real_blocks(top.incidence),
                                   np.vstack([np.eye(2), -np.eye(2)]))
 
 
 def test_incidence_column_sums_vanish():
     top = chain_topology(4)
-    E2 = incidence_expand(top)
+    E2 = real_blocks(top.incidence)
     np.testing.assert_array_equal(E2.sum(axis=0), np.zeros(E2.shape[1]))
 
 
 def test_incidence_commutes_with_rotations():
     rng = np.random.default_rng(30)
     top = random_tree(rng, 4)
-    E2 = incidence_expand(top)
+    E2 = real_blocks(top.incidence)
     Jv = block_rotation_generator(top.n_v)
     Jt = block_rotation_generator(top.n_t)
     np.testing.assert_array_equal(E2 @ Jt, Jv @ E2)
+
+
+def test_system_incidence2_is_kron_identity(three_bus):
+    sys_, _ = three_bus
+    np.testing.assert_array_equal(
+        sys_.incidence2, np.kron(sys_.topology.incidence, np.eye(2)))
 
 
 def test_topology_validation():
@@ -174,8 +179,7 @@ def test_admittance_two_bus_hand_value():
                            r_T=np.array([0.5]))
     Y = admittance(params, no_loads(2), np.zeros(4), 0.0,
                    line_admittance(params, top, 0.0))
-    np.testing.assert_allclose(Y, np.kron([[2.0, -2.0], [-2.0, 2.0]],
-                                          np.eye(2)), atol=1e-12)
+    np.testing.assert_allclose(Y, [[2.0, -2.0], [-2.0, 2.0]], atol=1e-12)
 
 
 def test_admittance_is_weighted_laplacian_without_loads():
@@ -187,12 +191,11 @@ def test_admittance_is_weighted_laplacian_without_loads():
     Y = admittance(params, no_loads(5), np.zeros(10), 0.0,
                    line_admittance(params, top, 0.0))
     lap = top.incidence @ np.diag(1.0 / params.r_T) @ top.incidence.T
-    np.testing.assert_allclose(Y, np.kron(lap, np.eye(2)), atol=1e-12)
-    # PSD with nullspace spanned by uniform per-axis voltages
+    np.testing.assert_allclose(Y, lap, atol=1e-12)
+    # PSD with nullspace spanned by uniform voltages
     eigs = np.linalg.eigvalsh(Y)
     assert eigs[0] >= -1e-12
-    ones = np.kron(np.ones((5, 1)), np.eye(2))
-    np.testing.assert_allclose(Y @ ones, np.zeros((10, 2)), atol=1e-12)
+    np.testing.assert_allclose(Y @ np.ones(5), np.zeros(5), atol=1e-12)
 
 
 def test_impedance_load_adds_shunt_block():
@@ -206,9 +209,9 @@ def test_impedance_load_adds_shunt_block():
         params, LoadBank([Load.none(), Load.impedance(g, b)], range(2)),
         np.zeros(4), 0.0, lines)
     delta = with_load - base
-    np.testing.assert_allclose(delta[2:, 2:],
+    np.testing.assert_allclose(real_blocks(delta)[2:, 2:],
                                [[g, -b], [b, g]], atol=1e-15)
-    assert np.count_nonzero(delta[:2, :]) == 0
+    assert np.count_nonzero(delta[:1, :]) == 0
 
 
 def test_network_residual_zero_case_and_lipschitz():
@@ -260,7 +263,8 @@ def test_line_elimination_reproduces_nodal_residual():
     omega0 = 120.0
     v = rng.uniform(1.0, 3.0, 8)
     i_s = rng.uniform(-2, 2, 4)
-    i_T = solve_branch_currents(params, omega0, incidence_expand(top).T @ v)
+    i_T = solve_branch_currents(params, omega0,
+                                real_blocks(top.incidence).T @ v)
     rho_full = network_residual(params, top, loads, i_s, v, i_T, omega0)
     nodal = nodal_balance_residual(params, top, loads, i_s, v, omega0)
     np.testing.assert_allclose(rho_full[:8], nodal, atol=1e-12)
