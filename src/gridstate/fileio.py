@@ -12,16 +12,20 @@ import math
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .frame import wrap_angle
 from .loads import Load
 from .machine import MachineParams
 from .network import NetworkParams, Topology
 from .simulate import Trajectory
-from .steady_state import NewtonOptions, OperatingSpec, reported_angle
+from .steady_state import NewtonOptions, OperatingSpec
 from .system import assemble
 
 MACHINE_KEYS = ("inertia", "damping", "r_s", "r_f", "r_d", "r_q", "l_s",
                 "l_sa", "l_f", "l_d", "l_q", "l_fd", "l_sf", "l_sd", "l_sq")
-LOAD_TYPES = ("impedance", "current", "power")
+# Constructor and parameter names of each load type in system files.
+LOAD_TYPES = {"impedance": (Load.impedance, "g", "b"),
+              "current": (Load.constant_current, "c_g", "c_b"),
+              "power": (Load.constant_power, "P", "Q")}
 
 
 def _require(doc, key, kind, where):
@@ -40,25 +44,14 @@ def _require(doc, key, kind, where):
 def _build_load(spec, where):
     kind = _require(spec, "type", str, where)
     params = _require(spec, "params", dict, where)
-    if kind == "impedance":
-        return Load.impedance(_require(params, "g", float, where),
-                              _require(params, "b", float, where))
-    if kind == "current":
-        kwargs = {}
-        if "v_min" in params:
-            kwargs["v_min"] = _require(params, "v_min", float, where)
-        return Load.constant_current(_require(params, "c_g", float, where),
-                                     _require(params, "c_b", float, where),
-                                     **kwargs)
-    if kind == "power":
-        kwargs = {}
-        if "v_min" in params:
-            kwargs["v_min"] = _require(params, "v_min", float, where)
-        return Load.constant_power(_require(params, "P", float, where),
-                                   _require(params, "Q", float, where),
-                                   **kwargs)
-    raise SchemaError(f"{where}: load type must be one of {LOAD_TYPES}, "
-                      f"got {kind!r}")
+    if kind not in LOAD_TYPES:
+        raise SchemaError(f"{where}: load type must be one of "
+                          f"{tuple(LOAD_TYPES)}, got {kind!r}")
+    make, a, b = LOAD_TYPES[kind]
+    kwargs = ({"v_min": _require(params, "v_min", float, where)}
+              if kind != "impedance" and "v_min" in params else {})
+    return make(_require(params, a, float, where),
+                _require(params, b, float, where), **kwargs)
 
 
 def system_from_dict(doc):
@@ -187,7 +180,7 @@ def result_document(sys, ss, report):
     for k, rec in enumerate(ss.recoveries):
         machines.append({
             "bus": sys.bus_ids[k],
-            "theta": reported_angle(rec.theta),
+            "theta": float(wrap_angle(rec.theta)),  # unwrapped internally
             "i_s": [float(i[k, 0]), float(i[k, 1])],
             "i_f": rec.i_f,
             "i_d": rec.i_d,

@@ -92,43 +92,37 @@ def _floor_message(kind, vnorm, v_min):
 
 
 class LoadBank:
-    """The loads of a system in solve order, held as arrays.
+    """The loads of a system in solve order, held as per-bus arrays.
 
     Over complex bus voltages v = v_alpha + j v_beta every shipped load is
-    i = y |v|^-k v with admittance y = a_g + j a_b, so the bank keeps the
-    bus index, y, k and v_min of each loaded bus and evaluates them all in
-    one numpy expression. Any other object with a ``current`` method (a
-    non-conforming test load, or a subclass of :class:`Load`, which may
-    override ``current``) is kept in ``custom`` and called on its own.
+    i = y |v|^-k v with admittance y = a_g + j a_b, so the bank keeps y, k
+    and v_min for every bus (zeros where no shipped load sits) and evaluates
+    all buses in one numpy expression. Any other object with a ``current``
+    method (a non-conforming test load, or a subclass of :class:`Load`,
+    which may override ``current``) is kept in ``custom``, called on its own.
     """
 
     def __init__(self, loads, bus_ids):
-        shipped = [k for k, ld in enumerate(loads)
-                   if type(ld) is Load and ld.kind != "none"]
         self.custom = [(k, ld) for k, ld in enumerate(loads)
                        if ld is not None and type(ld) is not Load]
-        self.index = np.array(shipped, dtype=np.intp)
-        self.y = np.array([complex(*loads[k].coeffs) for k in shipped],
-                          dtype=complex)
-        self.k = np.array([loads[k].exponent for k in shipped], dtype=float)
-        self.v_min = np.array([loads[k].v_min for k in shipped], dtype=float)
-        self.exponent = np.zeros(len(loads))
-        self.exponent[self.index] = self.k
+        shipped = [ld if type(ld) is Load else Load.none() for ld in loads]
+        self.y = np.array([complex(*ld.coeffs) for ld in shipped], complex)
+        self.k = np.array([ld.exponent for ld in shipped], dtype=float)
+        self.v_min = np.array([ld.v_min for ld in shipped], dtype=float)
         # Impedance only: y at every voltage, and skipping the magnitude
         # work pays where numpy call overhead dominates (small systems).
         self.constant = not (np.any(self.k) or np.any(self.v_min))
-        self._named = [(bus_ids[k], loads[k].kind) for k in shipped]
+        self._named = [(bus, ld.kind) for bus, ld in zip(bus_ids, shipped)]
 
-    def admittance(self, vb):
-        """y |v|^-k of the shipped loads at their complex voltages ``vb``,
-        whose last axis runs over the loads in bus order. Raises
-        :class:`LoadDomainError` naming the first bus whose voltage is below
-        its load's floor."""
+    def admittance(self, vc):
+        """y |v|^-k per bus at the complex bus voltages ``vc`` (..., n_v).
+        Raises :class:`LoadDomainError` naming the first bus whose voltage
+        is below its load's floor."""
         if self.constant:
             return self.y
-        mag = np.abs(vb)
+        mag = np.abs(vc)
         below = mag < self.v_min
-        if np.count_nonzero(below):
+        if below.any():
             j = np.nonzero(below)[-1][0]
             bus, kind = self._named[j]
             raise LoadDomainError(

@@ -17,7 +17,8 @@ take closed forms in the rotor frame i_r = T^T i:
     L(theta)^-1 w   T L0^-1 T^T w
 
 and L(theta) is positive definite at every angle exactly when L0 is.
-:mod:`gridstate.system` evaluates the same forms on (n_g, 5, 5) stacks.
+:mod:`gridstate.system` folds the same forms into one constant operator
+per machine on the rotor-frame currents and voltages.
 """
 
 from dataclasses import dataclass, fields
@@ -144,29 +145,12 @@ def turn_stator(w, z):
     for z = e^{j theta}, and the rotor-frame view T(theta)^T w for its
     conjugate. The rotor entries are left alone, so z = 1j is not the stator
     generator J, which zeroes them."""
-    return turn_stator_in_place(np.array(w, dtype=float, order="C"), z)
-
-
-def turn_stator_in_place(w, z):
-    """:func:`turn_stator` applied to a C-contiguous float array ``w`` the
-    caller owns, which is overwritten and returned."""
+    w = np.array(w, dtype=float, order="C")
     # Complex view of the pairs from the row strides; numpy < 1.23 cannot
     # .view() the strided slice w[..., :2] as complex.
     pairs = np.ndarray(w.shape[:-1], complex, w, strides=w.strides[:-1])
     pairs *= z
     return w
-
-
-def rotor_torque(L0, i_r):
-    """Electrical torque (L0 i_r) . (J i_r) from rotor-frame currents; works
-    on stacks, L0 (..., 5, 5) and i_r (..., 5)."""
-    Li = (L0 @ i_r[..., None])[..., 0]
-    return Li[..., 1] * i_r[..., 0] - Li[..., 0] * i_r[..., 1]
-
-
-def induction_matrix(L0):
-    """J L0 - L0 J: the induced voltage is omega T (J L0 - L0 J) T^T i."""
-    return MACHINE_ROT90 @ L0 - L0 @ MACHINE_ROT90
 
 
 def electrical_torque(p, theta, i):
@@ -176,7 +160,7 @@ def electrical_torque(p, theta, i):
     the inductance is the constant L0.
     """
     i_r = turn_stator(i, complex(*rvec(-theta)))
-    return float(rotor_torque(p.rotor_frame_inductance(), i_r))
+    return float((p.rotor_frame_inductance() @ i_r) @ (MACHINE_ROT90 @ i_r))
 
 
 def induced_voltage(p, theta, omega, i):
@@ -184,7 +168,8 @@ def induced_voltage(p, theta, omega, i):
     omega (J L(theta) - L(theta) J) i, taken in the rotor frame."""
     z = complex(*rvec(theta))
     i_r = turn_stator(i, z.conjugate())
-    K = induction_matrix(p.rotor_frame_inductance())
+    L0 = p.rotor_frame_inductance()
+    K = MACHINE_ROT90 @ L0 - L0 @ MACHINE_ROT90
     return turn_stator(omega * (K @ i_r), z)
 
 

@@ -103,7 +103,9 @@ def line_admittance(params, topology, omega0):
     """Complex Laplacian E diag(1 / (r + j omega0 l)) E^T of the lines, the
     part of the nodal admittance that does not depend on the voltages."""
     E = topology.incidence
-    return (E / (params.r_T + 1j * omega0 * params.l_T)) @ E.T
+    y = 1.0 / (params.r_T + 1j * omega0 * params.l_T)
+    # Two real products: a complex one would cast E.T and run a complex GEMM.
+    return (E * y.real) @ E.T + 1j * ((E * y.imag) @ E.T)
 
 
 def admittance(params, bank, v, omega0, lines):
@@ -115,8 +117,7 @@ def admittance(params, bank, v, omega0, lines):
     at the voltage pairs ``v``. Depends on v only through the load
     magnitudes, so it is constant for impedance-only loads.
     """
-    y = 1j * omega0 * params.c
-    y[bank.index] += bank.admittance(as_complex(v)[bank.index])
+    y = 1j * omega0 * params.c + bank.admittance(as_complex(v))
     Y = lines.copy()
     Y[np.diag_indices_from(Y)] += y
     return Y

@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
-from .frame import as_complex, real_blocks, wrap_angle
+from .frame import as_complex, real_blocks
 from .loads import equivariance_defect
-from .machine import rotor_torque, stack_params
+from .machine import stack_params
 from .network import admittance, line_admittance, solve_branch_currents
 from .system import (invariance_defect, residual, residual_block_norms,
                      tolerance_scale)
@@ -147,10 +147,10 @@ def recovery_parts(p, v, i_s, omega0):
     return a, b
 
 
-def _recover(p, L0, v, i_s, omega0, sigma):
+def _recover(p, v, i_s, omega0, sigma):
     """Closed-form recovery of a stack of machines: constants ``p`` with
-    (n,) array fields, rotor-frame inductances L0 (n, 5, 5), complex
-    terminal voltages and stator currents (n,), polarizations (n,)."""
+    (n,) array fields, complex terminal voltages and stator currents (n,),
+    polarizations (n,)."""
     sigma = np.asarray(sigma)
     bad = (sigma != 1) & (sigma != -1)
     if bad.any():
@@ -215,10 +215,9 @@ def _recover(p, L0, v, i_s, omega0, sigma):
     # Degenerate machines have i_f = 0: nothing is left to balance.
     exc_res[degenerate] = ali_res[degenerate] = 0.0
 
-    i_rotor = np.conj(z) * i_s
-    i_r = np.zeros((len(v), 5))
-    i_r[:, 0], i_r[:, 1], i_r[:, 2] = i_rotor.real, i_rotor.imag, i_f
-    tau_m = p.d * omega0 + rotor_torque(L0, i_r)
+    # The torque (L0 i_r) . (J i_r) at i_r = (e^{-j theta} i_s, i_f, 0, 0).
+    i_r = np.conj(z) * i_s
+    tau_m = p.d * omega0 - i_r.imag * (2.0 * p.l_sa * i_r.real + p.l_sf * i_f)
     rows = zip(theta.tolist(), i_f.tolist(), tau_m.tolist(),
                (p.r_f * i_f).tolist(), nu.view(float).reshape(-1, 2),
                sigma.astype(int).tolist(), case.tolist(), exc_res.tolist(),
@@ -240,9 +239,8 @@ def recover_machine(p, v_term, i_s, omega0, sigma):
     only when the terminal voltage exactly covers the resistive drop). This
     is :func:`recover_all`'s code for a single machine.
     """
-    stack = stack_params([p])
-    return _recover(stack, stack.rotor_frame_inductance(), as_complex(v_term),
-                    as_complex(i_s), omega0, [sigma])[0]
+    return _recover(stack_params([p]), as_complex(v_term), as_complex(i_s),
+                    omega0, [sigma])[0]
 
 
 def balance_jacobian(sys, Y, v):
@@ -256,7 +254,7 @@ def balance_jacobian(sys, Y, v):
     load buses minus one rank-one 2x2 block per loaded bus.
     """
     n_g = sys.n_g
-    k = sys.load_bank.exponent[n_g:]
+    k = sys.load_bank.k[n_g:]
     i_l = sys.load_currents(v)[2 * n_g:].reshape(-1, 2)
     v_l = v[2 * n_g:].reshape(-1, 2)
     # Only k > 0 loads have a floor that keeps |v| > 0; the rest add nothing.
@@ -332,7 +330,7 @@ def solve_network(sys, spec):
 def recover_all(sys, spec, net):
     """Machine recoveries for every machine behind one network solution, in
     one array pass over the machines."""
-    return _recover(sys.params, sys._L0, as_complex(net.v[:2 * sys.n_g]),
+    return _recover(sys.params, as_complex(net.v[:2 * sys.n_g]),
                     as_complex(net.i_s), spec.omega0, spec.sigma)
 
 
@@ -433,8 +431,3 @@ def verify_steady_state(sys, ss):
         invariance_defect=inv, equivariance_defects=equiv,
         certificate=not failures, failures=failures, tolerances=tol,
         margins=margins)
-
-
-def reported_angle(theta):
-    """Angles are kept unwrapped internally; wrap for reports only."""
-    return float(wrap_angle(theta))

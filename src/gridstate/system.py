@@ -5,13 +5,14 @@ speeds, machine winding currents (5 per machine), bus voltage pairs, line
 current pairs. Buses are ordered so machine k sits at bus k; the assembler
 permutes user input into this order and remembers the permutation.
 
-The machines are evaluated in their rotor frames. With the factorization
-L(theta) = T(theta) L0 T(theta)^T of :mod:`gridstate.machine`, the system
-precomputes L0, L0^-1 and J L0 - L0 J per machine as (n_g, 5, 5) stacks;
-each vector-field or residual call rotates the stator pairs by e^{-j theta}
-(on a complex view, as the load bank reads voltages), applies those
-constant matrices and rotates the winding rows back. Assembly validates
-every machine with one Cholesky of L0, which is exact for all angles.
+The machines are evaluated in their rotor frames. With L(theta) =
+T(theta) L0 T(theta)^T (:mod:`gridstate.machine`), each call turns stator
+current and terminal voltage by e^{-j theta} into the stack [applied
+voltage, i_r, omega i_r], and one constant operator per machine does the
+rest in one product: winding rows L0^-1 [I, -R, -K0] (K0 = J L0 - L0 J) for
+the vector field, [-I, R, K0, L0 J] on the stack plus omega0 i_r for the
+residual, and the stator rows of L0, which give the torque. Assembly
+validates every machine with one Cholesky of L0, exact for all angles.
 
 The steady field turns every planar pair at omega0 and advances the rotor
 angles with it; with loads that commute with rotations the residual turns
@@ -24,8 +25,7 @@ import numpy as np
 from .errors import LoadDomainError, ValidationError
 from .frame import MACHINE_ROT90, as_complex, real_blocks, rotate_pairs
 from .loads import Load, LoadBank, rotation_commutator
-from .machine import (induction_matrix, rotor_torque, stack_params,
-                      turn_stator, turn_stator_in_place, validate_params)
+from .machine import stack_params, turn_stator, validate_params
 from .network import NetworkParams, Topology
 
 
@@ -42,6 +42,7 @@ class StateLayout:
         self.sl_i = slice(o, o + 5 * n_g); o += 5 * n_g
         self.sl_v = slice(o, o + 2 * n_v); o += 2 * n_v
         self.sl_iT = slice(o, o + 2 * n_t)
+        self.sl_vg = slice(self.sl_v.start, self.sl_v.start + 2 * n_g)
         # Block indices into the last axis, built once for the hot paths.
         self._blocks = tuple((Ellipsis, sl) for sl in (
             self.sl_theta, self.sl_omega, self.sl_i, self.sl_v, self.sl_iT))
@@ -99,13 +100,14 @@ class PowerSystem:
         self._c2 = np.repeat(network.c, 2)
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
-
         self.params = stack_params(self.machines)
-        self._r_winding = self.params.resistance_diag()
-        # Rotor-frame constants: L0 = L(0), its inverse, and J L0 - L0 J.
+        # Reciprocals for the vector field's speed and network rows.
+        self._inv_m, self._d_m = 1.0 / self.params.m, self.params.d / self.params.m
+        self._neg_inv_c2, self._inv_l2 = -1.0 / self._c2, 1.0 / self._l_T2
+        self._r_l2 = self._r_T2 / self._l_T2
         self._L0 = self.params.rotor_frame_inductance()
-        self._L0_inv = np.linalg.inv(self._L0)
-        self._K0 = induction_matrix(self._L0)
+        self._field_op, self._residual_op = _rotor_operators(
+            self._L0, self.params.resistance_diag())
         self.loads = tuple(loads)
         self.load_bank = LoadBank(self.loads, self.bus_ids)
 
@@ -137,11 +139,7 @@ class PowerSystem:
         their voltage columns of shape (2, ...)."""
         bank = self.load_bank
         vc = as_complex(v)
-        i_l = np.zeros(vc.shape, dtype=complex)
-        # Bus axis indexed through .T: cheaper than [..., index] per call.
-        vb = vc.T[bank.index].T
-        i_l.T[bank.index] = (bank.admittance(vb) * vb).T
-        i_l = i_l.view(float)
+        i_l = (bank.admittance(vc) * vc).view(float)
         for k, load in bank.custom:
             try:
                 pair = np.moveaxis(v[..., 2 * k:2 * k + 2], -1, 0)
@@ -152,22 +150,67 @@ class PowerSystem:
         return i_l
 
 
-def _machine_block(sys, theta, omega, i, v, v_f):
-    """Terms shared by the vector field and the residual, in the rotor frame
-    (see :mod:`gridstate.machine`): z = e^{j theta}, the rotor-frame
-    currents i_r = T^T i, the electrical torque, and the winding voltage
-    left to change the flux, applied - R i - induced, as T^T of it, for
-    currents ``i`` of shape (..., n_g, 5)."""
-    z = np.exp(1j * theta)
-    to_rotor = z.conj()
-    i_r = turn_stator(i, to_rotor)
-    drive = np.zeros(i.shape)
-    drive[..., :2] = v[..., :2 * sys.n_g].reshape(theta.shape + (2,))
-    drive[..., 2] = v_f
-    turn_stator_in_place(drive, to_rotor)
-    drive -= sys._r_winding * i_r
-    drive -= omega[..., None] * (sys._K0 @ i_r[..., None])[..., 0]
-    return z, i_r, rotor_torque(sys._L0, i_r), drive
+# Stack columns: v_r (2), i_r (5), v_f, omega i_r (5), then omega0 i_r (5)
+# or, for the field, a zero; read as complex pairs, [0] is v_r and [1] the
+# stator part of i_r. Operator rows: five winding rows, a zero row, and L0's
+# stator rows as the pair [3] = -(L0 i_r)_alpha + j (L0 i_r)_beta, so the
+# torque (L0 i_r) . (J i_r) is Im([1] [3]).
+_I_R, _OMEGA_I_R, _OMEGA0_I_R = slice(2, 7), slice(8, 13), slice(13, 18)
+
+
+def _rotor_operators(L0, r):
+    """Field (n_g, 8, 14) and residual (n_g, 8, 18) operators from L0 and the
+    resistances ``r``; the field's winding rows are -L0^-1 times the residual's."""
+    L0J = L0 @ MACHINE_ROT90
+    res = np.zeros((len(L0), 8, 18))
+    res[:, 0, 0] = res[:, 1, 1] = res[:, 2, 7] = -1.0
+    res.reshape(len(L0), -1)[:, 2:79:19] = r  # entries (k, 2 + k), k < 5
+    res[:, :5, _OMEGA_I_R] = MACHINE_ROT90 @ L0 - L0J
+    res[:, :5, _OMEGA0_I_R] = L0J
+    res[:, 6, _I_R], res[:, 7, _I_R] = -L0[:, 0], L0[:, 1]
+    field = res[..., :14].copy()
+    field[:, :5] = -np.linalg.inv(L0) @ field[:, :5]
+    return field, res
+
+
+def _machines(sys, x, omega, u, omega0=None):
+    """Machine currents (..., n_g, 5) of states ``x`` (..., n_x), the field's
+    (with ``omega0``, the residual's) winding rows in the stator frame, and
+    the torque. A stack runs one product per machine over all its states."""
+    lay, n_g = sys.layout, sys.n_g
+    op = sys._field_op if omega0 is None else sys._residual_op
+    batch = omega.shape[:-1]
+    i = x[..., lay.sl_i].reshape(batch + (n_g, 5))
+    s = np.zeros(batch + (n_g, op.shape[-1]))
+    s[..., :2] = x[..., lay.sl_vg].reshape(batch + (n_g, 2))
+    s[..., _I_R] = i
+    s[..., 7] = u[n_g:]
+    stator = s.view(complex)[..., :2]
+    to_rotor = np.exp(-1j * x[..., lay.sl_theta])
+    stator *= to_rotor[..., None]
+    np.multiply(omega[..., None], s[..., _I_R], out=s[..., _OMEGA_I_R])
+    if omega0 is not None:
+        np.multiply(omega0, s[..., _I_R], out=s[..., _OMEGA0_I_R])
+    if batch:
+        w = op @ s.reshape((-1,) + s.shape[-2:]).transpose(1, 2, 0)
+        w = np.ascontiguousarray(w.transpose(2, 0, 1)).reshape(batch + (n_g, 8))
+    else:
+        w = (op @ s[..., None]).reshape(n_g, 8)
+    wc = w.view(complex)
+    torque = (stator[..., 1] * wc[..., 3]).imag
+    turned = wc[..., 0]
+    turned /= to_rotor
+    return i, w[..., :5], torque
+
+
+def _bus_currents(sys, i, v, i_T):
+    """Current leaving each bus into its load, machine and lines, stacked
+    like the voltages ``v``, for machine currents ``i`` (..., n_g, 5)."""
+    out = sys.load_currents(v)
+    injected = out[..., :2 * sys.n_g].reshape(i.shape[:-1] + (2,))
+    injected += i[..., :2]
+    out += i_T @ sys.incidence2.T
+    return out
 
 
 def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=None):
@@ -232,21 +275,18 @@ def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=Non
 def vector_field(sys, x, u):
     """Time derivative of the full power system state, for states of shape
     (..., n_x)."""
-    lay = sys.layout
-    theta, omega, i_flat, v, i_T = lay.split(x)
-    tau_m, v_f = lay.split_input(u)
-    i = i_flat.reshape(theta.shape + (5,))
-
-    z, _, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
-    di = turn_stator_in_place((sys._L0_inv @ drive[..., None])[..., 0], z)
-
-    i_in = sys.load_currents(v)
-    i_in[..., :2 * sys.n_g] += i[..., :2].reshape(omega.shape[:-1] + (-1,))
-    dv = (-(i_T @ sys.incidence2.T) - i_in) / sys._c2
-    di_T = (-sys._r_T2 * i_T + v @ sys.incidence2) / sys._l_T2
-
-    domega = (tau_m - sys.params.d * omega - tau_e) / sys.params.m
-    return lay.pack(omega, domega, di, dv, di_T)
+    b_theta, b_omega, b_i, b_v, b_iT = sys.layout._blocks
+    omega, v, i_T = x[b_omega], x[b_v], x[b_iT]
+    i, di, torque = _machines(sys, x, omega, u)
+    dx = np.empty(x.shape)
+    dx[b_theta] = omega
+    domega = np.multiply(u[:sys.n_g] - torque, sys._inv_m, out=dx[b_omega])
+    domega -= sys._d_m * omega
+    dx[b_i].reshape(i.shape)[...] = di
+    np.multiply(_bus_currents(sys, i, v, i_T), sys._neg_inv_c2, out=dx[b_v])
+    di_T = np.multiply(v @ sys.incidence2, sys._inv_l2, out=dx[b_iT])
+    di_T -= sys._r_l2 * i_T
+    return dx
 
 
 def steady_field(sys, x, omega0):
@@ -269,35 +309,28 @@ def residual(sys, x, u, omega0):
     """Gap between the rotating steady-state dynamics and the model dynamics,
     scaled by the (block-diagonal) mass matrix. Zero exactly on steady
     states at frequency omega0 with input u. States are (..., n_x)."""
-    lay = sys.layout
-    theta, omega, i_flat, v, i_T = lay.split(x)
-    tau_m, v_f = lay.split_input(u)
-    i = i_flat.reshape(theta.shape + (5,))
-
-    z, i_r, tau_e, drive = _machine_block(sys, theta, omega, i, v, v_f)
-
-    rho_freq = omega0 - omega
-    rho_torque = sys.params.d * omega + tau_e - tau_m
-    LJi = (sys._L0 @ (i_r @ MACHINE_ROT90.T)[..., None])[..., 0]
-    rho_windings = turn_stator_in_place(omega0 * LJi - drive, z)
-
-    i_l = sys.load_currents(v)
-    inj = np.zeros(v.shape)
-    inj[..., :2 * sys.n_g] = i[..., :2].reshape(omega.shape[:-1] + (-1,))
-    rho_nodes = omega0 * sys._c2 * rotate_pairs(v) + inj \
-        + i_T @ sys.incidence2.T + i_l
-    rho_lines = sys._r_T2 * i_T + omega0 * sys._l_T2 * rotate_pairs(i_T) \
-        - v @ sys.incidence2
-    return lay.pack(rho_freq, rho_torque, rho_windings, rho_nodes, rho_lines)
+    b_theta, b_omega, b_i, b_v, b_iT = sys.layout._blocks
+    omega, v, i_T = x[b_omega], x[b_v], x[b_iT]
+    i, rho_i, torque = _machines(sys, x, omega, u, omega0)
+    rho = np.empty(x.shape)
+    np.subtract(omega0, omega, out=rho[b_theta])
+    rho_torque = np.multiply(sys.params.d, omega, out=rho[b_omega])
+    rho_torque += torque - u[:sys.n_g]
+    rho[b_i].reshape(i.shape)[...] = rho_i
+    np.add(_bus_currents(sys, i, v, i_T),
+           omega0 * sys._c2 * rotate_pairs(v), out=rho[b_v])
+    rho_lines = np.multiply(sys._r_T2, i_T, out=rho[b_iT])
+    rho_lines += omega0 * sys._l_T2 * rotate_pairs(i_T)
+    rho_lines -= v @ sys.incidence2
+    return rho
 
 
 def residual_block_norms(sys, rho):
-    """Max-norm of each residual block, keyed by what the block balances."""
-    lay = sys.layout
+    """Max-norm of each residual block, keyed by what the block balances;
+    on a stack of residuals (..., n_x), the max over the stack."""
     names = ("frequency", "torque", "windings", "nodes", "lines")
-    slices = (lay.sl_theta, lay.sl_omega, lay.sl_i, lay.sl_v, lay.sl_iT)
-    return {name: float(np.max(np.abs(rho[sl]), initial=0.0))
-            for name, sl in zip(names, slices)}
+    return {name: float(np.max(np.abs(rho[b]), initial=0.0))
+            for name, b in zip(names, sys.layout._blocks)}
 
 
 def invariance_defect(sys, x, u, omega0, rho=None):
@@ -309,8 +342,11 @@ def invariance_defect(sys, x, u, omega0, rho=None):
     D rho[f] = omega0 G rho, G being J on each stator, bus and line pair
     and 0 on the angle and speed rows. A custom load adds omega0 times its
     :func:`~gridstate.loads.rotation_commutator` on its bus rows. ``rho``
-    is the residual at (x, u) when the caller has it already.
+    is the residual at (x, u) when the caller has it already. Takes one
+    state of shape (n_x,): the commutator works one voltage pair at a time.
     """
+    if np.shape(x) != (sys.n_x,):
+        raise ValueError(f"invariance_defect takes one state, got {np.shape(x)}")
     if rho is None:
         rho = residual(sys, x, u, omega0)
     lay = sys.layout
@@ -332,16 +368,14 @@ def mass_matrix(sys, x):
     """Dense block-diagonal mass matrix at state x (angles/speeds/fluxes/
     charges block scaling). Intended for cross-checks, not hot paths."""
     lay = sys.layout
-    theta = x[lay.sl_theta]
     diag = np.ones(sys.n_x)
     diag[lay.sl_omega] = sys.params.m
     diag[lay.sl_v] = sys._c2
     diag[lay.sl_iT] = sys._l_T2
     M = np.diag(diag)
-    L = sys.inductance_stack(theta)
-    for k in range(sys.n_g):
+    for k, L in enumerate(sys.inductance_stack(x[lay.sl_theta])):
         s = lay.sl_i.start + 5 * k
-        M[s:s + 5, s:s + 5] = L[k]
+        M[s:s + 5, s:s + 5] = L
     return M
 
 

@@ -10,7 +10,9 @@ from gridstate.loads import Load
 from gridstate.simulate import (SimConfig, drift_metrics,
                                 reference_trajectory, simulate)
 from gridstate.steady_state import compute_steady_state
-from gridstate.system import residual, steady_field, vector_field
+from gridstate.system import (invariance_defect, residual,
+                              residual_block_norms, steady_field,
+                              vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh
 from oracles import looped_drift_metrics
@@ -70,6 +72,46 @@ def test_fields_and_residual_match_per_state_calls(case, shape):
                       lambda x: steady_field(sys_, x, ss.omega0), X)
     V = X[..., sys_.layout.sl_v]
     assert_rows_match(sys_.load_currents(V), sys_.load_currents, V)
+
+
+def test_a_401_state_stack_of_the_mixed_load_mesh(mesh):
+    # The machine operators run as one product per machine over all 401
+    # states; every row still equals the single-state call.
+    sys_, ss = mesh
+    X = stack_around(ss.x, (401,), seed=11)
+    assert_rows_match(vector_field(sys_, X, ss.u),
+                      lambda x: vector_field(sys_, x, ss.u), X)
+    assert_rows_match(residual(sys_, X, ss.u, ss.omega0),
+                      lambda x: residual(sys_, x, ss.u, ss.omega0), X)
+
+
+def test_block_norms_of_a_stack_take_the_max_over_it(three_bus, certified):
+    sys_, _ = three_bus
+    ss = certified
+    x = stack_around(ss.x, (), seed=12)
+    single = residual_block_norms(sys_, residual(sys_, x, ss.u, ss.omega0))
+    assert min(single.values()) > 0.0
+    copies = residual(sys_, np.stack([x] * 3), ss.u, ss.omega0)
+    assert residual_block_norms(sys_, copies) == pytest.approx(single,
+                                                               rel=1e-14)
+    # A stack whose rows differ reads the largest of each block.
+    X = stack_around(ss.x, (4,), seed=13)
+    rho = residual(sys_, X, ss.u, ss.omega0)
+    rows = [residual_block_norms(sys_, r) for r in rho]
+    assert residual_block_norms(sys_, rho) == {
+        name: max(r[name] for r in rows) for name in single}
+
+
+def test_invariance_defect_takes_one_state(three_bus, certified):
+    # The custom-load commutator works one voltage pair at a time, so a
+    # stack is refused rather than read along its first axis.
+    sys_, _ = three_bus
+    ss = certified
+    x = stack_around(ss.x, (), seed=12)
+    for bad in (np.stack([x] * 3), x[None, :], x[:-1]):
+        with pytest.raises(ValueError, match="one state"):
+            invariance_defect(sys_, bad, ss.u, ss.omega0)
+    assert invariance_defect(sys_, x, ss.u, ss.omega0) > 0.0
 
 
 def test_layout_pack_split_roundtrip_on_a_stack(mesh):

@@ -7,6 +7,7 @@ from gridstate.loads import Load, LoadBank
 from gridstate.network import (NetworkParams, Topology, admittance,
                                line_admittance, solve_branch_currents)
 
+from conftest import ring_mesh
 from oracles import (NetworkState, branch_impedance, network_residual,
                      network_rhs, nodal_balance_residual)
 
@@ -55,6 +56,20 @@ def test_system_incidence2_is_kron_identity(three_bus):
     sys_, _ = three_bus
     np.testing.assert_array_equal(
         sys_.incidence2, np.kron(sys_.topology.incidence, np.eye(2)))
+
+
+@pytest.mark.parametrize("n_bus", [None, 64])
+def test_line_admittance_equals_the_complex_product(three_bus, n_bus):
+    # The real and imaginary parts come from two real products; they match
+    # the complex product E diag(1 / z) E^T on the fixture and a 64-bus mesh.
+    sys_ = three_bus[0] if n_bus is None else ring_mesh(n_bus,
+                                                        ("impedance",))[0]
+    E = sys_.topology.incidence
+    for omega0 in (0.0, 50.0, 314.0):
+        want = (E / (sys_.network.r_T + 1j * omega0 * sys_.network.l_T)) @ E.T
+        got = line_admittance(sys_.network, sys_.topology, omega0)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_topology_validation():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gridstate.simulate
+from gridstate.errors import LoadDomainError
 from gridstate.frame import ROT90, rot
 from gridstate.simulate import (SimConfig, Trajectory, drift_metrics,
                                 reference_trajectory, rk4_step, rk4_step_fn,
@@ -8,7 +10,7 @@ from gridstate.simulate import (SimConfig, Trajectory, drift_metrics,
 from gridstate.steady_state import compute_steady_state
 from gridstate.system import steady_field, total_energy
 
-from conftest import slow_two_bus
+from conftest import ring_mesh, slow_two_bus
 
 
 def rotation_error_after_one_period(omega0, dt):
@@ -172,3 +174,56 @@ def test_rk4_step_wraps_system_field(three_bus, certified):
     from gridstate.system import vector_field
     direct = rk4_step_fn(lambda y: vector_field(sys_, y, ss.u), ss.x, 1e-5)
     np.testing.assert_array_equal(rk4_step(sys_, ss.x, ss.u, 1e-5), direct)
+
+
+def counting_field(monkeypatch, evaluate=None):
+    """Replace the module global ``simulate.vector_field`` that ``rk4_step``
+    calls with a wrapper counting its calls; ``evaluate(call, sys, y, u)``,
+    when given, makes each call."""
+    calls = []
+    field = gridstate.simulate.vector_field
+
+    def wrapped(sys_, y, u):
+        calls.append(y)
+        if evaluate is not None:
+            return evaluate(len(calls), sys_, y, u)
+        return field(sys_, y, u)
+
+    monkeypatch.setattr(gridstate.simulate, "vector_field", wrapped)
+    return calls
+
+
+def test_rk4_step_makes_four_vector_field_calls(monkeypatch, three_bus,
+                                                certified):
+    sys_, _ = three_bus
+    ss = certified
+    want = rk4_step(sys_, ss.x, ss.u, 1e-5)
+    calls = counting_field(monkeypatch)
+    np.testing.assert_array_equal(rk4_step(sys_, ss.x, ss.u, 1e-5), want)
+    assert len(calls) == 4
+    np.testing.assert_array_equal(calls[0], ss.x)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_load_domain_error_names_the_rk4_stage_and_bus(monkeypatch, stage):
+    sys_, spec = ring_mesh(16, ("current", "power"), seed=3)
+    ss = compute_steady_state(sys_, spec)
+    lay = sys_.layout
+    k = next(k for k, ld in enumerate(sys_.loads) if ld.v_min > 0.0)
+    bus = sys_.bus_ids[k]
+    field = gridstate.simulate.vector_field
+
+    def evaluate(call, s, y, u):
+        if call == stage:
+            # Drop the load bus below its floor in this stage only.
+            y = y.copy()
+            y[lay.sl_v.start + 2 * k:lay.sl_v.start + 2 * k + 2] = 0.0
+        return field(s, y, u)
+
+    counting_field(monkeypatch, evaluate)
+    with pytest.raises(LoadDomainError) as info:
+        rk4_step(sys_, ss.x, ss.u, 1e-5)
+    message = str(info.value)
+    assert message.startswith(f"stage {stage} of RK4 step: ")
+    assert f"bus {bus!r}" in message
+    assert info.value.bus == bus

@@ -452,7 +452,7 @@ def test_load_currents_match_scalar_oracle(kinds, log_scale, seed):
     # A custom load swapped in changes the node rows of the residual by
     # exactly the oracle's current difference, and nothing else.
     bank = {name: getattr(sys_.load_bank, name).copy()
-            for name in ("index", "y", "k", "v_min", "exponent")}
+            for name in ("y", "k", "v_min")}
     k = int(rng.integers(sys_.n_v))
     swapped = list(sys_.loads)
     swapped[k] = AnisotropicLoad(*rng.uniform(0.5, 2.0, 2))
