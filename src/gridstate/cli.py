@@ -192,13 +192,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "steady-state": cmd_steady_state,
-            "simulate": cmd_simulate,
-            "verify": cmd_verify,
-            "identities": cmd_identities,
-        }[args.command]
-        return handler(args)
+        handler = {"steady-state": cmd_steady_state, "simulate": cmd_simulate,
+                   "verify": cmd_verify, "identities": cmd_identities}
+        return handler[args.command](args)
     except UsageError as err:
         print(f"usage error: {err}", file=_sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,7 @@ from .simulate import Trajectory
 from .steady_state import NewtonOptions, OperatingSpec
 from .system import assemble
 
+MAX_FLOAT = float(np.finfo(float).max)
 MACHINE_KEYS = ("inertia", "damping", "r_s", "r_f", "r_d", "r_q", "l_s",
                 "l_sa", "l_f", "l_d", "l_q", "l_fd", "l_sf", "l_sd", "l_sq")
 # Constructor and parameter names of each load type in system files.
@@ -35,10 +36,28 @@ def _require(doc, key, kind, where):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(f"{where}: key {key!r} must be a number")
+        if not abs(value) <= MAX_FLOAT:  # json's NaN, Infinity, huge ints
+            raise SchemaError(f"{where}: key {key!r} must be finite")
         return float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
+
+
+def _objects(doc, key, where):
+    """The list under ``key``, checked to hold only JSON objects."""
+    items = _require(doc, key, list, where)
+    path = key if where == "top level" else f"{where}.{key}"
+    for n, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SchemaError(f"{path}[{n}]: must be an object")
+    return items
+
+
+def _bus_index(index_of, bid, where):
+    if isinstance(bid, (list, dict)) or bid not in index_of:
+        raise SchemaError(f"{where}: unknown bus id {bid!r}")
+    return index_of[bid]
 
 
 def _build_load(spec, where):
@@ -57,9 +76,8 @@ def _build_load(spec, where):
 def system_from_dict(doc):
     """Build the validated system and operating spec from a parsed document."""
     omega0 = _require(doc, "omega0", float, "top level")
-    buses = _require(doc, "buses", list, "top level")
-    lines = _require(doc, "lines", list, "top level")
-    machines_doc = _require(doc, "machines", list, "top level")
+    buses, lines, machines_doc = (_objects(doc, key, "top level")
+                                  for key in ("buses", "lines", "machines"))
     op = _require(doc, "operating_point", dict, "top level")
 
     bus_ids, caps, loads = [], [], []
@@ -68,11 +86,14 @@ def system_from_dict(doc):
         bid = bus.get("id")
         if bid is None:
             raise SchemaError(f"{where}: missing required key 'id'")
+        if isinstance(bid, (list, dict)):
+            raise SchemaError(f"{where}: key 'id' must be a string or number")
         if bid in bus_ids:
             raise SchemaError(f"{where}: duplicate bus id {bid!r}")
         bus_ids.append(bid)
         caps.append(_require(bus, "capacitance", float, where))
-        loads.append(_build_load(bus["load"], f"{where}.load")
+        loads.append(_build_load(_require(bus, "load", dict, where),
+                                 f"{where}.load")
                      if "load" in bus else Load.none())
     index_of = {bid: k for k, bid in enumerate(bus_ids)}
 
@@ -80,22 +101,18 @@ def system_from_dict(doc):
     r_T, l_T = [], []
     for n, line in enumerate(lines):
         where = f"lines[{n}]"
-        for end in ("from", "to"):
-            if line.get(end) not in index_of:
-                raise SchemaError(f"{where}: unknown bus id {line.get(end)!r}")
-        if line["from"] == line["to"]:
+        a = _bus_index(index_of, line.get("from"), where)
+        b = _bus_index(index_of, line.get("to"), where)
+        if a == b:
             raise SchemaError(f"{where}: line endpoints must differ")
-        incidence[index_of[line["from"]], n] = 1.0
-        incidence[index_of[line["to"]], n] = -1.0
+        incidence[a, n], incidence[b, n] = 1.0, -1.0
         r_T.append(_require(line, "resistance", float, where))
         l_T.append(_require(line, "inductance", float, where))
 
     machines, machine_buses = [], []
     for n, m in enumerate(machines_doc):
         where = f"machines[{n}]"
-        if m.get("bus") not in index_of:
-            raise SchemaError(f"{where}: unknown bus id {m.get('bus')!r}")
-        machine_buses.append(index_of[m["bus"]])
+        machine_buses.append(_bus_index(index_of, m.get("bus"), where))
         vals = [_require(m, key, float, where) for key in MACHINE_KEYS]
         machines.append(MachineParams(*vals))
 
@@ -104,16 +121,13 @@ def system_from_dict(doc):
     sys_ = assemble(machines, machine_buses, Topology(incidence), network,
                     loads=loads, bus_ids=bus_ids)
 
-    gen_volts = _require(op, "generator_voltages", list, "operating_point")
-    mag = np.empty(len(machines))
-    ang = np.empty(len(machines))
+    gen_volts = _objects(op, "generator_voltages", "operating_point")
+    mag, ang = np.empty((2, len(machines)))
     covered = set()
     for n, gv in enumerate(gen_volts):
         where = f"operating_point.generator_voltages[{n}]"
         bid = gv.get("bus")
-        if bid not in index_of:
-            raise SchemaError(f"{where}: unknown bus id {bid!r}")
-        if index_of[bid] not in machine_buses:
+        if _bus_index(index_of, bid, where) not in machine_buses:
             raise SchemaError(f"{where}: bus {bid!r} carries no machine")
         k = machine_buses.index(index_of[bid])
         if k in covered:
@@ -136,7 +150,7 @@ def system_from_dict(doc):
             raise SchemaError("operating_point.polarization must list one "
                               "entry per machine")
         for k, s in enumerate(pol):
-            if s not in (-1, 1):
+            if isinstance(s, bool) or s not in (-1, 1):
                 raise SchemaError(f"polarization[{k}] must be -1 or +1, "
                                   f"got {s!r}")
             sigma[k] = s

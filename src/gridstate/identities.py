@@ -124,12 +124,10 @@ def _random_state(sys, rng):
 def run_identity_suite(sys, n_samples=120, seed=0):
     """Run all identity checks against a system; returns one row each."""
     rng = np.random.default_rng(seed)
-    rows = []
 
     # The rotor-frame forms obey both flow identities by construction; the
     # L(theta) model does because it factors, checked in both rows.
-    worst_torque = 0.0
-    worst_vind = 0.0
+    worst_torque = worst_vind = 0.0
     for p, theta, i, omega0 in _machine_instances(sys, rng, n_samples):
         park = park_factorization_defect(p, theta)
         worst_torque = max(worst_torque, park,
@@ -137,10 +135,6 @@ def run_identity_suite(sys, n_samples=120, seed=0):
         worst_vind = max(
             worst_vind, park,
             induced_voltage_flow_derivative_defect(p, theta, i, omega0))
-    rows.append(IdentityCheck("torque constant along rotating flow",
-                              worst_torque, FD_TOL, worst_torque <= FD_TOL))
-    rows.append(IdentityCheck("induced voltage rotates along flow",
-                              worst_vind, FD_TOL, worst_vind <= FD_TOL))
 
     # Structural operator identities (integer-structured, exact).
     n_g, n_v, n_t = sys.n_g, sys.n_v, sys.n_t
@@ -149,14 +143,8 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     Jt = block_rotation_generator(n_t)
     Iv = bus_indicator(n_g, n_v)
     d1 = float(np.max(np.abs(Iv.T @ Jv - Jg @ Iv.T)))
-    rows.append(IdentityCheck("bus selector commutes with rotations",
-                              d1, EXACT_TOL, d1 <= EXACT_TOL))
     d2 = float(np.max(np.abs(sys.incidence2 @ Jt - Jv @ sys.incidence2)))
-    rows.append(IdentityCheck("incidence commutes with rotations",
-                              d2, EXACT_TOL, d2 <= EXACT_TOL))
     d3 = float(np.max(np.abs(Jg @ field_indicator(n_g))))
-    rows.append(IdentityCheck("rotation annihilates excitation injection",
-                              d3, EXACT_TOL, d3 <= EXACT_TOL))
 
     # Defining equation of the residual: mass matrix times the gap between
     # the steady-state and model vector fields. And the identity the
@@ -179,8 +167,13 @@ def run_identity_suite(sys, n_samples=120, seed=0):
         gauge = max(1.0, float(np.max(np.abs(d_rho))))
         worst_flow = max(worst_flow,
                          float(np.max(np.abs(d_rho - g_rho))) / gauge)
-    rows.append(IdentityCheck("residual equals mass-matrix field gap",
-                              worst_res, RESIDUAL_TOL, worst_res <= RESIDUAL_TOL))
-    rows.append(IdentityCheck("residual rotates along flow",
-                              worst_flow, FD_TOL, worst_flow <= FD_TOL))
-    return rows
+    return [IdentityCheck(name, defect, tol, defect <= tol)
+            for name, defect, tol in (
+                ("torque constant along rotating flow", worst_torque, FD_TOL),
+                ("induced voltage rotates along flow", worst_vind, FD_TOL),
+                ("bus selector commutes with rotations", d1, EXACT_TOL),
+                ("incidence commutes with rotations", d2, EXACT_TOL),
+                ("rotation annihilates excitation injection", d3, EXACT_TOL),
+                ("residual equals mass-matrix field gap", worst_res,
+                 RESIDUAL_TOL),
+                ("residual rotates along flow", worst_flow, FD_TOL))]

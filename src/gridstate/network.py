@@ -108,16 +108,18 @@ def line_admittance(params, topology, omega0):
     return (E * y.real) @ E.T + 1j * ((E * y.imag) @ E.T)
 
 
-def admittance(params, bank, v, omega0, lines):
+def admittance(params, y_load, omega0, lines, out=None):
     """Complex nodal admittance matrix (n_v x n_v): ``lines``, the
     :func:`line_admittance` of the same network and frequency, plus the bus
     shunts on the diagonal. A bus's shunt is the capacitive susceptance
-    j omega0 c plus the admittance of its load in the
-    :class:`~gridstate.loads.LoadBank` ``bank`` (``PowerSystem.load_bank``)
-    at the voltage pairs ``v``. Depends on v only through the load
-    magnitudes, so it is constant for impedance-only loads.
+    j omega0 c plus its load admittance in ``y_load``, the
+    :class:`~gridstate.loads.LoadBank` admittance at the bus voltages
+    (``PowerSystem.load_bank.admittance``). ``out``, when given, is a
+    C-contiguous matrix equal to ``lines`` off the diagonal, such as the
+    previous return value; only its diagonal is written, through a strided
+    view.
     """
-    y = 1j * omega0 * params.c + bank.admittance(as_complex(v))
-    Y = lines.copy()
-    Y[np.diag_indices_from(Y)] += y
+    Y = lines.copy() if out is None else out
+    np.add(lines.diagonal(), 1j * omega0 * params.c + y_load,
+           out=Y.reshape(-1)[::len(Y) + 1])
     return Y

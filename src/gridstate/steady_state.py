@@ -1,14 +1,15 @@
 """Constructive steady-state computation and certification.
 
 Pipeline: fix the machine-bus voltage phasors, Newton-solve the nodal
-current balance for the load-bus voltages (on the complex admittance of
-:mod:`gridstate.network`, with the pairs read as alpha + j beta), read off
-the injected stator currents and line currents, then recover each
-machine's rotor angle, excitation current and inputs in closed form. The
-recovered point is certified from one full-system residual evaluation:
-its size, its exact derivative along the rotating flow, and a rotation
-probe of any custom load (the shipped loads commute with rotations by
-construction).
+current balance for the load-bus voltages on the complex admittance of
+:mod:`gridstate.network` (pairs read as alpha + j beta; the admittance and
+its Jacobian are built once per solve, and each iteration rewrites only
+their diagonals), read off the injected stator currents and line
+currents, then recover each machine's rotor angle, excitation current and
+inputs in closed form. The recovered point is certified from one
+full-system residual evaluation, read in one pass: its size per block,
+its exact derivative along the rotating flow, and a rotation probe of any
+custom load (the shipped loads commute with rotations by construction).
 
 The recovery is one array pass over the machines, with terminal voltages
 v and stator currents i as complex numbers alpha + j beta:
@@ -20,6 +21,7 @@ for one machine.
 """
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -169,9 +171,9 @@ def _recover(p, v, i_s, omega0, sigma):
                 f"stator voltage |v - r_s i_s| = {abs(a[k]):.3e} is nonzero "
                 "(any rotor angle and excitation current would leave it "
                 "unbalanced)")
-        theta = np.zeros(len(v))
-        i_f = np.zeros(len(v))
-        case = np.full(len(v), "omega_zero")
+        theta, i_f = np.zeros((2, len(v)))
+        degenerate = np.ones(len(v), dtype=bool)
+        cases = ["omega_zero"] * len(v)
     else:
         # The quadrature part Im(e^{-j theta} a + e^{j theta} b) is linear
         # in (cos, sin) of the angle; its zero is defined unless
@@ -191,8 +193,9 @@ def _recover(p, v, i_s, omega0, sigma):
         # draws no torque; report theta = 0, not the angle rounding picked.
         theta = np.where(nu_zero & (b == 0.0), 0.0, theta + np.pi * flip)
         i_f = np.where(nu_zero, 0.0, np.where(flip, -i_f, i_f))
-        case = np.where(nu_zero, "nu_zero",
-                        np.where(alpha_equal, "alpha_equal", "regular"))
+        cases = ["nu_zero" if nz else "alpha_equal" if ae else "regular"
+                 for nz, ae in zip(nu_zero.tolist(), alpha_equal.tolist())]
+        degenerate = nu_zero
 
     z = np.exp(1j * theta)
     nu = 1j * (a + z * z * b)
@@ -200,7 +203,6 @@ def _recover(p, v, i_s, omega0, sigma):
     gauge = np.maximum(1.0, nu_norm)
     exc_res = np.abs(omega0 * p.l_sf * i_f - sigma * nu_norm) / gauge
     ali_res = np.abs(1j * z * nu_norm - sigma * nu) / gauge
-    degenerate = (case == "nu_zero") | (case == "omega_zero")
     bad = ~degenerate & (np.maximum(exc_res, ali_res) > RECOVERY_TOL)
     if bad.any():
         k = int(np.argmax(bad))
@@ -208,10 +210,9 @@ def _recover(p, v, i_s, omega0, sigma):
             f"machine {k + 1}: machine recovery inconsistent: excitation "
             f"residual {exc_res[k]:.3e}, alignment residual {ali_res[k]:.3e} "
             f"exceed {RECOVERY_TOL:.1e}")
-    for k in np.flatnonzero(degenerate):
+    for k in np.flatnonzero(degenerate).tolist():
         log.warning("machine %d: recovery hit degenerate case %r; this does "
-                    "not define a sensible operating point", k + 1,
-                    str(case[k]))
+                    "not define a sensible operating point", k + 1, cases[k])
     # Degenerate machines have i_f = 0: nothing is left to balance.
     exc_res[degenerate] = ali_res[degenerate] = 0.0
 
@@ -220,7 +221,7 @@ def _recover(p, v, i_s, omega0, sigma):
     tau_m = p.d * omega0 - i_r.imag * (2.0 * p.l_sa * i_r.real + p.l_sf * i_f)
     rows = zip(theta.tolist(), i_f.tolist(), tau_m.tolist(),
                (p.r_f * i_f).tolist(), nu.view(float).reshape(-1, 2),
-               sigma.astype(int).tolist(), case.tolist(), exc_res.tolist(),
+               sigma.astype(int).tolist(), cases, exc_res.tolist(),
                ali_res.tolist())
     return [MachineRecovery(theta=th, i_f=f, i_d=0.0, i_q=0.0, tau_m=tm,
                             v_f=vf, nu=n, sigma=s, case=c,
@@ -243,72 +244,67 @@ def recover_machine(p, v_term, i_s, omega0, sigma):
                     omega0, [sigma])[0]
 
 
-def balance_jacobian(sys, Y, v):
-    """Jacobian of the load-bus rows of the nodal balance Y(v) v, read as
-    pairs, with respect to the load-bus voltage pairs ``v``, given the
-    complex admittance Y = Y(v).
-
-    A load of exponent k draws i = y |v|^-k v, whose derivative on the pair
-    is the real form of y |v|^-k minus k i v^T / |v|^2. The first term is
-    the load's entry of Y, so the Jacobian is the real form of Y on the
-    load buses minus one rank-one 2x2 block per loaded bus.
-    """
-    n_g = sys.n_g
-    k = sys.load_bank.k[n_g:]
-    i_l = sys.load_currents(v)[2 * n_g:].reshape(-1, 2)
-    v_l = v[2 * n_g:].reshape(-1, 2)
-    # Only k > 0 loads have a floor that keeps |v| > 0; the rest add nothing.
-    w = np.divide(k, np.sum(v_l ** 2, axis=1), out=np.zeros_like(k),
-                  where=k > 0)
-    jac = real_blocks(Y[n_g:, n_g:])
-    d = np.arange(len(k))
-    jac.reshape(len(k), 2, len(k), 2)[d, :, d, :] -= \
-        w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
-    return jac
-
-
 def solve_network(sys, spec):
     """Solve the nodal current balance with machine-bus voltages pinned.
 
-    Newton iteration on the load-bus voltage pairs. The balance is one
-    product of the complex nodal admittance with the complex voltages, and
-    the step uses its analytic Jacobian, :func:`balance_jacobian` (Newton
-    power flow, Tinney & Walker, Proc. IEEE 1967). The machine-bus rows of
-    the converged balance are the injected stator currents, and the line
-    currents follow from the branch impedances. For impedance-only loads
-    the balance is affine, so the first step lands on the solution.
+    Newton iteration on the load-bus voltage pairs (Newton power flow,
+    Tinney & Walker, Proc. IEEE 1967). The balance is one product of the
+    complex nodal admittance with the complex voltages. A load of exponent
+    k draws i = y |v|^-k v, whose derivative on the pair is the real form
+    of y |v|^-k minus k i v^T / |v|^2: the Jacobian is the real form of
+    the admittance's load-bus block minus one rank-one 2x2 block per
+    loaded bus. Only the diagonals depend on v, so both matrices are built
+    once per solve and each iteration rewrites their diagonals. The
+    machine-bus rows of the converged balance are the stator currents; the
+    line currents follow from the branch impedances. For impedance-only
+    loads the balance is affine, and the first step lands on the solution.
     """
-    n_g = sys.n_g
-    opts = spec.newton
-    omega0 = spec.omega0
-    if sys.load_bank.custom:
+    n_g, n_l = sys.n_g, sys.n_l
+    opts, omega0, bank = spec.newton, spec.omega0, sys.load_bank
+    if bank.custom:
         raise SolverError(
             "network solve handles the shipped load types only; custom loads "
-            f"at bus(es) {[sys.bus_ids[k] for k, _ in sys.load_bank.custom]!r}")
+            f"at bus(es) {[sys.bus_ids[k] for k, _ in bank.custom]!r}")
 
     v = np.zeros(2 * sys.n_v)
     v[:2 * n_g] = spec.gen_voltages()
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
 
     vc = as_complex(v)  # a view: the Newton updates of v show through
+    v_l = v[2 * n_g:].reshape(-1, 2)
     lines = line_admittance(sys.network, sys.topology, omega0)
+    # The workspace: Y and the Jacobian off their diagonals, and the flat
+    # positions of the Jacobian's diagonal 2x2 blocks.
+    Y = lines.copy()
+    jac = real_blocks(lines[n_g:, n_g:])
+    diag_blocks = (np.arange(n_l)[:, None, None] * (4 * n_l + 2)
+                   + [[0, 1], [2 * n_l, 2 * n_l + 1]])
+    k = bank.k[n_g:]  # only k > 0 loads have a floor that keeps |v| > 0
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
-            Y = admittance(sys.network, sys.load_bank, v, omega0, lines)
-            balance = (Y @ vc).view(float)
-            res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
-            history.append(res)
-            gauge = max(1.0, float(np.max(np.abs(v))))
-            log.debug("newton iter %d: residual %.3e", iterations, res)
-            if res <= opts.tol * gauge:
-                break
-            jac = balance_jacobian(sys, Y, v)
+            y_load = bank.admittance(vc)
         except LoadDomainError as err:
             raise SolverError(
                 f"network solve left a load's domain at iteration "
                 f"{iterations}: {err}"
             ) from err
+        admittance(sys.network, y_load, omega0, lines, out=Y)
+        balance = (Y @ vc).view(float)
+        res = float(abs(balance[2 * n_g:]).max(initial=0.0))
+        history.append(res)
+        log.debug("newton iter %d: residual %.3e", iterations, res)
+        if not math.isfinite(res):
+            raise SolverError(f"network solve hit a non-finite residual "
+                              f"({res}) at iteration {iterations}")
+        if res <= opts.tol * max(1.0, float(abs(v).max())):
+            break
+        i_l = (y_load[n_g:] * vc[n_g:]).view(float).reshape(-1, 2)
+        w = np.divide(k, (v_l ** 2).sum(axis=1), out=np.zeros(n_l),
+                      where=k > 0)
+        blocks = real_blocks(Y.diagonal()[n_g:, None]).reshape(-1, 2, 2)
+        blocks -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
+        jac.put(diag_blocks, blocks)
         try:
             v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
         except np.linalg.LinAlgError as err:
@@ -328,8 +324,7 @@ def solve_network(sys, spec):
 
 
 def recover_all(sys, spec, net):
-    """Machine recoveries for every machine behind one network solution, in
-    one array pass over the machines."""
+    """Recoveries of all machines behind a network solution, in one pass."""
     return _recover(sys.params, as_complex(net.v[:2 * sys.n_g]),
                     as_complex(net.i_s), spec.omega0, spec.sigma)
 
@@ -339,28 +334,20 @@ def assemble_steady_state(sys, net, recoveries, omega0):
     input, and verify the full-system residual meets the tolerance."""
     if len(recoveries) != sys.n_g:
         raise ValueError(f"need {sys.n_g} recoveries, got {len(recoveries)}")
-    lay = sys.layout
-    i = np.zeros((sys.n_g, 5))
-    for k, rec in enumerate(recoveries):
-        i[k, :2] = net.i_s[2 * k:2 * k + 2]
-        i[k, 2] = rec.i_f
-        i[k, 3] = rec.i_d
-        i[k, 4] = rec.i_q
-    x = lay.pack(
-        np.array([rec.theta for rec in recoveries]),
-        np.full(sys.n_g, omega0),
-        i, net.v, net.i_T,
-    )
-    u = lay.pack_input([rec.tau_m for rec in recoveries],
-                       [rec.v_f for rec in recoveries])
+    m = np.array([(rec.theta, rec.i_f, rec.i_d, rec.i_q, rec.tau_m, rec.v_f)
+                  for rec in recoveries], dtype=float).reshape(-1, 6)
+    i = np.concatenate((net.i_s.reshape(-1, 2), m[:, 1:4]), axis=1)
+    x = sys.layout.pack(m[:, 0], omega0, i, net.v, net.i_T)
+    u = sys.layout.pack_input(m[:, 4], m[:, 5])
 
     rho = residual(sys, x, u, omega0)
     blocks = residual_block_norms(sys, rho)
-    rho_inf = float(np.max(np.abs(rho)))
+    # The blocks partition the state; a NaN block makes rho_inf NaN.
+    rho_inf = max(blocks.values(), key=lambda b: b if b == b else math.inf)
     scale = tolerance_scale(x, u)
     diagnostics = {"residual_blocks": blocks, "residual_inf": rho_inf,
                    "scale": scale}
-    if rho_inf > CERT_RESIDUAL_TOL * scale:
+    if not rho_inf <= CERT_RESIDUAL_TOL * scale:
         detail = ", ".join(f"{k}={val:.3e}" for k, val in blocks.items())
         raise SolverError(
             f"assembled steady state fails verification: |residual|_inf = "
@@ -391,7 +378,7 @@ def verify_steady_state(sys, ss):
     """
     rho = residual(sys, ss.x, ss.u, ss.omega0)
     blocks = residual_block_norms(sys, rho)
-    rho_inf = float(np.max(np.abs(rho)))
+    rho_inf = max(blocks.values(), key=lambda b: b if b == b else math.inf)
     scale = tolerance_scale(ss.x, ss.u)
     inv = invariance_defect(sys, ss.x, ss.u, ss.omega0, rho)
     v = ss.x[sys.layout.sl_v]
@@ -408,21 +395,21 @@ def verify_steady_state(sys, ss):
                "equivariance": max(equiv) / CERT_EQUIVARIANCE_TOL}
 
     failures = []
-    if margins["residual"] > 1.0:
+    if not margins["residual"] <= 1.0:  # NaN fails every gate
         worst = max(blocks, key=blocks.get)
         failures.append(
             f"residual {rho_inf:.3e} exceeds {CERT_RESIDUAL_TOL:.1e}*scale "
             f"(worst block: {worst} = {blocks[worst]:.3e})")
-    if margins["frequency"] > 1.0:
+    if not margins["frequency"] <= 1.0:
         failures.append("rotor speeds deviate from omega0: max |omega0 - "
                         f"omega| = {blocks['frequency']:.3e}")
-    if margins["invariance"] > 1.0:
+    if not margins["invariance"] <= 1.0:
         failures.append(
             f"invariance defect {inv:.3e} exceeds "
             f"{CERT_INVARIANCE_TOL:.1e}*scale; the residual drifts along the "
             "rotating flow (non-constant inputs or non-conforming load)")
     bad_loads = [sys.bus_ids[k] for k, d in enumerate(equiv)
-                 if d > CERT_EQUIVARIANCE_TOL]
+                 if not d <= CERT_EQUIVARIANCE_TOL]
     if bad_loads:
         failures.append(
             f"load model at bus(es) {bad_loads!r} is not rotation-equivariant")

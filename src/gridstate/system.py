@@ -43,6 +43,10 @@ class StateLayout:
         self.sl_v = slice(o, o + 2 * n_v); o += 2 * n_v
         self.sl_iT = slice(o, o + 2 * n_t)
         self.sl_vg = slice(self.sl_v.start, self.sl_v.start + 2 * n_g)
+        # The planar pairs: stator currents, bus voltages, line currents.
+        rows = np.arange(self.n_x)
+        stator = rows[self.sl_i].reshape(n_g, 5)[:, :2].ravel()
+        self.pair_rows = np.concatenate((stator, rows[self.sl_v.start:]))
         # Block indices into the last axis, built once for the hot paths.
         self._blocks = tuple((Ellipsis, sl) for sl in (
             self.sl_theta, self.sl_omega, self.sl_i, self.sl_v, self.sl_iT))
@@ -329,7 +333,8 @@ def residual_block_norms(sys, rho):
     """Max-norm of each residual block, keyed by what the block balances;
     on a stack of residuals (..., n_x), the max over the stack."""
     names = ("frequency", "torque", "windings", "nodes", "lines")
-    return {name: float(np.max(np.abs(rho[b]), initial=0.0))
+    size = np.abs(rho)
+    return {name: float(size[b].max(initial=0.0))
             for name, b in zip(names, sys.layout._blocks)}
 
 
@@ -350,6 +355,9 @@ def invariance_defect(sys, x, u, omega0, rho=None):
     if rho is None:
         rho = residual(sys, x, u, omega0)
     lay = sys.layout
+    if not sys.load_bank.custom:
+        # omega0 G rho turns the pairs, so |omega0| scales their max entry.
+        return abs(omega0) * float(abs(rho[lay.pair_rows]).max())
     drift = steady_field(sys, rho, omega0)
     drift[lay.sl_theta] = 0.0
     v, drift_v = x[lay.sl_v], drift[lay.sl_v]
@@ -361,7 +369,7 @@ def invariance_defect(sys, x, u, omega0, rho=None):
 
 def tolerance_scale(x, u):
     """Relative gauge for residual thresholds: max(1, |x|_inf, |u|_inf)."""
-    return max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(u))))
+    return max(1.0, float(abs(x).max()), float(abs(u).max()))
 
 
 def mass_matrix(sys, x):

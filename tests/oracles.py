@@ -6,8 +6,9 @@ load currents one bus at a time, the equivariance probe one rotation
 at a time, the invariance defect as a central difference of the residual,
 one machine at a time through its full inductance matrix
 L(theta) with a Cholesky solve at every call, the drift metrics one
-trajectory sample at a time, and the closed-form machine recovery one
-machine at a time in 2x2 rotation matrices.
+trajectory sample at a time, the closed-form machine recovery one
+machine at a time in 2x2 rotation matrices, and the Newton network solve
+that rebuilds the admittance and the whole Jacobian at every iteration.
 """
 
 import logging
@@ -19,12 +20,15 @@ from scipy.linalg import cho_factor, cho_solve
 
 from gridstate.errors import (InfeasibleSteadyStateError, LoadDomainError,
                               SolverError)
-from gridstate.frame import MACHINE_ROT90, ROT90, rot, rotate_pairs, rvec
+from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
+                             rot, rotate_pairs, rvec)
 from gridstate.loads import Load
 from gridstate.machine import inductance_matrix
+from gridstate.network import (admittance, line_admittance,
+                               solve_branch_currents)
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
-                                    MachineRecovery)
+                                    MachineRecovery, NetworkSolution)
 from gridstate.system import residual, steady_field, tolerance_scale
 
 log = logging.getLogger("oracles")
@@ -133,6 +137,61 @@ def nodal_balance_residual(params, topology, loads, i_s, v, omega0):
     i_T = np.linalg.solve(branch_impedance(params, omega0), E2.T @ v)
     shunts = omega0 * np.kron(np.diag(params.c), ROT90)
     return scalar_load_currents(loads, v) + shunts @ v + inj + E2 @ i_T
+
+
+def balance_jacobian(sys, Y, v):
+    """Jacobian of the load-bus rows of the nodal balance Y(v) v, read as
+    pairs, with respect to the load-bus voltage pairs ``v``, given the
+    complex admittance Y = Y(v).
+
+    A load of exponent k draws i = y |v|^-k v, whose derivative on the pair
+    is the real form of y |v|^-k minus k i v^T / |v|^2. The first term is
+    the load's entry of Y, so the Jacobian is the real form of Y on the
+    load buses minus one rank-one 2x2 block per loaded bus.
+    """
+    n_g = sys.n_g
+    k = sys.load_bank.k[n_g:]
+    i_l = sys.load_currents(v)[2 * n_g:].reshape(-1, 2)
+    v_l = v[2 * n_g:].reshape(-1, 2)
+    # Only k > 0 loads have a floor that keeps |v| > 0; the rest add nothing.
+    w = np.divide(k, np.sum(v_l ** 2, axis=1), out=np.zeros_like(k),
+                  where=k > 0)
+    jac = real_blocks(Y[n_g:, n_g:])
+    d = np.arange(len(k))
+    jac.reshape(len(k), 2, len(k), 2)[d, :, d, :] -= \
+        w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
+    return jac
+
+
+def reference_solve_network(sys, spec):
+    """The Newton network solve with a fresh admittance and a full
+    :func:`balance_jacobian` at every iteration, from the same flat start
+    and with the same convergence test as the package."""
+    n_g = sys.n_g
+    opts = spec.newton
+    omega0 = spec.omega0
+    v = np.zeros(2 * sys.n_v)
+    v[:2 * n_g] = spec.gen_voltages()
+    v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
+    vc = as_complex(v)
+    lines = line_admittance(sys.network, sys.topology, omega0)
+    history = []
+    for iterations in range(1, opts.max_iter + 1):
+        Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
+                       lines)
+        balance = (Y @ vc).view(float)
+        res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
+        history.append(res)
+        if res <= opts.tol * max(1.0, float(np.max(np.abs(v)))):
+            break
+        jac = balance_jacobian(sys, Y, v)
+        v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
+    else:
+        raise SolverError(f"no convergence in {opts.max_iter} iterations")
+    i_T = solve_branch_currents(sys.network, omega0, sys.incidence2.T @ v)
+    return NetworkSolution(i_s=-balance[:2 * n_g], v=v, i_T=i_T,
+                           residual_norm=history[-1], iterations=iterations,
+                           residual_history=history)
 
 
 def looped_equivariance_defect(load, v, n_samples=360):

@@ -75,6 +75,74 @@ def test_bad_newton_options_exit_code(tmp_path, fixture_path, capsys, newton):
     assert "operating_point.newton" in capsys.readouterr().err
 
 
+def _set(*path):
+    """Mutation of a fixture document: the entry at ``path`` set to the
+    last argument."""
+    *keys, last, value = path
+
+    def mutate(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("buses", 0, 3), "buses[0]: must be an object"),
+    (_set("lines", 1, ["b2", "b3"]), "lines[1]: must be an object"),
+    (_set("machines", 0, "m1"), "machines[0]: must be an object"),
+    (_set("operating_point", "generator_voltages", 1, None),
+     "operating_point.generator_voltages[1]: must be an object"),
+    (_set("buses", 2, "load", 5), "buses[2]: key 'load' must be dict"),
+    (_set("buses", 0, "id", ["b1"]),
+     "buses[0]: key 'id' must be a string or number"),
+    (_set("lines", 0, "from", ["b1"]), "lines[0]: unknown bus id ['b1']"),
+    (_set("machines", 1, "bus", {"id": "b2"}),
+     "machines[1]: unknown bus id {'id': 'b2'}"),
+    (_set("operating_point", "generator_voltages", 0, "bus", ["b1"]),
+     "operating_point.generator_voltages[0]: unknown bus id ['b1']"),
+], ids=["bus", "line", "machine", "generator-voltage", "load", "bus-id",
+        "line-end", "machine-bus", "generator-voltage-bus"])
+def test_malformed_entries_exit_code(tmp_path, fixture_path, capsys, mutate,
+                                     message):
+    path = write_variant(tmp_path, fixture_path, mutate)
+    assert main(["steady-state", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("polarization", [[True, True], [1, False]])
+def test_boolean_polarization_is_rejected(tmp_path, fixture_path, capsys,
+                                          polarization):
+    path = write_variant(tmp_path, fixture_path, _set(
+        "operating_point", "polarization", polarization))
+    assert main(["steady-state", path]) == 2
+    bad = next(k for k, s in enumerate(polarization) if isinstance(s, bool))
+    assert f"polarization[{bad}] must be -1 or +1, got " \
+        f"{polarization[bad]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("omega0", float("inf")), "top level: key 'omega0' must be finite"),
+    (_set("operating_point", "generator_voltages", 1, "magnitude",
+          float("nan")),
+     "operating_point.generator_voltages[1]: key 'magnitude' must be finite"),
+    (_set("buses", 1, "capacitance", float("nan")),
+     "buses[1]: key 'capacitance' must be finite"),
+    (_set("lines", 2, "resistance", -float("inf")),
+     "lines[2]: key 'resistance' must be finite"),
+    (_set("buses", 2, "load", "params", "g", 10**400),
+     "buses[2].load: key 'g' must be finite"),
+], ids=["omega0-inf", "magnitude-nan", "capacitance-nan", "resistance-inf",
+        "huge-int"])
+def test_non_finite_numbers_exit_code(tmp_path, fixture_path, capsys, mutate,
+                                      message):
+    # json reads NaN and Infinity, and Python ints of any size.
+    path = write_variant(tmp_path, fixture_path, mutate)
+    assert main(["steady-state", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_stale_fd_step_is_ignored(tmp_path, fixture_path):
     path = write_variant(tmp_path, fixture_path, lambda doc:
                          doc["operating_point"].__setitem__(

@@ -28,7 +28,9 @@ def random_tree(rng, n_v):
 
 
 def no_loads(n_v):
-    return LoadBank([Load.none()] * n_v, range(n_v))
+    """Load admittances of n_v buses without loads."""
+    return LoadBank([Load.none()] * n_v, range(n_v)).admittance(
+        np.zeros(n_v, complex))
 
 
 def test_incidence_real_blocks_single_line():
@@ -192,8 +194,7 @@ def test_admittance_two_bus_hand_value():
     top = Topology(np.array([[1.0], [-1.0]]))
     params = NetworkParams(c=np.array([1e-4, 1e-4]), l_T=np.array([1e-3]),
                            r_T=np.array([0.5]))
-    Y = admittance(params, no_loads(2), np.zeros(4), 0.0,
-                   line_admittance(params, top, 0.0))
+    Y = admittance(params, no_loads(2), 0.0, line_admittance(params, top, 0.0))
     np.testing.assert_allclose(Y, [[2.0, -2.0], [-2.0, 2.0]], atol=1e-12)
 
 
@@ -203,8 +204,7 @@ def test_admittance_is_weighted_laplacian_without_loads():
     params = NetworkParams(c=rng.uniform(1e-4, 1e-3, 5),
                            l_T=rng.uniform(1e-3, 5e-3, 4),
                            r_T=rng.uniform(0.2, 2.0, 4))
-    Y = admittance(params, no_loads(5), np.zeros(10), 0.0,
-                   line_admittance(params, top, 0.0))
+    Y = admittance(params, no_loads(5), 0.0, line_admittance(params, top, 0.0))
     lap = top.incidence @ np.diag(1.0 / params.r_T) @ top.incidence.T
     np.testing.assert_allclose(Y, lap, atol=1e-12)
     # PSD with nullspace spanned by uniform voltages
@@ -219,14 +219,30 @@ def test_impedance_load_adds_shunt_block():
                            r_T=np.array([0.5]))
     g, b = 0.7, -0.2
     lines = line_admittance(params, top, 0.0)
-    base = admittance(params, no_loads(2), np.zeros(4), 0.0, lines)
-    with_load = admittance(
-        params, LoadBank([Load.none(), Load.impedance(g, b)], range(2)),
-        np.zeros(4), 0.0, lines)
+    base = admittance(params, no_loads(2), 0.0, lines)
+    bank = LoadBank([Load.none(), Load.impedance(g, b)], range(2))
+    with_load = admittance(params, bank.admittance(np.zeros(2, complex)), 0.0,
+                           lines)
     delta = with_load - base
     np.testing.assert_allclose(real_blocks(delta)[2:, 2:],
                                [[g, -b], [b, g]], atol=1e-15)
     assert np.count_nonzero(delta[:1, :]) == 0
+
+
+def test_admittance_into_a_workspace_writes_only_the_diagonal():
+    # A Newton iteration reuses one matrix: only the shunts change.
+    sys_, spec = ring_mesh(16, ("impedance", "current", "power"), seed=9)
+    lines = line_admittance(sys_.network, sys_.topology, spec.omega0)
+    Y = lines.copy()
+    for level in (1.0, 5.0, 0.5):
+        vc = as_complex(level * np.ones(2 * sys_.n_v))
+        y_load = sys_.load_bank.admittance(vc)
+        fresh = admittance(sys_.network, y_load, spec.omega0, lines)
+        assert admittance(sys_.network, y_load, spec.omega0, lines,
+                          out=Y) is Y
+        np.testing.assert_array_equal(Y, fresh)
+    off = ~np.eye(sys_.n_v, dtype=bool)
+    np.testing.assert_array_equal(Y[off], lines[off])
 
 
 def test_network_residual_zero_case_and_lipschitz():

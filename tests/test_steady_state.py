@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridstate import steady_state
 from gridstate.errors import InfeasibleSteadyStateError, SolverError
 from gridstate.frame import ROT90, as_complex, real_blocks, rvec, wrap_angle
 from gridstate.identities import random_valid_params
@@ -13,7 +14,7 @@ from gridstate.machine import MachineParams
 from gridstate.network import (NetworkParams, Topology, admittance,
                                line_admittance, solve_branch_currents)
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
-                                    assemble_steady_state, balance_jacobian,
+                                    assemble_steady_state,
                                     compute_steady_state, recover_all,
                                     recover_machine, solve_network,
                                     verify_steady_state)
@@ -21,8 +22,10 @@ from gridstate.system import assemble, residual, tolerance_scale
 
 from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
                       slow_two_bus)
-from oracles import (excitation_demand, network_residual,
-                     nodal_balance_residual)
+from oracles import (balance_jacobian, excitation_demand, network_residual,
+                     nodal_balance_residual, reference_solve_network)
+
+LOAD_KINDS = ("impedance", "current", "power")
 
 
 def eq_vec_residual(p, v, i_s, omega0, theta, i_f):
@@ -171,11 +174,14 @@ def test_balance_jacobian_matches_central_difference():
 
     lines = line_admittance(sys_.network, sys_.topology, spec.omega0)
 
-    def load_rows(w):
-        Y = admittance(sys_.network, sys_.load_bank, w, spec.omega0, lines)
-        return (Y @ as_complex(w)).view(float)[2 * n_g:]
+    def nodal(w):
+        return admittance(sys_.network, sys_.load_bank.admittance(
+            as_complex(w)), spec.omega0, lines)
 
-    Y = admittance(sys_.network, sys_.load_bank, v, spec.omega0, lines)
+    def load_rows(w):
+        return (nodal(w) @ as_complex(w)).view(float)[2 * n_g:]
+
+    Y = nodal(v)
     jac = balance_jacobian(sys_, Y, v)
     h = 1e-5 * float(np.max(np.abs(v)))
     fd = np.empty_like(jac)
@@ -188,6 +194,80 @@ def test_balance_jacobian_matches_central_difference():
     # The rank-one load terms are far above that tolerance.
     assert np.max(np.abs(jac - real_blocks(Y[n_g:, n_g:]))) \
         > 1e-3 * float(np.max(np.abs(fd)))
+
+
+def assert_same_solution(got, want):
+    for name in ("v", "i_s", "i_T"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.iterations == want.iterations
+    assert got.residual_history == want.residual_history
+    assert got.residual_norm == want.residual_norm
+
+
+@pytest.mark.parametrize("level", [0.02, 2.0, 60.0])
+@pytest.mark.parametrize("n_bus, kinds", [
+    (8, ("power",)), (16, ("impedance", "current", "power")),
+    (24, ("current",)), (32, ("impedance", "current", "power")),
+    (48, ("impedance",)), (64, ("power", "current"))])
+def test_solve_network_matches_reference_bit_for_bit(n_bus, kinds, level):
+    # The workspace Newton (diagonal writes only) against the loop that
+    # rebuilds the admittance and the whole Jacobian every iteration.
+    sys_, spec = ring_mesh(n_bus, kinds, seed=n_bus + 1, level=level)
+    sol = solve_network(sys_, spec)
+    assert sol.iterations > 1
+    assert_same_solution(sol, reference_solve_network(sys_, spec))
+
+
+@pytest.mark.parametrize("omega0", [0.0, 314.0])
+def test_solve_network_matches_reference_on_fixture_and_generator_buses(
+        three_bus, omega0):
+    for sys_, spec in (three_bus, two_generator_buses(omega0, [10.0, 9.0])):
+        spec = replace(spec, omega0=omega0)
+        assert_same_solution(solve_network(sys_, spec),
+                             reference_solve_network(sys_, spec))
+
+
+@pytest.mark.parametrize("kinds", [("impedance",), LOAD_KINDS])
+def test_admittance_runs_once_per_newton_iteration(monkeypatch, kinds):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return admittance(*args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "admittance", counting)
+    sys_, spec = ring_mesh(32, kinds, seed=5, level=2.0)
+    sol = solve_network(sys_, spec)
+    assert len(calls) == sol.iterations == len(sol.residual_history)
+
+
+def test_a_solve_keeps_its_workspace_to_itself():
+    # The Newton workspace lives for one solve: nothing is cached on the
+    # system, so a repeated certify of the same case does all of its work.
+    sys_, spec = ring_mesh(16, LOAD_KINDS, seed=4, level=2.0)
+    owners = (sys_, sys_.layout, sys_.load_bank)
+    before = [dict(vars(owner)) for owner in owners]
+    first = solve_network(sys_, spec)
+    verify_steady_state(sys_, compute_steady_state(sys_, spec))
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert_same_solution(solve_network(sys_, spec), first)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field, value", [("gen_voltage_mag", np.nan),
+                                          ("gen_voltage_angle", np.inf),
+                                          ("omega0", np.inf)])
+def test_non_finite_residual_stops_newton_at_once(field, value):
+    sys_, spec = ring_mesh(16, LOAD_KINDS, seed=2, level=2.0)
+    if field == "omega0":
+        bad = replace(spec, omega0=value)
+    else:
+        vals = getattr(spec, field).copy()
+        vals[1] = value
+        bad = replace(spec, **{field: vals})
+    with pytest.raises(SolverError,
+                       match="non-finite residual .* at iteration 1$"):
+        solve_network(sys_, bad)
 
 
 def test_newton_contracts_fast_for_power_loads():
@@ -532,6 +612,34 @@ def test_verify_flags_anisotropic_load_subclass(three_bus, certified):
                                   skewed.current(v[4:]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", ["sl_theta", "sl_omega", "sl_i", "sl_v",
+                                   "sl_iT", "input"])
+def test_a_nan_entry_fails_every_residual_gate(three_bus, certified, block):
+    # Every gate compares as "not value <= threshold", so a NaN anywhere in
+    # the residual rejects the state instead of passing each comparison.
+    sys_, _ = three_bus
+    x, u = certified.x.copy(), certified.u.copy()
+    if block == "input":
+        u[0] = np.nan
+    else:
+        x[getattr(sys_.layout, block).start] = np.nan
+    report = verify_steady_state(sys_, replace(certified, x=x, u=u))
+    assert not report.certificate
+    assert np.isnan(report.residual_inf)
+    assert report.failures[0].startswith("residual nan exceeds")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_assembly_rejects_a_nan_network_point(three_bus, certified):
+    sys_, _ = three_bus
+    v = certified.network.v.copy()
+    v[-1] = np.nan
+    with pytest.raises(SolverError, match=r"\|residual\|_inf = nan"):
+        assemble_steady_state(sys_, replace(certified.network, v=v),
+                              certified.recoveries, certified.omega0)
+
+
 def test_verify_flags_wrong_speed(three_bus, certified):
     sys_, _ = three_bus
     ss = certified
@@ -547,8 +655,6 @@ def test_verify_flags_wrong_speed(three_bus, certified):
 # ------------------------------------------------- certificate at any scale
 # The invariance gate is exact, so its margin does not grow with the
 # voltage: genuine steady states certify from millivolts to tens of volts.
-
-LOAD_KINDS = ("impedance", "current", "power")
 
 
 @pytest.mark.parametrize("factor", [1.0, 3.3, 10.0, 33.0])

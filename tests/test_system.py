@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstate.errors import LoadDomainError, ValidationError
-from gridstate.frame import block_rotation_generator, \
+from gridstate.frame import as_complex, block_rotation_generator, \
     machine_rotation_generator
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
@@ -345,8 +345,10 @@ def test_load_currents_accept_int_float32_and_strided_voltages():
               np.stack([v, v], axis=1)[:, 0]):
         np.testing.assert_array_equal(sys_.load_currents(w), want)
         np.testing.assert_array_equal(
-            admittance(sys_.network, sys_.load_bank, w, 60.0, lines),
-            admittance(sys_.network, sys_.load_bank, v, 60.0, lines))
+            admittance(sys_.network, sys_.load_bank.admittance(as_complex(w)),
+                       60.0, lines),
+            admittance(sys_.network, sys_.load_bank.admittance(as_complex(v)),
+                       60.0, lines))
     x, u = random_point(sys_, np.random.default_rng(46))
     x[sys_.layout.sl_v] = v
     strided = np.stack([x, x], axis=1)[:, 1]
