@@ -44,6 +44,24 @@ def _require(doc, key, kind, where):
     return value
 
 
+def _pair(doc, key, where):
+    """The (alpha, beta) pair under ``key``: exactly two finite numbers."""
+    pair = _require(doc, key, list, where)
+    if len(pair) != 2:
+        raise SchemaError(f"{where}: key {key!r} must hold two numbers, "
+                          f"got {len(pair)}")
+    return [_require({key: value}, key, float, where) for value in pair]
+
+
+def _bus_id(doc, where):
+    bid = doc.get("id")
+    if bid is None:
+        raise SchemaError(f"{where}: missing required key 'id'")
+    if isinstance(bid, (list, dict)):
+        raise SchemaError(f"{where}: key 'id' must be a string or number")
+    return bid
+
+
 def _objects(doc, key, where):
     """The list under ``key``, checked to hold only JSON objects."""
     items = _require(doc, key, list, where)
@@ -83,11 +101,7 @@ def system_from_dict(doc):
     bus_ids, caps, loads = [], [], []
     for n, bus in enumerate(buses):
         where = f"buses[{n}]"
-        bid = bus.get("id")
-        if bid is None:
-            raise SchemaError(f"{where}: missing required key 'id'")
-        if isinstance(bid, (list, dict)):
-            raise SchemaError(f"{where}: key 'id' must be a string or number")
+        bid = _bus_id(bus, where)
         if bid in bus_ids:
             raise SchemaError(f"{where}: duplicate bus id {bid!r}")
         bus_ids.append(bid)
@@ -243,37 +257,37 @@ def load_result_file(path, sys):
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: JSON syntax error: {err}") from err
-    for key in ("omega0", "machines", "buses", "lines"):
-        if key not in doc:
-            raise SchemaError(f"{path}: missing key {key!r}")
-    if len(doc["machines"]) != sys.n_g or len(doc["buses"]) != sys.n_v \
-            or len(doc["lines"]) != sys.n_t:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: top level must be a JSON object")
+    omega0 = _require(doc, "omega0", float, "top level")
+    machines, buses, lines = (_objects(doc, key, "top level")
+                              for key in ("machines", "buses", "lines"))
+    if len(machines) != sys.n_g or len(buses) != sys.n_v \
+            or len(lines) != sys.n_t:
         raise SchemaError(f"{path}: result sizes do not match the system")
 
-    omega0 = float(doc["omega0"])
     lay = sys.layout
     i = np.zeros((sys.n_g, 5))
-    theta = np.zeros(sys.n_g)
-    tau_m = np.zeros(sys.n_g)
-    v_f = np.zeros(sys.n_g)
-    for k, m in enumerate(doc["machines"]):
+    theta, tau_m, v_f = np.zeros((3, sys.n_g))
+    for k, m in enumerate(machines):
+        where = f"machines[{k}]"
         if m.get("bus") != sys.bus_ids[k]:
             raise SchemaError(f"{path}: machine {k + 1} bus id mismatch")
-        theta[k] = float(m["theta"])
-        i[k, :2] = m["i_s"]
-        i[k, 2], i[k, 3], i[k, 4] = m["i_f"], m["i_d"], m["i_q"]
-        tau_m[k], v_f[k] = float(m["tau_m"]), float(m["v_f"])
+        theta[k], i[k, 2], i[k, 3], i[k, 4], tau_m[k], v_f[k] = (
+            _require(m, key, float, where)
+            for key in ("theta", "i_f", "i_d", "i_q", "tau_m", "v_f"))
+        i[k, :2] = _pair(m, "i_s", where)
 
     v = np.zeros(2 * sys.n_v)
-    by_id = {row["id"]: row for row in doc["buses"]}
+    position = {_bus_id(row, f"buses[{n}]"): n for n, row in enumerate(buses)}
     for k in range(sys.n_v):
-        row = by_id.get(sys.bus_ids[k])
-        if row is None:
+        n = position.get(sys.bus_ids[k])
+        if n is None:
             raise SchemaError(f"{path}: missing bus {sys.bus_ids[k]!r}")
-        v[2 * k:2 * k + 2] = row["v"]
+        v[2 * k:2 * k + 2] = _pair(buses[n], "v", f"buses[{n}]")
     i_T = np.zeros(2 * sys.n_t)
-    for t, row in enumerate(doc["lines"]):
-        i_T[2 * t:2 * t + 2] = row["i_T"]
+    for t, row in enumerate(lines):
+        i_T[2 * t:2 * t + 2] = _pair(row, "i_T", f"lines[{t}]")
 
     x0 = lay.pack(theta, np.full(sys.n_g, omega0), i, v, i_T)
     u = lay.pack_input(tau_m, v_f)

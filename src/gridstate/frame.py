@@ -20,24 +20,6 @@ MACHINE_ROT90 = np.zeros((5, 5))
 MACHINE_ROT90[:2, :2] = ROT90
 
 
-def _require_finite(theta):
-    if not np.all(np.isfinite(theta)):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-
-
-def rot(theta):
-    """2x2 rotation matrix by ``theta`` radians."""
-    _require_finite(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def rvec(theta):
-    """Unit vector (cos theta, sin theta)."""
-    _require_finite(theta)
-    return np.array([np.cos(theta), np.sin(theta)])
-
-
 def wrap_angle(theta):
     """Wrap an angle (or array of angles) to (-pi, pi]."""
     return -(np.remainder(np.pi - np.asarray(theta), 2.0 * np.pi) - np.pi)

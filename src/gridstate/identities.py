@@ -1,25 +1,28 @@
 """Numeric identity suite behind the steady-state theory.
 
-Each identity is either an exact structural matrix equation or a
-finite-difference check of a directional-derivative cancellation. The suite
-is seeded, so failures reproduce exactly.
+Each identity is an exact structural matrix equation, a comparison of two
+assemblies of the same matrix, or a finite-difference check along a flow.
+The machine rows hold the code that integrates and certifies to the paper's
+model: the Park row compares the direct L(theta) with the T L0 T^T turn the
+system runs, and the power row balances the energy the model stores against
+the power its inputs supply and its resistances, damping and loads take. The
+suite is seeded, so failures reproduce exactly.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import MACHINE_ROT90, block_rotation_generator, \
-    machine_rotation_generator, rvec
-from .machine import MachineParams, electrical_torque, induced_voltage, \
-    inductance_matrix, turn_stator, validate_params
+from .frame import block_rotation_generator, machine_rotation_generator
+from .machine import (MachineParams, inductance_matrix, stack_params,
+                      stator_frame_inductance, validate_params)
 from .system import (bus_indicator, field_indicator, mass_matrix, residual,
-                     steady_field, vector_field)
+                     steady_field, total_energy, vector_field)
 
 FD_STEP = 1e-6
 FD_TOL = 1e-6
 EXACT_TOL = 1e-14
-RESIDUAL_TOL = 1e-10
+ROUNDING_TOL = 1e-10
 
 
 @dataclass
@@ -54,57 +57,34 @@ def random_valid_params(rng):
     raise RuntimeError("failed to draw valid machine parameters")
 
 
-def _machine_instances(sys, rng, n_samples):
-    """Alternate the system's own machines with freshly drawn parameter sets
-    so both the concrete system and the parameter family are exercised."""
-    for idx in range(n_samples):
-        if idx % 2 == 0:
-            p = sys.machines[(idx // 2) % sys.n_g]
-        else:
-            p = random_valid_params(rng)
-        theta = rng.uniform(-np.pi, np.pi)
-        i = rng.uniform(-3.0, 3.0, size=5)
-        omega0 = rng.uniform(0.5, 400.0) * rng.choice((-1.0, 1.0))
-        yield p, theta, i, omega0
+def _park_defect(sys, rng, n_samples):
+    """Largest relative max-norm gap between L(theta) assembled directly and
+    T(theta) L0 T(theta)^T, the turn :meth:`PowerSystem.inductance_stack`
+    runs, over draws that alternate the system's own machines with fresh
+    parameter sets, all in one stacked pass."""
+    draws = stack_params([sys.machines[(idx // 2) % sys.n_g] if idx % 2 == 0
+                          else random_valid_params(rng)
+                          for idx in range(n_samples)])
+    theta = rng.uniform(-np.pi, np.pi, n_samples)
+    L = inductance_matrix(draws, theta)
+    gap = stator_frame_inductance(draws.rotor_frame_inductance(), theta) - L
+    return float((abs(gap).max((1, 2))
+                  / np.maximum(1.0, abs(L).max((1, 2)))).max())
 
 
-def park_factorization_defect(p, theta):
-    """Relative max-norm gap between T(theta) L0 T(theta)^T, built with
-    :func:`turn_stator`, and L(theta) assembled directly: the rotor-frame
-    forms stand for the L(theta) model only through this factorization."""
-    z = complex(*rvec(theta))
-    L = inductance_matrix(p, theta)
-    L0_Tt = turn_stator(p.rotor_frame_inductance(), z)
-    gap = turn_stator(L0_Tt.T, z).T - L
-    return float(np.max(np.abs(gap))) / max(1.0, float(np.max(np.abs(L))))
-
-
-def torque_flow_derivative_defect(p, theta, i, omega0, h=FD_STEP):
-    """The electrical torque is constant along the rotating flow: its
-    directional derivative in (theta, currents) along (omega0, stator
-    rotation) cancels. Central differences on both pieces."""
-    d_theta = (electrical_torque(p, theta + h, i)
-               - electrical_torque(p, theta - h, i)) / (2.0 * h) * omega0
-    w = omega0 * (MACHINE_ROT90 @ i)
-    d_i = (electrical_torque(p, theta, i + h * w)
-           - electrical_torque(p, theta, i - h * w)) / (2.0 * h)
-    gauge = max(1.0, abs(d_theta), abs(d_i))
-    return abs(d_theta + d_i) / gauge
-
-
-def induced_voltage_flow_derivative_defect(p, theta, i, omega0, h=FD_STEP):
-    """Along the rotating flow the induced winding voltage itself rotates:
-    its directional derivative equals the stator rotation applied to it."""
-    omega = omega0
-    d_theta = (induced_voltage(p, theta + h, omega, i)
-               - induced_voltage(p, theta - h, omega, i)) / (2.0 * h) * omega0
-    w = omega0 * (MACHINE_ROT90 @ i)
-    d_i = (induced_voltage(p, theta, omega, i + h * w)
-           - induced_voltage(p, theta, omega, i - h * w)) / (2.0 * h)
-    rhs = omega0 * (MACHINE_ROT90 @ induced_voltage(p, theta, omega, i))
-    gauge = max(1.0, float(np.max(np.abs(d_theta))), float(np.max(np.abs(d_i))),
-                float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(d_theta + d_i - rhs))) / gauge
+def _power_flows(sys, x, u):
+    """Power the inputs supply, sum omega tau_m + v_f i_f, and power lost,
+    sum i^T R i + d omega^2 + r_T |i_T|^2 + v . i_load, at state x: along
+    the vector field the stored energy changes by their difference."""
+    lay = sys.layout
+    _, omega, i_flat, v, i_T = lay.split(x)
+    tau_m, v_f = lay.split_input(u)
+    i = i_flat.reshape(sys.n_g, 5)
+    supplied = omega @ tau_m + v_f @ i[:, 2]
+    lost = (np.sum(sys.params.resistance_diag() * i**2)
+            + sys.params.d @ omega**2 + sys._r_T2 @ i_T**2
+            + v @ sys.load_currents(v))
+    return float(supplied), float(lost)
 
 
 def _random_state(sys, rng):
@@ -125,16 +105,7 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     """Run all identity checks against a system; returns one row each."""
     rng = np.random.default_rng(seed)
 
-    # The rotor-frame forms obey both flow identities by construction; the
-    # L(theta) model does because it factors, checked in both rows.
-    worst_torque = worst_vind = 0.0
-    for p, theta, i, omega0 in _machine_instances(sys, rng, n_samples):
-        park = park_factorization_defect(p, theta)
-        worst_torque = max(worst_torque, park,
-                           torque_flow_derivative_defect(p, theta, i, omega0))
-        worst_vind = max(
-            worst_vind, park,
-            induced_voltage_flow_derivative_defect(p, theta, i, omega0))
+    park = _park_defect(sys, rng, n_samples)
 
     # Structural operator identities (integer-structured, exact).
     n_g, n_v, n_t = sys.n_g, sys.n_v, sys.n_t
@@ -147,17 +118,19 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     d3 = float(np.max(np.abs(Jg @ field_indicator(n_g))))
 
     # Defining equation of the residual: mass matrix times the gap between
-    # the steady-state and model vector fields. And the identity the
+    # the steady-state and model vector fields. The identity the
     # certificate's invariance gate rests on: along the steady field f the
     # residual turns with every stator, bus and line pair, D rho[f] =
     # omega0 G rho (G: J on those pairs, zero on the angle and speed rows).
-    worst_res = worst_flow = 0.0
+    # And the power balance of the model field F: D E[F] = supplied - lost.
+    worst_res = worst_flow = worst_power = 0.0
     h = FD_STEP
     for _ in range(max(10, n_samples // 10)):
         x, u, omega0 = _random_state(sys, rng)
         rho = residual(sys, x, u, omega0)
         f = steady_field(sys, x, omega0)
-        alt = mass_matrix(sys, x) @ (f - vector_field(sys, x, u))
+        F = vector_field(sys, x, u)
+        alt = mass_matrix(sys, x) @ (f - F)
         gauge = max(1.0, float(np.max(np.abs(rho))))
         worst_res = max(worst_res, float(np.max(np.abs(rho - alt))) / gauge)
         d_rho = (residual(sys, x + h * f, u, omega0)
@@ -167,13 +140,19 @@ def run_identity_suite(sys, n_samples=120, seed=0):
         gauge = max(1.0, float(np.max(np.abs(d_rho))))
         worst_flow = max(worst_flow,
                          float(np.max(np.abs(d_rho - g_rho))) / gauge)
+        d_energy = (total_energy(sys, x + h * F)
+                    - total_energy(sys, x - h * F)) / (2.0 * h)
+        supplied, lost = _power_flows(sys, x, u)
+        gauge = max(1.0, abs(d_energy), abs(supplied), abs(lost))
+        worst_power = max(worst_power,
+                          abs(d_energy - supplied + lost) / gauge)
     return [IdentityCheck(name, defect, tol, defect <= tol)
             for name, defect, tol in (
-                ("torque constant along rotating flow", worst_torque, FD_TOL),
-                ("induced voltage rotates along flow", worst_vind, FD_TOL),
+                ("inductance factors as T L0 T^T", park, ROUNDING_TOL),
+                ("power balance along the field", worst_power, FD_TOL),
                 ("bus selector commutes with rotations", d1, EXACT_TOL),
                 ("incidence commutes with rotations", d2, EXACT_TOL),
                 ("rotation annihilates excitation injection", d3, EXACT_TOL),
                 ("residual equals mass-matrix field gap", worst_res,
-                 RESIDUAL_TOL),
+                 ROUNDING_TOL),
                 ("residual rotates along flow", worst_flow, FD_TOL))]

@@ -1,4 +1,4 @@
-"""Single synchronous machine: inductances, torque, induced voltage, validation.
+"""Synchronous machine constants: winding inductances and validation.
 
 Per-machine state is the rotor angle theta, rotor speed omega, and five
 winding currents ordered (i_alpha, i_beta, i_f, i_d, i_q): the two stator
@@ -17,16 +17,15 @@ take closed forms in the rotor frame i_r = T^T i:
     L(theta)^-1 w   T L0^-1 T^T w
 
 and L(theta) is positive definite at every angle exactly when L0 is.
-:mod:`gridstate.system` folds the same forms into one constant operator
-per machine on the rotor-frame currents and voltages.
+:mod:`gridstate.system` folds these forms into one constant operator per
+machine on the rotor-frame currents and voltages; :func:`inductance_matrix`
+is the direct L(theta) the identity suite holds the factorization against.
 """
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
-
-from .frame import MACHINE_ROT90, rot, rvec
 
 # (name, lower bound is strict) sign domains; saliency may be zero.
 _POSITIVE_FIELDS = (
@@ -69,20 +68,6 @@ class MachineParams:
         (one row per machine for constants from :func:`stack_params`)."""
         return np.stack([self.r_s, self.r_s, self.r_f, self.r_d, self.r_q], -1)
 
-    def rotor_inductance(self):
-        return np.array([
-            [self.l_f, self.l_fd, 0.0],
-            [self.l_fd, self.l_d, 0.0],
-            [0.0, 0.0, self.l_q],
-        ])
-
-    def mutual_coupling(self):
-        """Stator-rotor coupling before rotation by the rotor angle."""
-        return np.array([
-            [self.l_sf, self.l_sd, 0.0],
-            [0.0, 0.0, -self.l_sq],
-        ])
-
     def rotor_frame_inductance(self):
         """L0 = L(0), the winding inductance in the rotor frame: stator
         diag(l_s + l_sa, l_s - l_sa), the mutual coupling and the rotor
@@ -118,24 +103,24 @@ class ParamViolation:
     eigenvalue: float | None = None
 
 
-def stator_inductance(p, theta):
-    """Rotor-position dependent 2x2 stator inductance."""
-    sal = rot(2.0 * theta) @ np.diag([p.l_sa, -p.l_sa])
-    return p.l_s * np.eye(2) + sal
-
-
-def mutual_inductance(p, theta):
-    """2x3 stator-rotor mutual inductance at rotor angle theta."""
-    return rot(theta) @ p.mutual_coupling()
-
-
 def inductance_matrix(p, theta):
-    """Full symmetric 5x5 winding inductance matrix."""
-    L = np.zeros((5, 5))
-    L[:2, :2] = stator_inductance(p, theta)
-    L[:2, 2:] = mutual_inductance(p, theta)
-    L[2:, :2] = L[:2, 2:].T
-    L[2:, 2:] = p.rotor_inductance()
+    """The paper's winding inductance L(theta), assembled entry by entry
+    with the stator saliency turning at 2 theta and the stator-rotor
+    coupling at theta. Constants from :func:`stack_params` and angles
+    (n_g,) give one matrix per machine, shape (n_g, 5, 5)."""
+    c, s = np.cos(theta), np.sin(theta)
+    sal_c, sal_s = p.l_sa * np.cos(2.0 * theta), p.l_sa * np.sin(2.0 * theta)
+    L = np.zeros(np.broadcast(p.l_s, theta).shape + (5, 5))
+    L[..., 0, 0], L[..., 1, 1] = p.l_s + sal_c, p.l_s - sal_c
+    L[..., 0, 1] = L[..., 1, 0] = sal_s
+    L[..., 0, 2] = L[..., 2, 0] = c * p.l_sf
+    L[..., 1, 2] = L[..., 2, 1] = s * p.l_sf
+    L[..., 0, 3] = L[..., 3, 0] = c * p.l_sd
+    L[..., 1, 3] = L[..., 3, 1] = s * p.l_sd
+    L[..., 0, 4] = L[..., 4, 0] = s * p.l_sq
+    L[..., 1, 4] = L[..., 4, 1] = -c * p.l_sq
+    L[..., 2, 2], L[..., 3, 3], L[..., 4, 4] = p.l_f, p.l_d, p.l_q
+    L[..., 2, 3] = L[..., 3, 2] = p.l_fd
     return L
 
 
@@ -153,24 +138,12 @@ def turn_stator(w, z):
     return w
 
 
-def electrical_torque(p, theta, i):
-    """Torque exerted on the rotor by the winding currents.
-
-    The quadratic form (L(theta) i) . (J i) taken in the rotor frame, where
-    the inductance is the constant L0.
-    """
-    i_r = turn_stator(i, complex(*rvec(-theta)))
-    return float((p.rotor_frame_inductance() @ i_r) @ (MACHINE_ROT90 @ i_r))
-
-
-def induced_voltage(p, theta, omega, i):
-    """5-vector of voltages induced in the windings by rotor motion,
-    omega (J L(theta) - L(theta) J) i, taken in the rotor frame."""
-    z = complex(*rvec(theta))
-    i_r = turn_stator(i, z.conjugate())
-    L0 = p.rotor_frame_inductance()
-    K = MACHINE_ROT90 @ L0 - L0 @ MACHINE_ROT90
-    return turn_stator(omega * (K @ i_r), z)
+def stator_frame_inductance(L0, theta):
+    """T(theta) L0 T(theta)^T: rotor-frame inductances L0 (..., 5, 5) turned
+    to the stator frame at rotor angles theta (...)."""
+    z = np.exp(1j * np.asarray(theta))[..., None]
+    L0_Tt = turn_stator(L0, z)
+    return turn_stator(np.swapaxes(L0_Tt, -1, -2), z).swapaxes(-1, -2)
 
 
 def validate_params(p):

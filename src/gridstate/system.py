@@ -25,7 +25,7 @@ import numpy as np
 from .errors import LoadDomainError, ValidationError
 from .frame import MACHINE_ROT90, as_complex, real_blocks, rotate_pairs
 from .loads import Load, LoadBank, rotation_commutator
-from .machine import stack_params, turn_stator, validate_params
+from .machine import stack_params, stator_frame_inductance, validate_params
 from .network import NetworkParams, Topology
 
 
@@ -132,9 +132,7 @@ class PowerSystem:
     def inductance_stack(self, theta):
         """Winding inductance matrices L(theta) = T L0 T^T of all machines,
         shape (n_g, 5, 5)."""
-        z = np.exp(1j * theta)[:, None]
-        L0_Tt = turn_stator(self._L0, z)
-        return turn_stator(np.swapaxes(L0_Tt, 1, 2), z).swapaxes(1, 2)
+        return stator_frame_inductance(self._L0, theta)
 
     def load_currents(self, v):
         """Per-bus load currents stacked like the voltages ``v``, shape

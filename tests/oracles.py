@@ -4,11 +4,13 @@ These are the straightforward per-bus and per-sample forms: the network
 dynamics and Kirchhoff residuals written out with dense matrices, the
 load currents one bus at a time, the equivariance probe one rotation
 at a time, the invariance defect as a central difference of the residual,
-one machine at a time through its full inductance matrix
-L(theta) with a Cholesky solve at every call, the drift metrics one
-trajectory sample at a time, the closed-form machine recovery one
-machine at a time in 2x2 rotation matrices, and the Newton network solve
-that rebuilds the admittance and the whole Jacobian at every iteration.
+one machine at a time through its full inductance matrix L(theta) with a
+Cholesky solve at every call, the torque and induced voltage of that
+matrix with their flow-derivative identities, the planar rotation as a
+2x2 matrix, the drift metrics one trajectory sample at a time, the
+closed-form machine recovery one machine at a time in 2x2 rotation
+matrices, and the Newton network solve that rebuilds the admittance and
+the whole Jacobian at every iteration.
 """
 
 import logging
@@ -21,7 +23,7 @@ from scipy.linalg import cho_factor, cho_solve
 from gridstate.errors import (InfeasibleSteadyStateError, LoadDomainError,
                               SolverError)
 from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
-                             rot, rotate_pairs, rvec)
+                             rotate_pairs)
 from gridstate.loads import Load
 from gridstate.machine import inductance_matrix
 from gridstate.network import (admittance, line_admittance,
@@ -32,6 +34,24 @@ from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
 from gridstate.system import residual, steady_field, tolerance_scale
 
 log = logging.getLogger("oracles")
+
+
+def _require_finite(theta):
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"angle must be finite, got {theta!r}")
+
+
+def rot(theta):
+    """2x2 rotation matrix by ``theta`` radians."""
+    _require_finite(theta)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def rvec(theta):
+    """Unit vector (cos theta, sin theta)."""
+    _require_finite(theta)
+    return np.array([np.cos(theta), np.sin(theta)])
 
 
 @dataclass
@@ -233,6 +253,34 @@ def induced_voltage(p, theta, omega, i):
     """omega (L J^T + J L) i with the inductance matrix at angle theta."""
     L = inductance_matrix(p, theta)
     return omega * (L @ MACHINE_ROT90.T + MACHINE_ROT90 @ L) @ i
+
+
+def torque_flow_derivative_defect(p, theta, i, omega0, h=1e-6):
+    """The electrical torque is constant along the rotating flow: its
+    directional derivative in (theta, currents) along (omega0, stator
+    rotation) cancels. Central differences on both pieces."""
+    d_theta = (electrical_torque(p, theta + h, i)
+               - electrical_torque(p, theta - h, i)) / (2.0 * h) * omega0
+    w = omega0 * (MACHINE_ROT90 @ i)
+    d_i = (electrical_torque(p, theta, i + h * w)
+           - electrical_torque(p, theta, i - h * w)) / (2.0 * h)
+    gauge = max(1.0, abs(d_theta), abs(d_i))
+    return abs(d_theta + d_i) / gauge
+
+
+def induced_voltage_flow_derivative_defect(p, theta, i, omega0, h=1e-6):
+    """Along the rotating flow the induced winding voltage itself rotates:
+    its directional derivative equals the stator rotation applied to it."""
+    omega = omega0
+    d_theta = (induced_voltage(p, theta + h, omega, i)
+               - induced_voltage(p, theta - h, omega, i)) / (2.0 * h) * omega0
+    w = omega0 * (MACHINE_ROT90 @ i)
+    d_i = (induced_voltage(p, theta, omega, i + h * w)
+           - induced_voltage(p, theta, omega, i - h * w)) / (2.0 * h)
+    rhs = omega0 * (MACHINE_ROT90 @ induced_voltage(p, theta, omega, i))
+    gauge = max(1.0, float(np.max(np.abs(d_theta))), float(np.max(np.abs(d_i))),
+                float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(d_theta + d_i - rhs))) / gauge
 
 
 def machine_rhs(p, state, v_term, tau_m, v_f):

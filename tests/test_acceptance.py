@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gridstate.cli import main
-from gridstate.frame import ROT90, rot
+from gridstate.frame import ROT90
 from gridstate.identities import random_valid_params, run_identity_suite
 from gridstate.simulate import (SimConfig, drift_metrics,
                                 reference_trajectory, rk4_step_fn, simulate)
@@ -22,7 +22,7 @@ from gridstate.steady_state import (OperatingSpec, compute_steady_state,
 from gridstate.system import tolerance_scale, total_energy, vector_field
 
 from conftest import AnisotropicLoad
-from oracles import excitation_demand
+from oracles import excitation_demand, rot
 
 OMEGA0 = 2 * np.pi * 50
 TEN_PERIODS = 0.2

@@ -143,6 +143,29 @@ def test_non_finite_numbers_exit_code(tmp_path, fixture_path, capsys, mutate,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (_set("machines", 0, "theta", float("nan")),
+     "machines[0]: key 'theta' must be finite"),
+    (lambda doc: doc["machines"][1].pop("i_f"),
+     "machines[1]: missing required key 'i_f'"),
+    (_set("buses", 2, "v", [1.0]),
+     "buses[2]: key 'v' must hold two numbers, got 1"),
+], ids=["theta-nan", "missing-i_f", "short-v"])
+def test_malformed_result_file_exit_code(tmp_path, fixture_file, capsys,
+                                         mutate, message):
+    # simulate --from starts from the result file's state as written.
+    result = tmp_path / "result.json"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    mutate(doc)
+    result.write_text(json.dumps(doc))
+    assert main(["simulate", fixture_file, "--from", str(result),
+                 "--dt", "1e-5", "--t-end", "1e-4",
+                 "-o", str(tmp_path / "traj.csv")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_stale_fd_step_is_ignored(tmp_path, fixture_path):
     path = write_variant(tmp_path, fixture_path, lambda doc:
                          doc["operating_point"].__setitem__(

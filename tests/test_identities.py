@@ -1,8 +1,16 @@
 import numpy as np
+import pytest
 
+import gridstate.system as system
+from gridstate.fileio import load_system_file
 from gridstate.identities import run_identity_suite
 
 from conftest import AnisotropicLoad
+
+PARK_ROW = "inductance factors as T L0 T^T"
+POWER_ROW = "power balance along the field"
+RESIDUAL_ROWS = {"residual equals mass-matrix field gap",
+                 "residual rotates along flow"}
 
 
 def test_suite_passes_on_fixture(three_bus):
@@ -30,44 +38,75 @@ def test_suite_passes_across_seeds(three_bus):
         assert all(r.passed for r in rows)
 
 
-def test_ellipse_bound_attained_within_samples(three_bus):
-    # The lower bound is tight: over a fine angle grid the squared radius
-    # comes close to it.
-    from gridstate.identities import random_valid_params
-    from gridstate.steady_state import recovery_parts
-    rng = np.random.default_rng(9)
-    p = random_valid_params(rng)
-    v = complex(*rng.uniform(-3, 3, 2))
-    i_s = complex(*rng.uniform(-3, 3, 2))
-    a, b = recovery_parts(p, v, i_s, 120.0)
-    theta = np.linspace(-np.pi, np.pi, 720)
-    radii = np.abs(np.exp(-1j * theta) * a + np.exp(1j * theta) * b) ** 2
-    bound = (abs(a) - abs(b)) ** 2
-    assert min(radii) >= bound - 1e-12
-    assert min(radii) <= bound + 0.01 * max(1.0, bound)
-
-
 def test_machine_rows_fail_when_inductance_stops_factoring(three_bus,
                                                            monkeypatch):
-    # The rotor-frame forms satisfy the flow identities for any L0; the
-    # machine rows must still fail when L(theta) is not T L0 T^T. Saliency
-    # turning at the rotor angle instead of twice it breaks the factoring.
+    # The Park row is where the paper's L(theta) meets the T L0 T^T turn
+    # the system runs. Saliency turning at the rotor angle instead of twice
+    # it breaks the factoring; the rows on the running code cannot see it.
     import gridstate.identities as identities
-    from gridstate.frame import rot
     from gridstate.machine import inductance_matrix
 
     def unfactored(p, theta):
         L = inductance_matrix(p, theta)
-        L[:2, :2] = p.l_s * np.eye(2) \
-            + rot(theta) @ np.diag([p.l_sa, -p.l_sa])
+        sal_c, sal_s = p.l_sa * np.cos(theta), p.l_sa * np.sin(theta)
+        L[..., 0, 0], L[..., 1, 1] = p.l_s + sal_c, p.l_s - sal_c
+        L[..., 0, 1] = L[..., 1, 0] = sal_s
         return L
 
     monkeypatch.setattr(identities, "inductance_matrix", unfactored)
     sys_, _ = three_bus
     rows = run_identity_suite(sys_, n_samples=40, seed=0)
-    failed = {r.name for r in rows if not r.passed}
-    assert failed == {"torque constant along rotating flow",
-                      "induced voltage rotates along flow"}
+    assert {r.name for r in rows if not r.passed} == {PARK_ROW}
+
+
+def _negate_k0(field, res):
+    field[:, :5, system._OMEGA_I_R] *= -1.0
+    res[:, :5, system._OMEGA_I_R] *= -1.0
+
+
+def _negate_torque(field, res):
+    field[:, 6:] *= -1.0
+    res[:, 6:] *= -1.0
+
+
+@pytest.mark.parametrize("mutate", [_negate_k0, _negate_torque],
+                         ids=["K0", "torque"])
+def test_power_row_catches_sign_flips_in_rotor_operators(fixture_path,
+                                                         monkeypatch, mutate):
+    # A sign flip in the rotor-frame operators leaves the field and the
+    # residual consistent with each other, and both still turn along the
+    # flow; only the energy the field stores against the power it takes
+    # tells the flipped machine from the model.
+    build = system._rotor_operators
+
+    def flipped(L0, r):
+        field, res = build(L0, r)
+        mutate(field, res)
+        return field, res
+
+    monkeypatch.setattr(system, "_rotor_operators", flipped)
+    sys_, _ = load_system_file(fixture_path)
+    rows = run_identity_suite(sys_, n_samples=40, seed=0)
+    failed = [r for r in rows if not r.passed]
+    assert [r.name for r in failed] == [POWER_ROW]
+    assert failed[0].max_defect >= 1e3 * failed[0].tolerance
+
+
+def test_residual_rows_catch_a_turn_the_wrong_way(three_bus, monkeypatch):
+    # Turning the stator into the rotor frame by e^{+j theta} instead of
+    # e^{-j theta} breaks the residual's defining equation and its rotation
+    # along the flow, and the field's power balance with them.
+    machines = system._machines
+
+    def turned_back(sys_, x, omega, u, omega0=None):
+        x = np.array(x)
+        x[..., sys_.layout.sl_theta] *= -1.0
+        return machines(sys_, x, omega, u, omega0)
+
+    monkeypatch.setattr(system, "_machines", turned_back)
+    sys_, _ = three_bus
+    rows = run_identity_suite(sys_, n_samples=40, seed=0)
+    assert {r.name for r in rows if not r.passed} == RESIDUAL_ROWS | {POWER_ROW}
 
 
 def test_flow_row_fails_with_anisotropic_load(three_bus):

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridstate.errors import LoadDomainError, ValidationError
-from gridstate.frame import rot
 from gridstate.loads import Load, LoadBank, equivariance_defect
 
 from conftest import AnisotropicLoad
-from oracles import looped_equivariance_defect
+from oracles import looped_equivariance_defect, rot
 
 finite_pairs = st.tuples(
     st.floats(min_value=-50, max_value=50, allow_nan=False),

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from gridstate.errors import InfeasibleSteadyStateError
-from gridstate.frame import ROT90, rot, rvec
+from gridstate.frame import ROT90
 from gridstate.identities import random_valid_params
 from gridstate.network import NetworkParams, Topology
 from gridstate.steady_state import (NetworkSolution, OperatingSpec,
-                                    recover_all, recover_machine)
+                                    recover_all, recover_machine,
+                                    recovery_parts)
 from gridstate.system import assemble
 
 import oracles
+from oracles import rot, rvec
 
 REL = 1e-14
 
@@ -261,3 +263,18 @@ def test_round_rotor_without_demand_reports_zero_angle():
         p, v, i_s = degenerate_machine("nu_zero_salient", rng, omega0)
         assert_matches_oracle(recover_machine(p, v, i_s, omega0, sigma), p, v,
                               i_s, omega0, sigma)
+
+
+def test_ellipse_bound_attained_within_samples():
+    # The lower bound is tight: over a fine angle grid the squared radius
+    # comes close to it.
+    rng = np.random.default_rng(9)
+    p = random_valid_params(rng)
+    v = complex(*rng.uniform(-3, 3, 2))
+    i_s = complex(*rng.uniform(-3, 3, 2))
+    a, b = recovery_parts(p, v, i_s, 120.0)
+    theta = np.linspace(-np.pi, np.pi, 720)
+    radii = np.abs(np.exp(-1j * theta) * a + np.exp(1j * theta) * b) ** 2
+    bound = (abs(a) - abs(b)) ** 2
+    assert min(radii) >= bound - 1e-12
+    assert min(radii) <= bound + 0.01 * max(1.0, bound)

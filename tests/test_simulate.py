@@ -3,7 +3,7 @@ import pytest
 
 import gridstate.simulate
 from gridstate.errors import LoadDomainError
-from gridstate.frame import ROT90, rot
+from gridstate.frame import ROT90
 from gridstate.simulate import (SimConfig, Trajectory, drift_metrics,
                                 reference_trajectory, rk4_step, rk4_step_fn,
                                 simulate)
@@ -11,6 +11,7 @@ from gridstate.steady_state import compute_steady_state
 from gridstate.system import steady_field, total_energy
 
 from conftest import ring_mesh, slow_two_bus
+from oracles import rot
 
 
 def rotation_error_after_one_period(omega0, dt):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gridstate import steady_state
 from gridstate.errors import InfeasibleSteadyStateError, SolverError
-from gridstate.frame import ROT90, as_complex, real_blocks, rvec, wrap_angle
+from gridstate.frame import ROT90, as_complex, real_blocks, wrap_angle
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
@@ -22,8 +22,9 @@ from gridstate.system import assemble, residual, tolerance_scale
 
 from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
                       slow_two_bus)
-from oracles import (balance_jacobian, excitation_demand, network_residual,
-                     nodal_balance_residual, reference_solve_network)
+from oracles import (balance_jacobian, electrical_torque, excitation_demand,
+                     network_residual, nodal_balance_residual,
+                     reference_solve_network, rvec)
 
 LOAD_KINDS = ("impedance", "current", "power")
 
@@ -360,7 +361,6 @@ def test_recover_round_rotor_analytic_case():
 
 
 def _torque_at(p, rec, i_s):
-    from gridstate.machine import electrical_torque
     i = np.array([i_s[0], i_s[1], rec.i_f, 0.0, 0.0])
     return electrical_torque(p, rec.theta, i)
 

