@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: steady-state (solve + certify + write result), simulate
-(integrate from a result document, write CSV + drift summary), verify
-(re-check a trajectory against the certified behavior), identities (run the
-numeric identity suite on a system file).
+(certify the start read from a result document, integrate, write CSV +
+drift summary), verify (re-check a trajectory against the certified
+behavior), identities (run the numeric identity suite on a system file).
 
 Exit codes: 0 success/certified, 1 usage, 2 parse/schema, 3 physics
 validation, 4 solver failure, 5 certification failure.
@@ -21,7 +21,8 @@ from .fileio import (load_result_file, load_system_file, read_trajectory_csv,
                      write_result_file, write_trajectory_csv)
 from .identities import run_identity_suite
 from .simulate import SimConfig, drift_metrics, simulate
-from .steady_state import compute_steady_state, verify_steady_state
+from .steady_state import (FullSteadyState, compute_steady_state,
+                           verify_steady_state)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,14 +127,19 @@ def cmd_steady_state(args):
 def cmd_simulate(args):
     system, _ = load_system_file(args.file)
     x0, u, omega0 = load_result_file(args.from_result, system)
-    if args.perturb_v:
-        x0 = x0.copy()
-        x0[system.layout.sl_v] *= 1.0 + args.perturb_v
     try:
         cfg = SimConfig(dt=args.dt, t_end=args.t_end,
                         record_every=args.record_every)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    report = verify_steady_state(system, FullSteadyState(x0, u, omega0))
+    log.info("start point margins: %s", report.margins)
+    if not report.certificate:
+        for failure in report.failures:
+            print(f"start point not certified: {failure}", file=_sys.stderr)
+        return EXIT_CERTIFICATION
+    if args.perturb_v:
+        x0[system.layout.sl_v] *= 1.0 + args.perturb_v
 
     traj = simulate(system, x0, u, cfg)
     with _open_out(args.out) as fh:

@@ -98,18 +98,18 @@ def system_from_dict(doc):
                                   for key in ("buses", "lines", "machines"))
     op = _require(doc, "operating_point", dict, "top level")
 
-    bus_ids, caps, loads = [], [], []
+    index_of, caps, loads = {}, [], []
     for n, bus in enumerate(buses):
         where = f"buses[{n}]"
         bid = _bus_id(bus, where)
-        if bid in bus_ids:
+        if bid in index_of:
             raise SchemaError(f"{where}: duplicate bus id {bid!r}")
-        bus_ids.append(bid)
+        index_of[bid] = n
         caps.append(_require(bus, "capacitance", float, where))
         loads.append(_build_load(_require(bus, "load", dict, where),
                                  f"{where}.load")
                      if "load" in bus else Load.none())
-    index_of = {bid: k for k, bid in enumerate(bus_ids)}
+    bus_ids = list(index_of)
 
     incidence = np.zeros((len(bus_ids), len(lines)))
     r_T, l_T = [], []
@@ -137,13 +137,14 @@ def system_from_dict(doc):
 
     gen_volts = _objects(op, "generator_voltages", "operating_point")
     mag, ang = np.empty((2, len(machines)))
+    machine_at = {b: k for k, b in enumerate(machine_buses)}
     covered = set()
     for n, gv in enumerate(gen_volts):
         where = f"operating_point.generator_voltages[{n}]"
         bid = gv.get("bus")
-        if _bus_index(index_of, bid, where) not in machine_buses:
+        k = machine_at.get(_bus_index(index_of, bid, where))
+        if k is None:
             raise SchemaError(f"{where}: bus {bid!r} carries no machine")
-        k = machine_buses.index(index_of[bid])
         if k in covered:
             raise SchemaError(f"{where}: duplicate voltage for bus {bid!r}")
         covered.add(k)
@@ -226,16 +227,10 @@ def result_document(sys, ss, report):
             "id": sys.bus_ids[k],
             "v": [float(v[2 * k]), float(v[2 * k + 1])],
         }
-    line_rows = []
-    for t in range(sys.n_t):
-        col = sys.topology.incidence[:, t]
-        frm = int(np.where(col == 1)[0][0])
-        to = int(np.where(col == -1)[0][0])
-        line_rows.append({
-            "from": sys.bus_ids[frm],
-            "to": sys.bus_ids[to],
-            "i_T": [float(i_T[2 * t]), float(i_T[2 * t + 1])],
-        })
+    ends = zip(sys.topology.heads.tolist(), sys.topology.tails.tolist())
+    line_rows = [{"from": sys.bus_ids[frm], "to": sys.bus_ids[to],
+                  "i_T": [float(i_T[2 * t]), float(i_T[2 * t + 1])]}
+                 for t, (frm, to) in enumerate(ends)]
     return {
         "omega0": ss.omega0,
         "machines": machines,

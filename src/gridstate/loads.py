@@ -79,12 +79,6 @@ class Load:
         g, b = self.conductance(np.sqrt(v[0] ** 2 + v[1] ** 2))
         return g * v + b * np.stack([-v[1], v[0]])
 
-    def power(self, v):
-        """(P, Q) drawn at bus voltage ``v``."""
-        vv = float(v[0] ** 2 + v[1] ** 2)
-        g, b = self.conductance(float(np.sqrt(vv)))
-        return g * vv, -b * vv
-
 
 def _floor_message(kind, vnorm, v_min):
     return (f"constant-{kind} load undefined at |v|={vnorm:.6e} "

@@ -27,12 +27,6 @@ from operator import attrgetter
 
 import numpy as np
 
-# (name, lower bound is strict) sign domains; saliency may be zero.
-_POSITIVE_FIELDS = (
-    "m", "d", "r_s", "r_f", "r_d", "r_q",
-    "l_s", "l_f", "l_d", "l_q", "l_fd", "l_sf", "l_sd", "l_sq",
-)
-
 
 @dataclass(frozen=True)
 class MachineParams:
@@ -84,15 +78,18 @@ class MachineParams:
         return L
 
 
-_FIELD_VALUES = attrgetter(*(f.name for f in fields(MachineParams)))
+_FIELDS = tuple(f.name for f in fields(MachineParams))
+_FIELD_VALUES = attrgetter(*_FIELDS)
+# Sign domains in checking order: > 0, then l_sa >= 0 (saliency may be 0).
+_SIGN_FIELDS = tuple(name for name in _FIELDS if name != "l_sa") + ("l_sa",)
 
 
 def stack_params(machines):
     """The constants of several machines as one :class:`MachineParams`
     whose fields are (n_g,) float arrays, machine k at index k: the form the
     array code reads, so ``p.r_s * i_s`` is one expression over machines."""
-    return MachineParams(*np.array([_FIELD_VALUES(p) for p in machines],
-                                   dtype=float).T.copy())
+    rows = np.array([_FIELD_VALUES(p) for p in machines], dtype=float)
+    return MachineParams(*rows.reshape(-1, len(_FIELDS)).T.copy())
 
 
 @dataclass(frozen=True)
@@ -146,33 +143,43 @@ def stator_frame_inductance(L0, theta):
     return turn_stator(np.swapaxes(L0_Tt, -1, -2), z).swapaxes(-1, -2)
 
 
-def validate_params(p):
-    """Check sign domains and positive definiteness of the inductances.
+def validate_params(p, L0=None):
+    """Check sign domains and positive definiteness of the inductances of
+    one machine, or of all machines of a :func:`stack_params` stack in one
+    pass; ``L0`` is their rotor-frame inductance when the caller has it.
 
     L(theta) = T L0 T^T with T orthogonal, so L(theta) is positive definite
-    at every rotor angle exactly when L0 = L(0) is: one Cholesky of L0
-    decides it. Returns None if everything passes, otherwise the first
-    violation found; a positive-definiteness violation reports the smallest
-    eigenvalue of L0, which every L(theta) shares.
+    at every rotor angle exactly when L0 = L(0) is: one batched Cholesky of
+    L0 decides it, and only if it fails are machines taken one at a time.
+    Per machine: None if everything passes, else its first violation; a
+    positive-definiteness violation reports the smallest eigenvalue of L0,
+    which every L(theta) shares. A stack gives a list, one per machine.
     """
-    for name in _POSITIVE_FIELDS:
-        value = getattr(p, name)
-        if not np.isfinite(value) or value <= 0.0:
-            return ParamViolation("sign", f"{name} must be > 0, got {value!r}")
-    if not np.isfinite(p.l_sa) or p.l_sa < 0.0:
-        return ParamViolation("sign", f"l_sa must be >= 0, got {p.l_sa!r}")
-
-    theta = 0.0
-    L0 = p.rotor_frame_inductance()
+    values = np.array([getattr(p, name) for name in _SIGN_FIELDS],
+                      dtype=float).reshape(len(_SIGN_FIELDS), -1)
+    ok = np.isfinite(values) & (values > 0.0)
+    ok[-1] |= values[-1] == 0.0
+    out = [None] * values.shape[1]
+    for k in np.flatnonzero(~ok.all(axis=0)).tolist():
+        name = _SIGN_FIELDS[int(np.argmin(ok[:, k]))]
+        value = getattr(p, name)  # as given, for its repr
+        value = value[k].item() if np.ndim(value) else value
+        out[k] = ParamViolation("sign", f"{name} must be "
+                                f"{'>=' if name == 'l_sa' else '>'} 0, "
+                                f"got {value!r}")
+    L0 = (p.rotor_frame_inductance() if L0 is None else L0).reshape(-1, 5, 5)
+    signed = [k for k, found in enumerate(out) if found is None]
     try:
-        np.linalg.cholesky(L0)
+        np.linalg.cholesky(L0[signed])
     except np.linalg.LinAlgError:
-        lam = float(np.linalg.eigvalsh(L0)[0])
-        return ParamViolation(
-            "positive_definite",
-            f"inductance matrix not positive definite at "
-            f"theta={theta:.6f} (smallest eigenvalue {lam:.3e})",
-            theta=theta,
-            eigenvalue=lam,
-        )
-    return None
+        for k in signed:
+            try:
+                np.linalg.cholesky(L0[k])
+            except np.linalg.LinAlgError:
+                lam = float(np.linalg.eigvalsh(L0[k])[0])
+                out[k] = ParamViolation(
+                    "positive_definite",
+                    "inductance matrix not positive definite at theta="
+                    f"0.000000 (smallest eigenvalue {lam:.3e})",
+                    theta=0.0, eigenvalue=lam)
+    return out if np.ndim(p.l_s) else out[0]

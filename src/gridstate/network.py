@@ -11,6 +11,7 @@ shunt j omega0 c plus its load's admittance, and the nodal admittance is
 the complex n_v x n_v matrix of :func:`admittance`.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ class Topology:
     """Oriented incidence matrix of the bus/line graph.
 
     Entry (k, t) is +1 if line t leaves bus k, -1 if it enters. Each line
-    joins exactly two distinct buses and the graph must be connected.
+    joins exactly two distinct buses and the graph must be connected. The
+    checks run on ``heads`` and ``tails``, each line's +1 and -1 bus.
     """
 
     incidence: np.ndarray
@@ -33,21 +35,26 @@ class Topology:
         E = np.asarray(self.incidence)
         if E.ndim != 2 or E.shape[0] < 1 or E.shape[1] < 1:
             raise ValidationError(f"incidence matrix must be 2-D, got shape {E.shape}")
-        if not np.all(np.isin(E, (-1, 0, 1))):
+        buses, lines = np.nonzero(E)
+        head, tail = E[buses, lines] == 1, E[buses, lines] == -1
+        if not np.all(head | tail):
             raise ValidationError("incidence entries must be in {-1, 0, 1}")
-        bad = np.flatnonzero((np.sum(E == 1, axis=0) != 1)
-                             | (np.sum(E == -1, axis=0) != 1))
+        n_v, n_t = E.shape
+        bad = np.flatnonzero((np.bincount(lines[head], minlength=n_t) != 1)
+                             | (np.bincount(lines[tail], minlength=n_t) != 1))
         if bad.size:
             raise ValidationError(
                 f"line {bad[0]} must have exactly one +1 and one -1 endpoint"
             )
-        n_comp = _count_components(E.shape[0], np.argmax(E == 1, axis=0),
-                                   np.argmax(E == -1, axis=0))
+        heads, tails = np.empty((2, n_t), dtype=int)
+        heads[lines[head]], tails[lines[tail]] = buses[head], buses[tail]
+        n_comp = _count_components(n_v, heads, tails)
         if n_comp != 1:
             raise ValidationError(
                 f"network graph must be connected, found {n_comp} components"
             )
-        object.__setattr__(self, "incidence", np.array(E, dtype=float))
+        self.__dict__.update(incidence=np.array(E, dtype=float), heads=heads,
+                             tails=tails)
 
     @property
     def n_v(self):
@@ -56,6 +63,14 @@ class Topology:
     @property
     def n_t(self):
         return self.incidence.shape[1]
+
+    def relabel(self, order):
+        """This topology with its bus ``order[k]`` renumbered k, unchecked:
+        renumbering keeps every property checked above."""
+        label, new = np.argsort(order), copy.copy(self)
+        vars(new).update(incidence=self.incidence[order],
+                         heads=label[self.heads], tails=label[self.tails])
+        return new
 
 
 def _count_components(n, heads, tails):
@@ -90,6 +105,12 @@ class NetworkParams:
             object.__setattr__(self, name, arr)
         if self.l_T.shape != self.r_T.shape:
             raise ValidationError("l_T and r_T must have one entry per line")
+
+    def relabel(self, order):
+        """Bus ``order[k]``'s capacitance moved to bus k, unchecked."""
+        new = copy.copy(self)
+        vars(new)["c"] = self.c[order]
+        return new
 
 
 def solve_branch_currents(params, omega0, w):

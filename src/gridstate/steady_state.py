@@ -16,8 +16,8 @@ v and stator currents i as complex numbers alpha + j beta:
 a = -j (v - (r_s + j omega0 l_s) i), b = -omega0 l_sa conj(i),
 theta = arctan2(-(Im a + Im b), Re b - Re a),
 i_f = Re(e^{-j theta} a + e^{j theta} b) / (omega0 l_sf) and
-nu = j (a + e^{2j theta} b). :func:`recover_machine` is the same code
-for one machine.
+nu = j (a + e^{2j theta} b). The tests hold it against a scalar reference
+that works one machine at a time in 2x2 rotation matrices.
 """
 
 import logging
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
 from .frame import as_complex, real_blocks
 from .loads import equivariance_defect
-from .machine import stack_params
 from .network import admittance, line_admittance, solve_branch_currents
 from .system import (invariance_defect, residual, residual_block_norms,
                      tolerance_scale)
@@ -116,9 +115,9 @@ class FullSteadyState:
     x: np.ndarray
     u: np.ndarray
     omega0: float
-    recoveries: list
-    network: NetworkSolution
-    diagnostics: dict
+    recoveries: list = None
+    network: NetworkSolution = None
+    diagnostics: dict = None
 
 
 @dataclass
@@ -227,21 +226,6 @@ def _recover(p, v, i_s, omega0, sigma):
                             v_f=vf, nu=n, sigma=s, case=c,
                             excitation_residual=e, alignment_residual=al)
             for th, f, tm, vf, n, s, c, e, al in rows]
-
-
-def recover_machine(p, v_term, i_s, omega0, sigma):
-    """Closed-form rotor angle, excitation current and inputs for one machine
-    given its terminal voltage and injected stator current.
-
-    ``sigma`` in {-1, +1} picks between the two antipodal rotor angles; the
-    excitation current carries the sign. Degenerate situations are returned
-    flagged, not silently: a vanishing excitation demand (nu_zero), equal
-    ellipse radii (alpha_equal), and zero frequency (omega_zero, feasible
-    only when the terminal voltage exactly covers the resistive drop). This
-    is :func:`recover_all`'s code for a single machine.
-    """
-    return _recover(stack_params([p]), as_complex(v_term), as_complex(i_s),
-                    omega0, [sigma])[0]
 
 
 def solve_network(sys, spec):

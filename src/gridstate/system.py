@@ -11,8 +11,8 @@ current and terminal voltage by e^{-j theta} into the stack [applied
 voltage, i_r, omega i_r], and one constant operator per machine does the
 rest in one product: winding rows L0^-1 [I, -R, -K0] (K0 = J L0 - L0 J) for
 the vector field, [-I, R, K0, L0 J] on the stack plus omega0 i_r for the
-residual, and the stator rows of L0, which give the torque. Assembly
-validates every machine with one Cholesky of L0, exact for all angles.
+residual, and the stator rows of L0, which give the torque. One batched
+Cholesky of L0 validates all machines at assembly, exact for all angles.
 
 The steady field turns every planar pair at omega0 and advances the rotor
 angles with it; with loads that commute with rotations the residual turns
@@ -23,10 +23,9 @@ that field off the residual itself, exactly and with no extra evaluation.
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
-from .frame import MACHINE_ROT90, as_complex, real_blocks, rotate_pairs
+from .frame import MACHINE_ROT90, as_complex, incidence_blocks, rotate_pairs
 from .loads import Load, LoadBank, rotation_commutator
 from .machine import stack_params, stator_frame_inductance, validate_params
-from .network import NetworkParams, Topology
 
 
 class StateLayout:
@@ -81,12 +80,14 @@ class StateLayout:
 class PowerSystem:
     """Validated multi-machine system in solve order (machine buses first).
 
-    Build instances through :func:`assemble`, which validates components and
-    permutes buses. Attributes are read-mostly; the constructor precomputes
-    the arrays used by the hot evaluation paths.
+    Build instances through :func:`assemble`, which validates components,
+    stacks the machine constants (``params``, rotor-frame inductances
+    ``L0``) and permutes buses. Attributes are read-mostly; the constructor
+    precomputes the arrays used by the hot evaluation paths.
     """
 
-    def __init__(self, machines, topology, network, loads, bus_ids, input_position):
+    def __init__(self, machines, params, L0, topology, network, loads,
+                 bus_ids, input_position):
         self.machines = tuple(machines)
         self.topology = topology
         self.network = network
@@ -100,16 +101,17 @@ class PowerSystem:
         self.n_x = self.layout.n_x
 
         # E kron I_2, the incidence acting on stacked pairs.
-        self.incidence2 = real_blocks(topology.incidence)
+        self.incidence2 = incidence_blocks(topology.heads, topology.tails,
+                                           self.n_v)
         self._c2 = np.repeat(network.c, 2)
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
-        self.params = stack_params(self.machines)
+        self.params = params
         # Reciprocals for the vector field's speed and network rows.
         self._inv_m, self._d_m = 1.0 / self.params.m, self.params.d / self.params.m
         self._neg_inv_c2, self._inv_l2 = -1.0 / self._c2, 1.0 / self._l_T2
         self._r_l2 = self._r_T2 / self._l_T2
-        self._L0 = self.params.rotor_frame_inductance()
+        self._L0 = L0
         self._field_op, self._residual_op = _rotor_operators(
             self._L0, self.params.resistance_diag())
         self.loads = tuple(loads)
@@ -225,16 +227,14 @@ def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=Non
     """
     problems = []
     n_v, n_t = topology.n_v, topology.n_t
-    n_g = len(machines)
-    if n_g < 1:
+    if len(machines) < 1:
         problems.append("need at least one machine")
-    if loads is None:
-        loads = [Load.none()] * n_v
-    if bus_ids is None:
-        bus_ids = list(range(n_v))
+    loads = [Load.none()] * n_v if loads is None else loads
+    bus_ids = list(range(n_v)) if bus_ids is None else bus_ids
 
-    for k, p in enumerate(machines):
-        violation = validate_params(p)
+    params = stack_params(machines)
+    L0 = params.rotor_frame_inductance()
+    for k, violation in enumerate(validate_params(params, L0)):
         if violation is not None:
             problems.append(f"machine {k + 1}: {violation.message}")
 
@@ -254,24 +254,15 @@ def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=Non
         problems.append(f"expected {n_v} loads, got {len(loads)}")
 
     if problems:
-        raise ValidationError(
-            "system validation failed:\n  " + "\n  ".join(problems), problems
-        )
+        raise ValidationError("system validation failed:\n  "
+                              + "\n  ".join(problems), problems)
 
-    # Permute buses: machine buses first (in machine order), then the rest
-    # in input order.
-    rest = [b for b in range(n_v) if b not in set(machine_buses)]
-    order = list(machine_buses) + rest
-    E = topology.incidence[order, :]
-    net = NetworkParams(c=network.c[order], l_T=network.l_T, r_T=network.r_T)
-    return PowerSystem(
-        machines=machines,
-        topology=Topology(E),
-        network=net,
-        loads=[loads[b] for b in order],
-        bus_ids=[bus_ids[b] for b in order],
-        input_position=order,
-    )
+    # Machine buses (``seen``) first, in machine order, then the rest in
+    # input order; the checked topology and network are only relabelled.
+    order = list(machine_buses) + [b for b in range(n_v) if b not in seen]
+    return PowerSystem(machines, params, L0, topology.relabel(order),
+                       network.relabel(order), [loads[b] for b in order],
+                       [bus_ids[b] for b in order], order)
 
 
 def vector_field(sys, x, u):
@@ -298,13 +289,8 @@ def steady_field(sys, x, omega0):
     lay = sys.layout
     _, _, i_flat, v, i_T = lay.split(x)
     i = i_flat.reshape(i_flat.shape[:-1] + (sys.n_g, 5))
-    return lay.pack(
-        omega0,
-        0.0,
-        omega0 * i @ MACHINE_ROT90.T,
-        omega0 * rotate_pairs(v),
-        omega0 * rotate_pairs(i_T),
-    )
+    return lay.pack(omega0, 0.0, omega0 * i @ MACHINE_ROT90.T,
+                    omega0 * rotate_pairs(v), omega0 * rotate_pairs(i_T))
 
 
 def residual(sys, x, u, omega0):
@@ -401,16 +387,12 @@ def total_energy(sys, x):
 
 def field_indicator(n_g):
     """Matrix placing the excitation voltages into the winding equations."""
-    e = np.zeros((5, 1))
-    e[2, 0] = 1.0
-    return np.kron(np.eye(n_g), e)
+    return np.kron(np.eye(n_g), np.eye(5, 1, -2))  # 1 at the i_f row
 
 
 def stator_indicator(n_g):
     """Matrix selecting the stator pairs from stacked machine currents."""
-    sel = np.zeros((5, 2))
-    sel[0, 0] = sel[1, 1] = 1.0
-    return np.kron(np.eye(n_g), sel)
+    return np.kron(np.eye(n_g), np.eye(5, 2))
 
 
 def bus_indicator(n_g, n_v):

@@ -9,8 +9,11 @@ Cholesky solve at every call, the torque and induced voltage of that
 matrix with their flow-derivative identities, the planar rotation as a
 2x2 matrix, the drift metrics one trajectory sample at a time, the
 closed-form machine recovery one machine at a time in 2x2 rotation
-matrices, and the Newton network solve that rebuilds the admittance and
-the whole Jacobian at every iteration.
+matrices, the Newton network solve that rebuilds the admittance and the
+whole Jacobian at every iteration, and the system assembly that checks
+each machine on its own and every reordered component again. Two helpers
+with no caller in the package live here too: the (P, Q) a load draws, and
+the package's array recovery run for one machine.
 """
 
 import logging
@@ -21,17 +24,19 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from gridstate.errors import (InfeasibleSteadyStateError, LoadDomainError,
-                              SolverError)
+                              SolverError, ValidationError)
 from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
                              rotate_pairs)
 from gridstate.loads import Load
-from gridstate.machine import inductance_matrix
-from gridstate.network import (admittance, line_admittance,
-                               solve_branch_currents)
+from gridstate.machine import ParamViolation, inductance_matrix, stack_params
+from gridstate.network import (NetworkParams, Topology, admittance,
+                               line_admittance, solve_branch_currents)
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
-                                    MachineRecovery, NetworkSolution)
-from gridstate.system import residual, steady_field, tolerance_scale
+                                    MachineRecovery, NetworkSolution,
+                                    _recover)
+from gridstate.system import (PowerSystem, residual, steady_field,
+                              tolerance_scale)
 
 log = logging.getLogger("oracles")
 
@@ -105,6 +110,13 @@ def scalar_load_current(load, v):
     scale = mag**load.exponent
     g, s = load.coeffs[0] / scale, load.coeffs[1] / scale
     return np.array([g * a - s * b, g * b + s * a])
+
+
+def load_power(load, v):
+    """(P, Q) a shipped load draws at one bus voltage pair ``v``."""
+    vv = float(v[0] ** 2 + v[1] ** 2)
+    g, b = load.conductance(float(np.sqrt(vv)))
+    return g * vv, -b * vv
 
 
 def scalar_load_currents(loads, v, bus_ids=None):
@@ -477,6 +489,13 @@ def excitation_demand(p, v_term, i_s, omega0, theta):
     return np.asarray(v_term, dtype=float) - Zs @ np.asarray(i_s, dtype=float)
 
 
+def recover_one(p, v_term, i_s, omega0, sigma):
+    """The package's array recovery (``recover_all``'s code) run for one
+    machine: constants ``p``, terminal voltage and stator current pairs."""
+    return _recover(stack_params([p]), as_complex(v_term), as_complex(i_s),
+                    omega0, [sigma])[0]
+
+
 def recover_machine(p, v_term, i_s, omega0, sigma, tol=RECOVERY_TOL):
     """Closed-form rotor angle, excitation current and inputs for one machine
     given its terminal voltage and injected stator current.
@@ -561,3 +580,75 @@ def _finalize_recovery(p, v_term, i_s, omega0, sigma, theta, i_f, case,
         nu=nu, sigma=int(sigma), case=case,
         excitation_residual=float(exc_res), alignment_residual=float(ali_res),
     )
+
+
+_POSITIVE_FIELDS = ("m", "d", "r_s", "r_f", "r_d", "r_q", "l_s", "l_f", "l_d",
+                    "l_q", "l_fd", "l_sf", "l_sd", "l_sq")
+
+
+def scalar_validate_params(p):
+    """One machine's first violation, or None: each sign domain in turn as a
+    scalar test, then one Cholesky of L0, which decides positive
+    definiteness at every angle; a failure reports L0's smallest eigenvalue."""
+    for name in _POSITIVE_FIELDS:
+        value = getattr(p, name)
+        if not np.isfinite(value) or value <= 0.0:
+            return ParamViolation("sign", f"{name} must be > 0, got {value!r}")
+    if not np.isfinite(p.l_sa) or p.l_sa < 0.0:
+        return ParamViolation("sign", f"l_sa must be >= 0, got {p.l_sa!r}")
+    L0 = p.rotor_frame_inductance()
+    try:
+        np.linalg.cholesky(L0)
+    except np.linalg.LinAlgError:
+        lam = float(np.linalg.eigvalsh(L0)[0])
+        return ParamViolation(
+            "positive_definite", "inductance matrix not positive definite at "
+            f"theta=0.000000 (smallest eigenvalue {lam:.3e})", theta=0.0,
+            eigenvalue=lam)
+    return None
+
+
+def reference_assemble(machines, machine_buses, topology, network, loads=None,
+                       bus_ids=None):
+    """Assembly that checks everything again on the reordered copies: each
+    machine on its own with :func:`scalar_validate_params`, the reordered
+    incidence and capacitances through the :class:`Topology` and
+    :class:`NetworkParams` constructors, and the pair incidence as
+    ``real_blocks`` of the dense incidence."""
+    problems = []
+    n_v, n_t = topology.n_v, topology.n_t
+    if len(machines) < 1:
+        problems.append("need at least one machine")
+    loads = [Load.none()] * n_v if loads is None else loads
+    bus_ids = list(range(n_v)) if bus_ids is None else bus_ids
+    for k, p in enumerate(machines):
+        violation = scalar_validate_params(p)
+        if violation is not None:
+            problems.append(f"machine {k + 1}: {violation.message}")
+    seen = set()
+    for k, b in enumerate(machine_buses):
+        if not (0 <= b < n_v):
+            problems.append(f"machine {k + 1} attached to nonexistent bus index {b}")
+        elif b in seen:
+            problems.append(f"more than one machine attached to bus index {b}")
+        seen.add(b)
+    if len(network.c) != n_v:
+        problems.append(f"expected {n_v} bus capacitances, got {len(network.c)}")
+    if len(network.l_T) != n_t:
+        problems.append(f"expected {n_t} line inductances, got {len(network.l_T)}")
+    if len(loads) != n_v:
+        problems.append(f"expected {n_v} loads, got {len(loads)}")
+    if problems:
+        raise ValidationError(
+            "system validation failed:\n  " + "\n  ".join(problems), problems)
+
+    order = list(machine_buses) + [b for b in range(n_v)
+                                   if b not in set(machine_buses)]
+    params = stack_params(machines)
+    sys_ = PowerSystem(
+        machines, params, params.rotor_frame_inductance(),
+        Topology(topology.incidence[order, :]),
+        NetworkParams(c=network.c[order], l_T=network.l_T, r_T=network.r_T),
+        [loads[b] for b in order], [bus_ids[b] for b in order], order)
+    sys_.incidence2 = real_blocks(sys_.topology.incidence)
+    return sys_

@@ -17,12 +17,11 @@ from gridstate.identities import random_valid_params, run_identity_suite
 from gridstate.simulate import (SimConfig, drift_metrics,
                                 reference_trajectory, rk4_step_fn, simulate)
 from gridstate.steady_state import (OperatingSpec, compute_steady_state,
-                                    recover_machine, solve_network,
-                                    verify_steady_state)
+                                    solve_network, verify_steady_state)
 from gridstate.system import tolerance_scale, total_energy, vector_field
 
 from conftest import AnisotropicLoad
-from oracles import excitation_demand, rot
+from oracles import excitation_demand, recover_one, rot
 
 OMEGA0 = 2 * np.pi * 50
 TEN_PERIODS = 0.2
@@ -137,7 +136,7 @@ def test_criterion_5_recovery_equation_residuals():
 
         roots = []
         for sigma in (1, -1):
-            rec = recover_machine(p, v, i_s, omega0, sigma)
+            rec = recover_one(p, v, i_s, omega0, sigma)
             nu = excitation_demand(p, v, i_s, omega0, rec.theta)
             lhs = omega0 * p.l_sf * rec.i_f
             worst_eq = max(

@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -10,7 +12,8 @@ import pytest
 import gridstate
 from gridstate.cli import main
 from gridstate.errors import LoadDomainError, SolverError
-from gridstate.fileio import load_system_file, write_trajectory_csv
+from gridstate.fileio import (load_result_file, load_system_file,
+                              write_trajectory_csv)
 from gridstate.simulate import SimConfig, simulate
 from gridstate.steady_state import compute_steady_state
 
@@ -236,6 +239,49 @@ def test_simulate_row_count_and_metrics(tmp_path, fixture_file, capsys):
                  "-o", str(traj)]) == 0
     lines = traj.read_text().strip().splitlines()
     assert len(lines) == int(0.002 / (1e-5 * 10)) + 2
+
+
+def test_simulate_refuses_a_start_that_is_not_a_steady_state(
+        tmp_path, fixture_file, capsys):
+    result = tmp_path / "result.json"
+    traj = tmp_path / "traj.csv"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    doc["machines"][0]["theta"] += 0.1
+    result.write_text(json.dumps(doc))
+    assert main(["simulate", fixture_file, "--from", str(result),
+                 "--dt", "1e-5", "--t-end", "0.001", "-o", str(traj)]) == 5
+    err = capsys.readouterr().err
+    assert "start point not certified: residual" in err
+    assert "state_deviation" not in err and not traj.exists()
+    # Bad step options are a usage error, reported before the certificate.
+    assert main(["simulate", fixture_file, "--from", str(result),
+                 "--dt", "-1e-5", "--t-end", "0.001"]) == 1
+    assert "not certified" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("perturb", [None, "1e-3"])
+def test_simulate_from_a_certified_start(tmp_path, fixture_file, perturb,
+                                         caplog):
+    # The start is certified before any perturbation; the run and its CSV
+    # are those of integrating from the (perturbed) loaded point.
+    result = tmp_path / "result.json"
+    traj = tmp_path / "traj.csv"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    extra = ["--perturb-v", perturb] if perturb else []
+    with caplog.at_level(logging.INFO, logger="gridstate"):
+        assert main(["simulate", fixture_file, "--from", str(result),
+                     "--dt", "1e-5", "--t-end", "0.0005", "-o", str(traj)]
+                    + extra) == 0
+    assert "start point margins: {'residual': " in caplog.text
+    sys_, _ = load_system_file(fixture_file)
+    x0, u, _ = load_result_file(result, sys_)
+    if perturb:
+        x0[sys_.layout.sl_v] *= 1.0 + float(perturb)
+    out = io.StringIO()
+    write_trajectory_csv(out, sys_, simulate(sys_, x0, u, SimConfig(
+        dt=1e-5, t_end=0.0005)))
+    assert traj.read_text() == out.getvalue()
 
 
 def test_verify_roundtrip_and_corruption(tmp_path, fixture_file):

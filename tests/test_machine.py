@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from gridstate.machine import (MachineParams, inductance_matrix, stack_params,
 from conftest import sample_machine
 from oracles import (MachineState, electrical_torque, grid_min_eigenvalue,
                      induced_voltage, induced_voltage_flow_derivative_defect,
-                     machine_rhs, rot, torque_flow_derivative_defect)
+                     machine_rhs, rot, scalar_validate_params,
+                     torque_flow_derivative_defect)
 
 
 def reference_inductance(p, theta):
@@ -204,6 +205,33 @@ def test_validate_params_flags_sign_violations():
     p = sample_machine()
     assert validate_params(replace(p, m=0.0)).kind == "sign"
     assert validate_params(replace(p, r_s=-1.0)).kind == "sign"
+    # The value reads as given: an int field is not shown as a float.
+    for bad in (replace(p, m=-1), replace(p, l_sa=-2)):
+        assert validate_params(bad) == scalar_validate_params(bad)
+    assert validate_params(replace(p, m=-1)).message == "m must be > 0, got -1"
+
+
+def test_stacked_validation_matches_one_machine_at_a_time():
+    # All machines in one pass, one batched Cholesky, and one machine on
+    # its own: the verdict and message of the scalar per-machine check.
+    rng = np.random.default_rng(23)
+    names = [f.name for f in fields(MachineParams)]
+    machines = []
+    for k in range(80):
+        p = random_valid_params(rng)
+        if k % 4 == 1:
+            p = replace(p, l_sf=p.l_sf * rng.uniform(1.0, 5.0))
+        elif k % 4 == 2:
+            p = replace(p, **{str(rng.choice(names)): float(
+                rng.choice([0.0, -1.0, np.nan, np.inf]))})
+        machines.append(p)
+    found = validate_params(stack_params(machines))
+    assert found == [scalar_validate_params(p) for p in machines]
+    assert [validate_params(p) for p in machines] == found
+    assert {v.kind for v in found if v is not None} == \
+        {"sign", "positive_definite"}
+    good = [p for p, v in zip(machines, found) if v is None]
+    assert validate_params(stack_params(good)) == [None] * len(good)
 
 
 def test_torque_constant_along_rotating_flow():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gridstate.errors import ValidationError
-from gridstate.frame import as_complex, block_rotation_generator, real_blocks
+from gridstate.frame import (as_complex, block_rotation_generator,
+                             incidence_blocks, real_blocks)
 from gridstate.loads import Load, LoadBank
 from gridstate.network import (NetworkParams, Topology, admittance,
                                line_admittance, solve_branch_currents)
@@ -111,6 +112,70 @@ def test_topology_components_match_scipy():
                                match=f"found {n_comp} components"):
                 Topology(E)
     assert connected == {True, False}
+
+
+@pytest.mark.parametrize("E, message", [
+    ([[1.0], [0.0]], "line 0 must have exactly one +1 and one -1 endpoint"),
+    ([[2.0], [-2.0]], "incidence entries must be in {-1, 0, 1}"),
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+     "network graph must be connected, found 2 components"),
+    ([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+     "line 1 must have exactly one +1 and one -1 endpoint"),
+    ([1.0, -1.0], "incidence matrix must be 2-D, got shape (2,)"),
+    (np.zeros((2, 0)), "incidence matrix must be 2-D, got shape (2, 0)"),
+    ([[np.nan], [-1.0]], "incidence entries must be in {-1, 0, 1}"),
+    ([[1.0], [-1.0], [0.0]],
+     "network graph must be connected, found 2 components"),
+    ([[1.0], [1.0]], "line 0 must have exactly one +1 and one -1 endpoint"),
+    ([[-1.0], [-1.0], [1.0]],
+     "line 0 must have exactly one +1 and one -1 endpoint"),
+], ids=["dangling", "entries", "disconnected", "first-bad-line", "1-D",
+        "no-lines", "nan", "isolated-bus", "two-heads", "three-ends"])
+def test_malformed_incidence_messages(E, message):
+    # The checks read the line endpoints; each malformed incidence still
+    # gets the message the dense checks gave it.
+    with pytest.raises(ValidationError) as err:
+        Topology(np.array(E))
+    assert str(err.value) == message
+
+
+def test_endpoints_match_dense_columns():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        n_v = int(rng.integers(2, 12))
+        top = random_tree(rng, n_v)
+        extra = np.zeros((n_v, int(rng.integers(0, 5))))
+        for t in range(extra.shape[1]):
+            a, b = rng.choice(n_v, size=2, replace=False)
+            extra[a, t], extra[b, t] = 1.0, -1.0
+        E = np.hstack((top.incidence, extra))
+        for top in (Topology(E), Topology(E).relabel(rng.permutation(n_v))):
+            E = top.incidence
+            np.testing.assert_array_equal(top.heads, np.argmax(E == 1, axis=0))
+            np.testing.assert_array_equal(top.tails,
+                                          np.argmax(E == -1, axis=0))
+            assert incidence_blocks(top.heads, top.tails, top.n_v).tobytes() \
+                == real_blocks(E).tobytes()
+
+
+def test_relabel_moves_buses_without_checking_again(monkeypatch):
+    E = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])
+    params = NetworkParams(c=np.array([1e-4, 2e-4, 3e-4]),
+                           l_T=np.array([1e-3, 2e-3]), r_T=np.array([0.1, 0.2]))
+    checked = Topology(E)
+
+    def no_check(self):
+        raise AssertionError("checked again")
+    monkeypatch.setattr(Topology, "__post_init__", no_check)
+    monkeypatch.setattr(NetworkParams, "__post_init__", no_check)
+    order = [2, 0, 1]
+    top = checked.relabel(order)
+    np.testing.assert_array_equal(top.incidence, E[order])
+    np.testing.assert_array_equal(top.heads, [1, 2])
+    np.testing.assert_array_equal(top.tails, [2, 0])
+    moved = params.relabel(order)
+    np.testing.assert_array_equal(moved.c, [3e-4, 1e-4, 2e-4])
+    assert moved.l_T is params.l_T and moved.r_T is params.r_T
 
 
 def test_network_params_validation():

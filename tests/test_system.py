@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gridstate.system
 from gridstate.errors import LoadDomainError, ValidationError
+from gridstate.fileio import load_system_file
 from gridstate.frame import as_complex, block_rotation_generator, \
     machine_rotation_generator
 from gridstate.identities import random_valid_params
@@ -18,8 +20,9 @@ from gridstate.system import (StateLayout, assemble, bus_indicator,
 
 from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
 from oracles import (central_invariance_defect, electrical_torque,
-                     induced_voltage, scalar_load_currents, single_machine_rhs,
-                     system_energy, system_field, system_residual)
+                     induced_voltage, reference_assemble, scalar_load_currents,
+                     single_machine_rhs, system_energy, system_field,
+                     system_residual)
 
 
 def tiny_system(load=None):
@@ -86,6 +89,104 @@ def test_assemble_reorders_buses():
     assert sys_.input_position == (1, 0)
     np.testing.assert_array_equal(sys_.network.c, [2e-3, 1e-3])
     np.testing.assert_array_equal(sys_.topology.incidence, [[-1.0], [1.0]])
+
+
+def assembly_inputs(sys_):
+    """The arguments of the assemble call that built ``sys_``, in the
+    user's bus order, read back through its input positions."""
+    back = np.argsort(sys_.input_position)
+    net = sys_.network
+    return (sys_.machines, list(sys_.input_position[:sys_.n_g]),
+            Topology(sys_.topology.incidence[back]),
+            NetworkParams(c=net.c[back], l_T=net.l_T, r_T=net.r_T),
+            [sys_.loads[k] for k in back], [sys_.bus_ids[k] for k in back])
+
+
+def machines_on_last_buses():
+    """A 10-bus ring whose three machines sit on its last buses, listed out
+    of bus order, with loads of every kind on the other buses."""
+    n = 10
+    E = np.zeros((n, n + 2))
+    for t in range(n):
+        E[t, t], E[(t + 1) % n, t] = 1.0, -1.0
+    E[0, n], E[5, n], E[8, n + 1], E[2, n + 1] = 1.0, -1.0, 1.0, -1.0
+    rng = np.random.default_rng(40)
+    net = NetworkParams(c=rng.uniform(2e-4, 2e-3, n),
+                        l_T=rng.uniform(2.5e-3, 3.5e-3, n + 2),
+                        r_T=rng.uniform(0.3, 0.5, n + 2))
+    loads = [Load.impedance(0.05, 0.01), Load.constant_current(0.4, 0.1),
+             Load.constant_power(4.0, 1.0), Load.none()] * 2 + [Load.none()] * 2
+    machines = [sample_machine(True), sample_machine(False), sample_machine()]
+    return assemble(machines, [9, 7, 8], Topology(E), net, loads=loads,
+                    bus_ids=[f"b{k}" for k in range(n)])
+
+
+@pytest.mark.parametrize("case", ["fixture", "last-buses"] + [
+    f"ring{n}-{kind}" for n in (8, 16, 32, 64)
+    for kind in ("impedance", "current", "power", "mixed")])
+def test_assemble_matches_revalidating_reference(three_bus, case):
+    # Relabelling the checked topology and network, and the stacked
+    # machine check, give the arrays of checking everything again.
+    if case == "fixture":
+        sys_ = three_bus[0]
+    elif case == "last-buses":
+        sys_ = machines_on_last_buses()
+    else:
+        n, kind = case[4:].split("-")
+        kinds = ("impedance", "current", "power") if kind == "mixed" \
+            else (kind,)
+        sys_ = ring_mesh(int(n), kinds, seed=int(n))[0]
+    args = assembly_inputs(sys_)
+    new, ref = assemble(*args[:4], *args[4:]), reference_assemble(*args)
+    for name in ("incidence2", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
+                 "_residual_op", "_inv_m", "_d_m"):
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert new.topology.incidence.tobytes() == ref.topology.incidence.tobytes()
+    for name in ("y", "k", "v_min"):
+        assert getattr(new.load_bank, name).tobytes() == \
+            getattr(ref.load_bank, name).tobytes(), name
+    assert new.load_bank.constant == ref.load_bank.constant
+    assert new.load_bank._named == ref.load_bank._named
+    assert new.bus_ids == ref.bus_ids == sys_.bus_ids
+    assert new.input_position == ref.input_position == sys_.input_position
+    assert all(type(k) is int for k in new.input_position)
+
+
+def test_assemble_reports_every_bad_machine():
+    # A sign violation (which masks the same machine's indefinite L0),
+    # a negative saliency, an indefinite L0 and a machine on a missing bus:
+    # every problem, in machine order, with the messages the one-machine
+    # checks give.
+    _, _, top, net, _, _ = assembly_inputs(machines_on_last_buses())
+    good = sample_machine()
+    machines = [replace(good, r_f=-0.06, l_sa=good.l_s),
+                replace(good, l_sa=-1e-4), good, replace(good, l_sa=good.l_s),
+                sample_machine(False)]
+    expected = [
+        "machine 1: r_f must be > 0, got -0.06",
+        "machine 2: l_sa must be >= 0, got -0.0001",
+        "machine 4: inductance matrix not positive definite at "
+        "theta=0.000000 (smallest eigenvalue -3.863e-04)",
+        "machine 5 attached to nonexistent bus index 12",
+    ]
+    for build in (assemble, reference_assemble):
+        with pytest.raises(ValidationError) as err:
+            build(machines, [5, 1, 2, 3, 12], top, net)
+        assert err.value.problems == expected
+
+
+def test_parse_validates_machines_once(fixture_path, monkeypatch):
+    # The benchmark's machine.validate_params span wraps this module
+    # global: one call per parsed system, for all its machines.
+    calls = []
+    original = gridstate.system.validate_params
+
+    def counted(p, L0=None):
+        calls.append(np.shape(p.l_s))
+        return original(p, L0)
+    monkeypatch.setattr(gridstate.system, "validate_params", counted)
+    sys_, _ = load_system_file(fixture_path)
+    assert calls == [(sys_.n_g,)]
 
 
 @settings(max_examples=50)
