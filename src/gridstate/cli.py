@@ -12,6 +12,7 @@ validation, 4 solver failure, 5 certification failure.
 import argparse
 import contextlib
 import logging
+import math
 import os
 import sys as _sys
 
@@ -132,6 +133,8 @@ def cmd_simulate(args):
                         record_every=args.record_every)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    if not math.isfinite(args.perturb_v):
+        raise UsageError(f"--perturb-v must be finite, got {args.perturb_v!r}")
     report = verify_steady_state(system, FullSteadyState(x0, u, omega0))
     log.info("start point margins: %s", report.margins)
     if not report.certificate:
@@ -152,6 +155,8 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     system, spec = load_system_file(args.file)
     ss = compute_steady_state(system, spec)
     traj = read_trajectory_csv(args.traj, system, inputs=ss.u)

@@ -15,7 +15,7 @@ from .errors import SchemaError, ValidationError
 from .frame import wrap_angle
 from .loads import Load
 from .machine import MachineParams
-from .network import NetworkParams, Topology
+from .network import Network
 from .simulate import Trajectory
 from .steady_state import NewtonOptions, OperatingSpec
 from .system import assemble
@@ -57,7 +57,7 @@ def _bus_id(doc, where):
     bid = doc.get("id")
     if bid is None:
         raise SchemaError(f"{where}: missing required key 'id'")
-    if isinstance(bid, (list, dict)):
+    if isinstance(bid, (list, dict, bool)):
         raise SchemaError(f"{where}: key 'id' must be a string or number")
     return bid
 
@@ -73,7 +73,7 @@ def _objects(doc, key, where):
 
 
 def _bus_index(index_of, bid, where):
-    if isinstance(bid, (list, dict)) or bid not in index_of:
+    if isinstance(bid, (list, dict, bool)) or bid not in index_of:
         raise SchemaError(f"{where}: unknown bus id {bid!r}")
     return index_of[bid]
 
@@ -111,15 +111,13 @@ def system_from_dict(doc):
                      if "load" in bus else Load.none())
     bus_ids = list(index_of)
 
-    incidence = np.zeros((len(bus_ids), len(lines)))
-    r_T, l_T = [], []
+    heads, tails, r_T, l_T = [], [], [], []
     for n, line in enumerate(lines):
         where = f"lines[{n}]"
-        a = _bus_index(index_of, line.get("from"), where)
-        b = _bus_index(index_of, line.get("to"), where)
-        if a == b:
+        heads.append(_bus_index(index_of, line.get("from"), where))
+        tails.append(_bus_index(index_of, line.get("to"), where))
+        if heads[-1] == tails[-1]:
             raise SchemaError(f"{where}: line endpoints must differ")
-        incidence[a, n], incidence[b, n] = 1.0, -1.0
         r_T.append(_require(line, "resistance", float, where))
         l_T.append(_require(line, "inductance", float, where))
 
@@ -130,10 +128,11 @@ def system_from_dict(doc):
         vals = [_require(m, key, float, where) for key in MACHINE_KEYS]
         machines.append(MachineParams(*vals))
 
-    network = NetworkParams(c=np.array(caps), l_T=np.array(l_T),
-                            r_T=np.array(r_T))
-    sys_ = assemble(machines, machine_buses, Topology(incidence), network,
-                    loads=loads, bus_ids=bus_ids)
+    network = Network(heads=np.array(heads, dtype=int),
+                      tails=np.array(tails, dtype=int), c=np.array(caps),
+                      r_T=np.array(r_T), l_T=np.array(l_T))
+    sys_ = assemble(machines, machine_buses, network, loads=loads,
+                    bus_ids=bus_ids)
 
     gen_volts = _objects(op, "generator_voltages", "operating_point")
     mag, ang = np.empty((2, len(machines)))
@@ -227,7 +226,7 @@ def result_document(sys, ss, report):
             "id": sys.bus_ids[k],
             "v": [float(v[2 * k]), float(v[2 * k + 1])],
         }
-    ends = zip(sys.topology.heads.tolist(), sys.topology.tails.tolist())
+    ends = zip(sys.network.heads.tolist(), sys.network.tails.tolist())
     line_rows = [{"from": sys.bus_ids[frm], "to": sys.bus_ids[to],
                   "i_T": [float(i_T[2 * t]), float(i_T[2 * t + 1])]}
                  for t, (frm, to) in enumerate(ends)]

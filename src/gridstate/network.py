@@ -1,8 +1,10 @@
-"""Transmission network: topology, parameters, admittance.
+"""Transmission network: the edge list, its parameters, admittance.
 
 The network is a connected graph of AC voltage buses (shunt capacitance at
-every bus) joined by series R-L lines. States are the bus voltage pairs and
-line current pairs in the stationary frame.
+every bus) joined by series R-L lines, each given by its two endpoints.
+States are the bus voltage pairs and line current pairs in the stationary
+frame. The oriented incidence E (+1 at each line's head, -1 at its tail)
+is never built: products with it are gathers and scatters of endpoints.
 
 At a steady state every pair rotates at omega0, so the network equations
 are complex phasor equations on the pairs read as alpha + j beta (see
@@ -21,55 +23,69 @@ from .frame import as_complex
 
 
 @dataclass(frozen=True)
-class Topology:
-    """Oriented incidence matrix of the bus/line graph.
+class Network:
+    """Bus/line graph and parameters, checked once at construction.
 
-    Entry (k, t) is +1 if line t leaves bus k, -1 if it enters. Each line
-    joins exactly two distinct buses and the graph must be connected. The
-    checks run on ``heads`` and ``tails``, each line's +1 and -1 bus.
+    Line t joins bus ``heads[t]`` to bus ``tails[t]``, two distinct indices
+    into the n_v = len(c) buses, and the graph must be connected; parallel
+    lines are allowed. ``c`` holds the bus capacitances, ``r_T`` and ``l_T``
+    the line resistances and inductances, all positive and finite.
     """
 
-    incidence: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+    c: np.ndarray
+    r_T: np.ndarray
+    l_T: np.ndarray
 
     def __post_init__(self):
-        E = np.asarray(self.incidence)
-        if E.ndim != 2 or E.shape[0] < 1 or E.shape[1] < 1:
-            raise ValidationError(f"incidence matrix must be 2-D, got shape {E.shape}")
-        buses, lines = np.nonzero(E)
-        head, tail = E[buses, lines] == 1, E[buses, lines] == -1
-        if not np.all(head | tail):
-            raise ValidationError("incidence entries must be in {-1, 0, 1}")
-        n_v, n_t = E.shape
-        bad = np.flatnonzero((np.bincount(lines[head], minlength=n_t) != 1)
-                             | (np.bincount(lines[tail], minlength=n_t) != 1))
-        if bad.size:
-            raise ValidationError(
-                f"line {bad[0]} must have exactly one +1 and one -1 endpoint"
-            )
-        heads, tails = np.empty((2, n_t), dtype=int)
-        heads[lines[head]], tails[lines[tail]] = buses[head], buses[tail]
+        arrays = {name: np.asarray(getattr(self, name), dtype=float)
+                  for name in ("c", "l_T", "r_T")}
+        for name, arr in arrays.items():
+            if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+                raise ValidationError(f"network parameter {name} must be positive")
+        ends = {name: np.asarray(getattr(self, name)) for name in ("heads", "tails")}
+        n_v, n_t = len(arrays["c"]), ends["heads"].size
+        if n_t == 0:
+            raise ValidationError("network must have at least one line")
+        for name, arr in (*ends.items(), *arrays.items()):
+            if name != "c" and arr.shape != (n_t,):
+                raise ValidationError(f"{name} must have one entry per line "
+                                      f"({n_t}), got shape {arr.shape}")
+        for name, arr in ends.items():
+            if arr.dtype.kind not in "iu":
+                raise ValidationError(f"{name} must hold integer bus indices")
+            bad = np.flatnonzero((arr < 0) | (arr >= n_v))
+            if bad.size:
+                raise ValidationError(f"line {bad[0]} endpoint {arr[bad[0]]} "
+                                      f"is not a bus index in [0, {n_v})")
+            arrays[name] = arr.astype(np.intp)
+        heads, tails = arrays["heads"], arrays["tails"]
+        loops = np.flatnonzero(heads == tails)
+        if loops.size:
+            raise ValidationError(f"line {loops[0]} joins bus "
+                                  f"{heads[loops[0]]} to itself")
         n_comp = _count_components(n_v, heads, tails)
         if n_comp != 1:
             raise ValidationError(
                 f"network graph must be connected, found {n_comp} components"
             )
-        self.__dict__.update(incidence=np.array(E, dtype=float), heads=heads,
-                             tails=tails)
+        self.__dict__.update(arrays)
 
     @property
     def n_v(self):
-        return self.incidence.shape[0]
+        return len(self.c)
 
     @property
     def n_t(self):
-        return self.incidence.shape[1]
+        return len(self.heads)
 
     def relabel(self, order):
-        """This topology with its bus ``order[k]`` renumbered k, unchecked:
+        """This network with its bus ``order[k]`` renumbered k, unchecked:
         renumbering keeps every property checked above."""
         label, new = np.argsort(order), copy.copy(self)
-        vars(new).update(incidence=self.incidence[order],
-                         heads=label[self.heads], tails=label[self.tails])
+        vars(new).update(heads=label[self.heads], tails=label[self.tails],
+                         c=self.c[order])
         return new
 
 
@@ -89,47 +105,31 @@ def _count_components(n, heads, tails):
     return sum(find(a) == a for a in range(n))
 
 
-@dataclass(frozen=True)
-class NetworkParams:
-    """Per-bus capacitances and per-line inductances/resistances (all > 0)."""
-
-    c: np.ndarray
-    l_T: np.ndarray
-    r_T: np.ndarray
-
-    def __post_init__(self):
-        for name in ("c", "l_T", "r_T"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ValidationError(f"network parameter {name} must be positive")
-            object.__setattr__(self, name, arr)
-        if self.l_T.shape != self.r_T.shape:
-            raise ValidationError("l_T and r_T must have one entry per line")
-
-    def relabel(self, order):
-        """Bus ``order[k]``'s capacitance moved to bus k, unchecked."""
-        new = copy.copy(self)
-        vars(new)["c"] = self.c[order]
-        return new
-
-
-def solve_branch_currents(params, omega0, w):
+def solve_branch_currents(network, omega0, w):
     """Line current pairs i_T with (r + j omega0 l) i_T = w on every line,
     for the stacked voltage-drop pairs ``w``."""
-    z = params.r_T + 1j * omega0 * params.l_T
+    z = network.r_T + 1j * omega0 * network.l_T
     return (as_complex(w) / z).view(float)
 
 
-def line_admittance(params, topology, omega0):
+def line_admittance(network, omega0):
     """Complex Laplacian E diag(1 / (r + j omega0 l)) E^T of the lines, the
-    part of the nodal admittance that does not depend on the voltages."""
-    E = topology.incidence
-    y = 1.0 / (params.r_T + 1j * omega0 * params.l_T)
-    # Two real products: a complex one would cast E.T and run a complex GEMM.
-    return (E * y.real) @ E.T + 1j * ((E * y.imag) @ E.T)
+    part of the nodal admittance that does not depend on the voltages.
+
+    A line with admittance y = 1 / z, head h and tail t adds y at (h, h)
+    and (t, t) and -y at (h, t) and (t, h). One weighted ``bincount`` of
+    these entries' (real, imaginary) pairs sums them in line order, so
+    parallel lines add up."""
+    h, t, n = network.heads, network.tails, network.n_v
+    y = 1.0 / (network.r_T + 1j * omega0 * network.l_T)
+    # Flat positions h n + h, t n + t, h n + t and t n + h of each line.
+    flat = np.stack((h, t), axis=1) @ [[n + 1, 0, n, 1], [0, n + 1, 1, n]]
+    pairs = (y[:, None] * [1.0, 1.0, -1.0, -1.0]).view(float).ravel()
+    sums = np.bincount((2 * flat[..., None] + [0, 1]).ravel(), pairs, 2 * n * n)
+    return sums.view(complex).reshape(n, n)
 
 
-def admittance(params, y_load, omega0, lines, out=None):
+def admittance(network, y_load, omega0, lines, out=None):
     """Complex nodal admittance matrix (n_v x n_v): ``lines``, the
     :func:`line_admittance` of the same network and frequency, plus the bus
     shunts on the diagonal. A bus's shunt is the capacitive susceptance
@@ -141,6 +141,6 @@ def admittance(params, y_load, omega0, lines, out=None):
     view.
     """
     Y = lines.copy() if out is None else out
-    np.add(lines.diagonal(), 1j * omega0 * params.c + y_load,
+    np.add(lines.diagonal(), 1j * omega0 * network.c + y_load,
            out=Y.reshape(-1)[::len(Y) + 1])
     return Y

@@ -21,10 +21,10 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least one step")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not self.dt <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and at least one step")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

@@ -82,7 +82,6 @@ class NetworkSolution:
     i_s: np.ndarray
     v: np.ndarray
     i_T: np.ndarray
-    residual_norm: float
     iterations: int
     residual_history: list
 
@@ -256,7 +255,7 @@ def solve_network(sys, spec):
 
     vc = as_complex(v)  # a view: the Newton updates of v show through
     v_l = v[2 * n_g:].reshape(-1, 2)
-    lines = line_admittance(sys.network, sys.topology, omega0)
+    lines = line_admittance(sys.network, omega0)
     # The workspace: Y and the Jacobian off their diagonals, and the flat
     # positions of the Jacobian's diagonal 2x2 blocks.
     Y = lines.copy()
@@ -302,9 +301,10 @@ def solve_network(sys, spec):
         )
 
     i_s = -balance[:2 * n_g]
-    i_T = solve_branch_currents(sys.network, omega0, sys.incidence2.T @ v)
-    return NetworkSolution(i_s=i_s, v=v, i_T=i_T, residual_norm=history[-1],
-                           iterations=iterations, residual_history=history)
+    drops = vc[sys.network.heads] - vc[sys.network.tails]
+    i_T = solve_branch_currents(sys.network, omega0, drops.view(float))
+    return NetworkSolution(i_s=i_s, v=v, i_T=i_T, iterations=iterations,
+                           residual_history=history)
 
 
 def recover_all(sys, spec, net):

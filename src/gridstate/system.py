@@ -86,22 +86,21 @@ class PowerSystem:
     precomputes the arrays used by the hot evaluation paths.
     """
 
-    def __init__(self, machines, params, L0, topology, network, loads,
-                 bus_ids, input_position):
+    def __init__(self, machines, params, L0, network, loads, bus_ids,
+                 input_position):
         self.machines = tuple(machines)
-        self.topology = topology
         self.network = network
         self.bus_ids = tuple(bus_ids)
         # input_position[k] = position of solve-order bus k in the user's input
         self.input_position = tuple(input_position)
         self.n_g = len(self.machines)
-        self.n_v, self.n_t = topology.n_v, topology.n_t
+        self.n_v, self.n_t = network.n_v, network.n_t
         self.n_l = self.n_v - self.n_g
         self.layout = StateLayout(self.n_g, self.n_v, self.n_t)
         self.n_x = self.layout.n_x
 
         # E kron I_2, the incidence acting on stacked pairs.
-        self.incidence2 = incidence_blocks(topology.heads, topology.tails,
+        self.incidence2 = incidence_blocks(network.heads, network.tails,
                                            self.n_v)
         self._c2 = np.repeat(network.c, 2)
         self._r_T2 = np.repeat(network.r_T, 2)
@@ -217,16 +216,16 @@ def _bus_currents(sys, i, v, i_T):
     return out
 
 
-def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=None):
+def assemble(machines, machine_buses, network, loads=None, bus_ids=None):
     """Validate components, reorder buses so machines come first, and build
     the :class:`PowerSystem`.
 
     ``machine_buses`` gives, per machine, the index of its bus in the input
-    ordering of ``topology``/``network``/``loads``. All validation problems
-    are aggregated into a single report.
+    ordering of the checked :class:`~gridstate.network.Network` and
+    ``loads``. All validation problems are aggregated into a single report.
     """
     problems = []
-    n_v, n_t = topology.n_v, topology.n_t
+    n_v = network.n_v
     if len(machines) < 1:
         problems.append("need at least one machine")
     loads = [Load.none()] * n_v if loads is None else loads
@@ -246,10 +245,6 @@ def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=Non
             problems.append(f"more than one machine attached to bus index {b}")
         seen.add(b)
 
-    if len(network.c) != n_v:
-        problems.append(f"expected {n_v} bus capacitances, got {len(network.c)}")
-    if len(network.l_T) != n_t:
-        problems.append(f"expected {n_t} line inductances, got {len(network.l_T)}")
     if len(loads) != n_v:
         problems.append(f"expected {n_v} loads, got {len(loads)}")
 
@@ -258,11 +253,11 @@ def assemble(machines, machine_buses, topology, network, loads=None, bus_ids=Non
                               + "\n  ".join(problems), problems)
 
     # Machine buses (``seen``) first, in machine order, then the rest in
-    # input order; the checked topology and network are only relabelled.
+    # input order; the checked network is only relabelled.
     order = list(machine_buses) + [b for b in range(n_v) if b not in seen]
-    return PowerSystem(machines, params, L0, topology.relabel(order),
-                       network.relabel(order), [loads[b] for b in order],
-                       [bus_ids[b] for b in order], order)
+    return PowerSystem(machines, params, L0, network.relabel(order),
+                       [loads[b] for b in order], [bus_ids[b] for b in order],
+                       order)
 
 
 def vector_field(sys, x, u):

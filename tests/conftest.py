@@ -6,7 +6,7 @@ import pytest
 from gridstate.fileio import load_system_file
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
-from gridstate.network import NetworkParams, Topology
+from gridstate.network import Network
 from gridstate.steady_state import OperatingSpec, compute_steady_state
 from gridstate.system import assemble
 
@@ -50,11 +50,10 @@ def slow_two_bus(omega0=5.0, g=0.2, b=0.0):
     The low frequency keeps finite-difference truncation far below the
     thresholds the probes are tested against.
     """
-    top = Topology(np.array([[1.0], [-1.0]]))
-    net = NetworkParams(c=np.array([1e-3, 1e-3]), l_T=np.array([1e-2]),
-                        r_T=np.array([0.5]))
+    net = Network(heads=[0], tails=[1], c=np.array([1e-3, 1e-3]),
+                  r_T=np.array([0.5]), l_T=np.array([1e-2]))
     loads = [Load.none(), Load.impedance(g, b)]
-    sys_ = assemble([sample_machine(salient=True)], [0], top, net,
+    sys_ = assemble([sample_machine(salient=True)], [0], net,
                     loads=loads, bus_ids=["gen", "load"])
     spec = OperatingSpec(omega0=omega0, gen_voltage_mag=np.array([10.0]),
                          gen_voltage_angle=np.array([0.0]),
@@ -71,15 +70,13 @@ def ring_mesh(n_bus, kinds, seed=0, level=10.0):
     """
     rng = np.random.default_rng(seed)
     n_t = n_bus + n_bus // 4
-    E = np.zeros((n_bus, n_t))
-    for t in range(n_bus):
-        E[t, t], E[(t + 1) % n_bus, t] = 1.0, -1.0
-    for t in range(n_bus, n_t):
-        a, b = rng.choice(n_bus, size=2, replace=False)
-        E[a, t], E[b, t] = 1.0, -1.0
-    net = NetworkParams(c=rng.uniform(2e-4, 2e-3, n_bus),
-                        l_T=rng.uniform(2.5e-3, 3.5e-3, n_t),
-                        r_T=rng.uniform(0.3, 0.5, n_t))
+    ends = [(t, (t + 1) % n_bus) for t in range(n_bus)]
+    ends += [rng.choice(n_bus, size=2, replace=False)
+             for _ in range(n_bus, n_t)]
+    heads, tails = np.array(ends).T
+    c, l_T, r_T = (rng.uniform(2e-4, 2e-3, n_bus),
+                   rng.uniform(2.5e-3, 3.5e-3, n_t), rng.uniform(0.3, 0.5, n_t))
+    net = Network(heads=heads, tails=tails, c=c, r_T=r_T, l_T=l_T)
     make = {"impedance": Load.impedance,
             "current": lambda g, b: Load.constant_current(g * level,
                                                           b * level),
@@ -93,7 +90,7 @@ def ring_mesh(n_bus, kinds, seed=0, level=10.0):
                                                rng.uniform(1e-2, 3e-2))
     n_g = len(gen_buses)
     machines = [sample_machine(salient=k % 2 == 0) for k in range(n_g)]
-    sys_ = assemble(machines, gen_buses, Topology(E), net, loads=loads)
+    sys_ = assemble(machines, gen_buses, net, loads=loads)
     spec = OperatingSpec(omega0=314.0,
                          gen_voltage_mag=level * rng.uniform(0.98, 1.02, n_g),
                          gen_voltage_angle=np.radians(rng.uniform(-2, 2, n_g)),

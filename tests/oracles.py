@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 These are the straightforward per-bus and per-sample forms: the network
-dynamics and Kirchhoff residuals written out with dense matrices, the
+dynamics, Kirchhoff residuals and line admittance written out with dense
+matrices on an incidence built one line at a time from the endpoints, the
 load currents one bus at a time, the equivariance probe one rotation
 at a time, the invariance defect as a central difference of the residual,
 one machine at a time through its full inductance matrix L(theta) with a
@@ -29,8 +30,8 @@ from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
                              rotate_pairs)
 from gridstate.loads import Load
 from gridstate.machine import ParamViolation, inductance_matrix, stack_params
-from gridstate.network import (NetworkParams, Topology, admittance,
-                               line_admittance, solve_branch_currents)
+from gridstate.network import (Network, admittance, line_admittance,
+                               solve_branch_currents)
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery, NetworkSolution,
@@ -65,35 +66,53 @@ class NetworkState:
     i_T: np.ndarray  # 2*n_t line currents, stacked pairs
 
 
-def network_rhs(params, topology, state, i_in):
+def dense_incidence(network):
+    """The n_v x n_t oriented incidence E of a network's edge list: +1 at
+    each line's head, -1 at its tail, one line at a time."""
+    E = np.zeros((network.n_v, network.n_t))
+    for t, (a, b) in enumerate(zip(network.heads, network.tails)):
+        E[a, t] += 1.0
+        E[b, t] -= 1.0
+    return E
+
+
+def dense_line_admittance(network, omega0):
+    """The complex line Laplacian E diag(1 / (r + j omega0 l)) E^T as one
+    dense complex product."""
+    E = dense_incidence(network)
+    return E @ np.diag(1.0 / (network.r_T + 1j * omega0 * network.l_T)) @ E.T
+
+
+def network_rhs(network, state, i_in):
     """(dv/dt, di_T/dt) of the bus-capacitor and line dynamics.
 
     ``i_in`` is the total current flowing out of each bus into machines and
     loads, stacked pairs of length 2*n_v.
     """
-    E2 = np.kron(topology.incidence, np.eye(2))
+    E2 = np.kron(dense_incidence(network), np.eye(2))
     v = np.asarray(state.v, dtype=float)
     i_T = np.asarray(state.i_T, dtype=float)
     i_in = np.asarray(i_in, dtype=float)
-    if v.shape != (2 * topology.n_v,) or i_T.shape != (2 * topology.n_t,) \
-            or i_in.shape != (2 * topology.n_v,):
+    if v.shape != (2 * network.n_v,) or i_T.shape != (2 * network.n_t,) \
+            or i_in.shape != (2 * network.n_v,):
         raise ValueError(
             f"dimension mismatch: v{v.shape}, i_T{i_T.shape}, i_in{i_in.shape} "
-            f"for {topology.n_v} buses / {topology.n_t} lines"
+            f"for {network.n_v} buses / {network.n_t} lines"
         )
-    dv = (-E2 @ i_T - i_in) / np.repeat(params.c, 2)
-    di_T = (-np.repeat(params.r_T, 2) * i_T + E2.T @ v) / np.repeat(params.l_T, 2)
+    dv = (-E2 @ i_T - i_in) / np.repeat(network.c, 2)
+    di_T = (-np.repeat(network.r_T, 2) * i_T + E2.T @ v) \
+        / np.repeat(network.l_T, 2)
     return dv, di_T
 
 
-def branch_impedance(params, omega0):
+def branch_impedance(network, omega0):
     """Block-diagonal series impedance of all lines at frequency omega0.
 
     Each 2x2 block is r I + omega0 l J; its determinant r^2 + omega0^2 l^2
     is positive, so the matrix is invertible for every real omega0.
     """
-    return np.kron(np.diag(params.r_T), np.eye(2)) \
-        + omega0 * np.kron(np.diag(params.l_T), ROT90)
+    return np.kron(np.diag(network.r_T), np.eye(2)) \
+        + omega0 * np.kron(np.diag(network.l_T), ROT90)
 
 
 def scalar_load_current(load, v):
@@ -134,40 +153,40 @@ def scalar_load_currents(loads, v, bus_ids=None):
     return i_l
 
 
-def network_residual(params, topology, loads, i_s, v, i_T, omega0):
+def network_residual(network, loads, i_s, v, i_T, omega0):
     """Stacked Kirchhoff residual of the rotating network equations.
 
     First 2*n_v rows: current balance at each bus (shunt + injections +
     line flows); last 2*n_t rows: voltage balance over each line. Zero
     exactly on network steady states at frequency omega0.
     """
-    n_v = topology.n_v
+    n_v = network.n_v
     i_s = np.asarray(i_s, dtype=float)
     if i_s.ndim != 1 or len(i_s) > 2 * n_v or len(i_s) % 2 != 0:
         raise ValueError(f"stator current vector has bad shape {i_s.shape}")
-    E2 = np.kron(topology.incidence, np.eye(2))
+    E2 = np.kron(dense_incidence(network), np.eye(2))
     inj = np.zeros(2 * n_v)
     inj[:len(i_s)] = i_s
     top = scalar_load_currents(loads, v) \
-        + omega0 * np.repeat(params.c, 2) * rotate_pairs(v) + inj + E2 @ i_T
-    bottom = np.repeat(params.r_T, 2) * i_T \
-        + omega0 * np.repeat(params.l_T, 2) * rotate_pairs(i_T) - E2.T @ v
+        + omega0 * np.repeat(network.c, 2) * rotate_pairs(v) + inj + E2 @ i_T
+    bottom = np.repeat(network.r_T, 2) * i_T \
+        + omega0 * np.repeat(network.l_T, 2) * rotate_pairs(i_T) - E2.T @ v
     return np.concatenate([top, bottom])
 
 
-def nodal_balance_residual(params, topology, loads, i_s, v, omega0):
+def nodal_balance_residual(network, loads, i_s, v, omega0):
     """Residual of the nodal current balance after eliminating line currents
     through the branch impedances Z: the bus rows of
     :func:`network_residual` at i_T = Z^-1 E2^T v, with E2 = E kron I_2,
     written out with dense real matrices."""
-    n_v = topology.n_v
-    E2 = np.kron(topology.incidence, np.eye(2))
+    n_v = network.n_v
+    E2 = np.kron(dense_incidence(network), np.eye(2))
     v = np.asarray(v, dtype=float)
     i_s = np.asarray(i_s, dtype=float)
     inj = np.zeros(2 * n_v)
     inj[:len(i_s)] = i_s
-    i_T = np.linalg.solve(branch_impedance(params, omega0), E2.T @ v)
-    shunts = omega0 * np.kron(np.diag(params.c), ROT90)
+    i_T = np.linalg.solve(branch_impedance(network, omega0), E2.T @ v)
+    shunts = omega0 * np.kron(np.diag(network.c), ROT90)
     return scalar_load_currents(loads, v) + shunts @ v + inj + E2 @ i_T
 
 
@@ -206,7 +225,7 @@ def reference_solve_network(sys, spec):
     v[:2 * n_g] = spec.gen_voltages()
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
     vc = as_complex(v)
-    lines = line_admittance(sys.network, sys.topology, omega0)
+    lines = line_admittance(sys.network, omega0)
     history = []
     for iterations in range(1, opts.max_iter + 1):
         Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
@@ -222,8 +241,7 @@ def reference_solve_network(sys, spec):
         raise SolverError(f"no convergence in {opts.max_iter} iterations")
     i_T = solve_branch_currents(sys.network, omega0, sys.incidence2.T @ v)
     return NetworkSolution(i_s=-balance[:2 * n_g], v=v, i_T=i_T,
-                           residual_norm=history[-1], iterations=iterations,
-                           residual_history=history)
+                           iterations=iterations, residual_history=history)
 
 
 def looped_equivariance_defect(load, v, n_samples=360):
@@ -358,8 +376,7 @@ def system_field(sys, x, u):
     rows = np.array([single_machine_rhs(sys, k, x, u) for k in range(sys.n_g)])
     i_in = scalar_load_currents(sys.loads, v)
     i_in[:2 * sys.n_g] += i_flat.reshape(sys.n_g, 5)[:, :2].ravel()
-    dv, di_T = network_rhs(sys.network, sys.topology, NetworkState(v, i_T),
-                           i_in)
+    dv, di_T = network_rhs(sys.network, NetworkState(v, i_T), i_in)
     return lay.pack(rows[:, 0], rows[:, 1], rows[:, 2:], dv, di_T)
 
 
@@ -371,8 +388,7 @@ def system_residual(sys, x, u, omega0):
     rows = np.array([machine_residual(*machine_inputs(sys, k, x, u), omega0)
                      for k in range(sys.n_g)])
     i_s = i_flat.reshape(sys.n_g, 5)[:, :2].ravel()
-    net = network_residual(sys.network, sys.topology, sys.loads, i_s, v, i_T,
-                           omega0)
+    net = network_residual(sys.network, sys.loads, i_s, v, i_T, omega0)
     return lay.pack(rows[:, 0], rows[:, 1], rows[:, 2:], net[:2 * sys.n_v],
                     net[2 * sys.n_v:])
 
@@ -608,15 +624,15 @@ def scalar_validate_params(p):
     return None
 
 
-def reference_assemble(machines, machine_buses, topology, network, loads=None,
+def reference_assemble(machines, machine_buses, network, loads=None,
                        bus_ids=None):
     """Assembly that checks everything again on the reordered copies: each
-    machine on its own with :func:`scalar_validate_params`, the reordered
-    incidence and capacitances through the :class:`Topology` and
-    :class:`NetworkParams` constructors, and the pair incidence as
-    ``real_blocks`` of the dense incidence."""
+    machine on its own with :func:`scalar_validate_params`, the renumbered
+    endpoints and reordered capacitances through the :class:`Network`
+    constructor, and the pair incidence as ``real_blocks`` of the
+    :func:`dense_incidence`."""
     problems = []
-    n_v, n_t = topology.n_v, topology.n_t
+    n_v = network.n_v
     if len(machines) < 1:
         problems.append("need at least one machine")
     loads = [Load.none()] * n_v if loads is None else loads
@@ -632,10 +648,6 @@ def reference_assemble(machines, machine_buses, topology, network, loads=None,
         elif b in seen:
             problems.append(f"more than one machine attached to bus index {b}")
         seen.add(b)
-    if len(network.c) != n_v:
-        problems.append(f"expected {n_v} bus capacitances, got {len(network.c)}")
-    if len(network.l_T) != n_t:
-        problems.append(f"expected {n_t} line inductances, got {len(network.l_T)}")
     if len(loads) != n_v:
         problems.append(f"expected {n_v} loads, got {len(loads)}")
     if problems:
@@ -645,10 +657,12 @@ def reference_assemble(machines, machine_buses, topology, network, loads=None,
     order = list(machine_buses) + [b for b in range(n_v)
                                    if b not in set(machine_buses)]
     params = stack_params(machines)
+    label = [order.index(b) for b in range(n_v)]
     sys_ = PowerSystem(
         machines, params, params.rotor_frame_inductance(),
-        Topology(topology.incidence[order, :]),
-        NetworkParams(c=network.c[order], l_T=network.l_T, r_T=network.r_T),
+        Network(heads=np.array([label[b] for b in network.heads]),
+                tails=np.array([label[b] for b in network.tails]),
+                c=network.c[order], r_T=network.r_T, l_T=network.l_T),
         [loads[b] for b in order], [bus_ids[b] for b in order], order)
-    sys_.incidence2 = real_blocks(sys_.topology.incidence)
+    sys_.incidence2 = real_blocks(dense_incidence(sys_.network))
     return sys_

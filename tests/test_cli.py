@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gridstate
+import gridstate.cli
 from gridstate.cli import main
 from gridstate.errors import LoadDomainError, SolverError
 from gridstate.fileio import (load_result_file, load_system_file,
@@ -123,6 +124,36 @@ def test_boolean_polarization_is_rejected(tmp_path, fixture_path, capsys,
     bad = next(k for k, s in enumerate(polarization) if isinstance(s, bool))
     assert f"polarization[{bad}] must be -1 or +1, got " \
         f"{polarization[bad]}" in capsys.readouterr().err
+
+
+def numeric_ids(doc):
+    """The fixture with bus ids 1, 2, 3 in place of 'b1', 'b2', 'b3'; a
+    boolean true would look up bus 1 in a plain dict."""
+    number = {bus["id"]: k + 1 for k, bus in enumerate(doc["buses"])}
+    for bus in doc["buses"]:
+        bus["id"] = number[bus["id"]]
+    for line in doc["lines"]:
+        line["from"], line["to"] = number[line["from"]], number[line["to"]]
+    for entry in doc["machines"] + doc["operating_point"]["generator_voltages"]:
+        entry["bus"] = number[entry["bus"]]
+
+
+@pytest.mark.parametrize("path, message", [
+    (("buses", 2, "id"), "buses[2]: key 'id' must be a string or number"),
+    (("lines", 1, "to"), "lines[1]: unknown bus id True"),
+    (("machines", 0, "bus"), "machines[0]: unknown bus id True"),
+    (("operating_point", "generator_voltages", 0, "bus"),
+     "operating_point.generator_voltages[0]: unknown bus id True"),
+], ids=["bus-id", "line-end", "machine-bus", "generator-voltage-bus"])
+def test_boolean_bus_ids_are_rejected(tmp_path, fixture_path, capsys, path,
+                                      message):
+    def mutate(doc):
+        numeric_ids(doc)
+        _set(*path, True)(doc)
+    assert main(["steady-state", write_variant(tmp_path, fixture_path,
+                                               mutate)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -282,6 +313,44 @@ def test_simulate_from_a_certified_start(tmp_path, fixture_file, perturb,
     write_trajectory_csv(out, sys_, simulate(sys_, x0, u, SimConfig(
         dt=1e-5, t_end=0.0005)))
     assert traj.read_text() == out.getvalue()
+
+
+def refuse_to_run(monkeypatch):
+    """Make the CLI fail loudly if it reaches a certificate or a run."""
+    def called(*args, **kwargs):
+        raise AssertionError("ran past the flag check")
+    for name in ("compute_steady_state", "verify_steady_state", "simulate"):
+        monkeypatch.setattr(gridstate.cli, name, called)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "nan", "dt must be positive and finite, got nan"),
+    ("--t-end", "inf", "t_end must be finite and at least one step"),
+    ("--t-end", "nan", "t_end must be finite and at least one step"),
+    ("--perturb-v", "nan", "--perturb-v must be finite, got nan"),
+], ids=["dt-nan", "t-end-inf", "t-end-nan", "perturb-v-nan"])
+def test_simulate_rejects_non_finite_flags(tmp_path, fixture_file, capsys,
+                                           monkeypatch, flag, value, message):
+    result = tmp_path / "result.json"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    refuse_to_run(monkeypatch)
+    args = {"--dt": "1e-5", "--t-end": "1e-4", flag: value}
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", fixture_file, "--from", str(result),
+                 "-o", str(traj)] + [a for kv in args.items()
+                                     for a in kv]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not traj.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_rejects_bad_tol(tmp_path, fixture_file, capsys, monkeypatch,
+                                tol):
+    refuse_to_run(monkeypatch)
+    assert main(["verify", fixture_file, "--traj", str(tmp_path / "t.csv"),
+                 "--tol", tol]) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: --tol must be positive and finite, got {float(tol)!r}\n"
 
 
 def test_verify_roundtrip_and_corruption(tmp_path, fixture_file):

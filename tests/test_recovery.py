@@ -15,7 +15,7 @@ import pytest
 from gridstate.errors import InfeasibleSteadyStateError
 from gridstate.frame import ROT90
 from gridstate.identities import random_valid_params
-from gridstate.network import NetworkParams, Topology
+from gridstate.network import Network
 from gridstate.steady_state import (NetworkSolution, OperatingSpec,
                                     recover_all, recovery_parts)
 from gridstate.system import assemble
@@ -30,12 +30,10 @@ def chain_system(machines):
     """One machine per bus on a chain of lines; recovery reads only the
     machines, the network just has to validate."""
     n = len(machines)
-    E = np.zeros((n, n - 1))
-    for t in range(n - 1):
-        E[t, t], E[t + 1, t] = 1.0, -1.0
-    net = NetworkParams(c=np.full(n, 1e-3), l_T=np.full(n - 1, 1e-2),
-                        r_T=np.full(n - 1, 0.5))
-    return assemble(machines, list(range(n)), Topology(E), net)
+    net = Network(heads=np.arange(n - 1), tails=np.arange(1, n),
+                  c=np.full(n, 1e-3), r_T=np.full(n - 1, 0.5),
+                  l_T=np.full(n - 1, 1e-2))
+    return assemble(machines, list(range(n)), net)
 
 
 def recover_stack(machines, v, i_s, omega0, sigma):
@@ -45,8 +43,8 @@ def recover_stack(machines, v, i_s, omega0, sigma):
                          gen_voltage_angle=np.zeros(n),
                          sigma=np.asarray(sigma))
     net = NetworkSolution(i_s=np.ravel(i_s), v=np.ravel(v),
-                          i_T=np.zeros(2 * (n - 1)), residual_norm=0.0,
-                          iterations=0, residual_history=[])
+                          i_T=np.zeros(2 * (n - 1)), iterations=0,
+                          residual_history=[])
     return recover_all(chain_system(machines), spec, net)
 
 

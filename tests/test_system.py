@@ -12,7 +12,7 @@ from gridstate.frame import as_complex, block_rotation_generator, \
     machine_rotation_generator
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
-from gridstate.network import NetworkParams, Topology
+from gridstate.network import Network
 from gridstate.system import (StateLayout, assemble, bus_indicator,
                               field_indicator, invariance_defect, mass_matrix,
                               residual, steady_field, stator_indicator,
@@ -27,11 +27,10 @@ from oracles import (central_invariance_defect, electrical_torque,
 
 def tiny_system(load=None):
     """One machine, two buses, one line."""
-    top = Topology(np.array([[1.0], [-1.0]]))
-    net = NetworkParams(c=np.array([1e-3, 1e-3]), l_T=np.array([1e-2]),
-                        r_T=np.array([0.5]))
+    net = Network(heads=[0], tails=[1], c=np.array([1e-3, 1e-3]),
+                  r_T=np.array([0.5]), l_T=np.array([1e-2]))
     loads = [Load.none(), load if load is not None else Load.impedance(0.2, 0.0)]
-    return assemble([sample_machine()], [0], top, net, loads=loads)
+    return assemble([sample_machine()], [0], net, loads=loads)
 
 
 def random_point(sys_, rng, omega0=60.0):
@@ -60,45 +59,42 @@ def test_three_bus_state_count(three_bus):
 
 
 def test_assemble_rejects_bad_bus():
-    top = Topology(np.array([[1.0], [-1.0]]))
-    net = NetworkParams(c=np.array([1e-3, 1e-3]), l_T=np.array([1e-2]),
-                        r_T=np.array([0.5]))
+    net = Network(heads=[0], tails=[1], c=np.array([1e-3, 1e-3]),
+                  r_T=np.array([0.5]), l_T=np.array([1e-2]))
     with pytest.raises(ValidationError, match="nonexistent bus"):
-        assemble([sample_machine()], [7], top, net)
+        assemble([sample_machine()], [7], net)
 
 
 def test_assemble_aggregates_problems():
     from dataclasses import replace
-    top = Topology(np.array([[1.0], [-1.0]]))
-    net = NetworkParams(c=np.array([1e-3, 1e-3]), l_T=np.array([1e-2]),
-                        r_T=np.array([0.5]))
+    net = Network(heads=[0], tails=[1], c=np.array([1e-3, 1e-3]),
+                  r_T=np.array([0.5]), l_T=np.array([1e-2]))
     bad = replace(sample_machine(), m=-1.0)
     with pytest.raises(ValidationError) as err:
-        assemble([bad], [9], top, net)
+        assemble([bad], [9], net)
     assert len(err.value.problems) == 2
 
 
 def test_assemble_reorders_buses():
     # Machine on the second input bus: solve order must move it first.
-    top = Topology(np.array([[1.0], [-1.0]]))
-    net = NetworkParams(c=np.array([1e-3, 2e-3]), l_T=np.array([1e-2]),
-                        r_T=np.array([0.5]))
-    sys_ = assemble([sample_machine()], [1], top, net,
-                    bus_ids=["load", "gen"])
+    net = Network(heads=[0], tails=[1], c=np.array([1e-3, 2e-3]),
+                  r_T=np.array([0.5]), l_T=np.array([1e-2]))
+    sys_ = assemble([sample_machine()], [1], net, bus_ids=["load", "gen"])
     assert sys_.bus_ids == ("gen", "load")
     assert sys_.input_position == (1, 0)
     np.testing.assert_array_equal(sys_.network.c, [2e-3, 1e-3])
-    np.testing.assert_array_equal(sys_.topology.incidence, [[-1.0], [1.0]])
+    np.testing.assert_array_equal(sys_.network.heads, [1])
+    np.testing.assert_array_equal(sys_.network.tails, [0])
 
 
 def assembly_inputs(sys_):
     """The arguments of the assemble call that built ``sys_``, in the
     user's bus order, read back through its input positions."""
     back = np.argsort(sys_.input_position)
-    net = sys_.network
+    net, position = sys_.network, np.array(sys_.input_position)
     return (sys_.machines, list(sys_.input_position[:sys_.n_g]),
-            Topology(sys_.topology.incidence[back]),
-            NetworkParams(c=net.c[back], l_T=net.l_T, r_T=net.r_T),
+            Network(heads=position[net.heads], tails=position[net.tails],
+                    c=net.c[back], r_T=net.r_T, l_T=net.l_T),
             [sys_.loads[k] for k in back], [sys_.bus_ids[k] for k in back])
 
 
@@ -106,18 +102,17 @@ def machines_on_last_buses():
     """A 10-bus ring whose three machines sit on its last buses, listed out
     of bus order, with loads of every kind on the other buses."""
     n = 10
-    E = np.zeros((n, n + 2))
-    for t in range(n):
-        E[t, t], E[(t + 1) % n, t] = 1.0, -1.0
-    E[0, n], E[5, n], E[8, n + 1], E[2, n + 1] = 1.0, -1.0, 1.0, -1.0
+    heads = list(range(n)) + [0, 8]
+    tails = [(t + 1) % n for t in range(n)] + [5, 2]
     rng = np.random.default_rng(40)
-    net = NetworkParams(c=rng.uniform(2e-4, 2e-3, n),
-                        l_T=rng.uniform(2.5e-3, 3.5e-3, n + 2),
-                        r_T=rng.uniform(0.3, 0.5, n + 2))
+    c, l_T, r_T = (rng.uniform(2e-4, 2e-3, n),
+                   rng.uniform(2.5e-3, 3.5e-3, n + 2),
+                   rng.uniform(0.3, 0.5, n + 2))
+    net = Network(heads=heads, tails=tails, c=c, r_T=r_T, l_T=l_T)
     loads = [Load.impedance(0.05, 0.01), Load.constant_current(0.4, 0.1),
              Load.constant_power(4.0, 1.0), Load.none()] * 2 + [Load.none()] * 2
     machines = [sample_machine(True), sample_machine(False), sample_machine()]
-    return assemble(machines, [9, 7, 8], Topology(E), net, loads=loads,
+    return assemble(machines, [9, 7, 8], net, loads=loads,
                     bus_ids=[f"b{k}" for k in range(n)])
 
 
@@ -137,11 +132,13 @@ def test_assemble_matches_revalidating_reference(three_bus, case):
             else (kind,)
         sys_ = ring_mesh(int(n), kinds, seed=int(n))[0]
     args = assembly_inputs(sys_)
-    new, ref = assemble(*args[:4], *args[4:]), reference_assemble(*args)
+    new, ref = assemble(*args), reference_assemble(*args)
     for name in ("incidence2", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
                  "_residual_op", "_inv_m", "_d_m"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert new.topology.incidence.tobytes() == ref.topology.incidence.tobytes()
+    for name in ("heads", "tails", "c"):
+        assert getattr(new.network, name).tobytes() == \
+            getattr(ref.network, name).tobytes(), name
     for name in ("y", "k", "v_min"):
         assert getattr(new.load_bank, name).tobytes() == \
             getattr(ref.load_bank, name).tobytes(), name
@@ -157,7 +154,7 @@ def test_assemble_reports_every_bad_machine():
     # a negative saliency, an indefinite L0 and a machine on a missing bus:
     # every problem, in machine order, with the messages the one-machine
     # checks give.
-    _, _, top, net, _, _ = assembly_inputs(machines_on_last_buses())
+    _, _, net, _, _ = assembly_inputs(machines_on_last_buses())
     good = sample_machine()
     machines = [replace(good, r_f=-0.06, l_sa=good.l_s),
                 replace(good, l_sa=-1e-4), good, replace(good, l_sa=good.l_s),
@@ -171,7 +168,7 @@ def test_assemble_reports_every_bad_machine():
     ]
     for build in (assemble, reference_assemble):
         with pytest.raises(ValidationError) as err:
-            build(machines, [5, 1, 2, 3, 12], top, net)
+            build(machines, [5, 1, 2, 3, 12], net)
         assert err.value.problems == expected
 
 
@@ -278,15 +275,13 @@ def test_vector_field_matches_per_machine_module(three_bus):
 def machine_chain(machines, rng):
     """The machines on the first buses of a path, a loaded bus at its end."""
     n_v = len(machines) + 1
-    E = np.zeros((n_v, n_v - 1))
-    for t in range(n_v - 1):
-        E[t, t], E[t + 1, t] = 1.0, -1.0
-    net = NetworkParams(c=rng.uniform(1e-4, 1e-3, n_v),
-                        l_T=rng.uniform(2e-3, 4e-3, n_v - 1),
-                        r_T=rng.uniform(0.3, 0.5, n_v - 1))
+    c, l_T, r_T = (rng.uniform(1e-4, 1e-3, n_v),
+                   rng.uniform(2e-3, 4e-3, n_v - 1),
+                   rng.uniform(0.3, 0.5, n_v - 1))
+    net = Network(heads=np.arange(n_v - 1), tails=np.arange(1, n_v), c=c,
+                  r_T=r_T, l_T=l_T)
     loads = [Load.none()] * (n_v - 1) + [Load.constant_power(0.5, 0.2)]
-    return assemble(machines, list(range(len(machines))), Topology(E), net,
-                    loads=loads)
+    return assemble(machines, list(range(len(machines))), net, loads=loads)
 
 
 @pytest.mark.parametrize("salient", [True, False])
@@ -428,7 +423,7 @@ def test_load_currents_accept_int_float32_and_strided_voltages():
     sys_ = tiny_system(Load.constant_power(1.0, 0.5))
     v = np.array([1.0, 0.0, 2.0, -3.0])
     want = sys_.load_currents(v)
-    lines = line_admittance(sys_.network, sys_.topology, 60.0)
+    lines = line_admittance(sys_.network, 60.0)
     fortran = np.asfortranarray(np.stack([v, 2.0 * v, v]))
     for w in (v.astype(np.int64), v.astype(np.float32), fortran[2],
               np.stack([v, v], axis=1)[:, 0]):
@@ -491,20 +486,18 @@ def chain_system(kinds, machine_bus, rng, floor):
     """One machine on a chain of buses carrying loads of the given kinds,
     with file ids 'n0', 'n1', ... in chain order."""
     n = len(kinds)
-    E = np.zeros((n, n - 1))
-    for t in range(n - 1):
-        E[t, t], E[t + 1, t] = 1.0, -1.0
-    net = NetworkParams(c=rng.uniform(1e-4, 1e-3, n),
-                        l_T=rng.uniform(1e-3, 5e-3, n - 1),
-                        r_T=rng.uniform(0.1, 1.0, n - 1))
+    c, l_T, r_T = (rng.uniform(1e-4, 1e-3, n), rng.uniform(1e-3, 5e-3, n - 1),
+                   rng.uniform(0.1, 1.0, n - 1))
+    net = Network(heads=np.arange(n - 1), tails=np.arange(1, n), c=c, r_T=r_T,
+                  l_T=l_T)
     make = {"none": lambda g, b: Load.none(),
             "impedance": Load.impedance,
             "current": lambda g, b: Load.constant_current(g, b, floor),
             "power": lambda g, b: Load.constant_power(g, b, floor)}
     loads = [make[kind](rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0))
              for kind in kinds]
-    return assemble([sample_machine()], [machine_bus], Topology(E), net,
-                    loads=loads, bus_ids=[f"n{k}" for k in range(n)])
+    return assemble([sample_machine()], [machine_bus], net, loads=loads,
+                    bus_ids=[f"n{k}" for k in range(n)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
