@@ -103,9 +103,13 @@ def _parse_sigma_overrides(flags, n_g):
 def _open_out(path):
     if path is None:
         yield _sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"cannot open output {path}: {err.strerror}") from err
+    with fh:
+        yield fh
 
 
 def cmd_steady_state(args):
@@ -158,8 +162,9 @@ def cmd_verify(args):
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     system, spec = load_system_file(args.file)
+    traj = read_trajectory_csv(args.traj, system)
     ss = compute_steady_state(system, spec)
-    traj = read_trajectory_csv(args.traj, system, inputs=ss.u)
+    traj.inputs = ss.u
     report = verify_steady_state(system, ss)
     if not report.certificate:
         for failure in report.failures:
@@ -184,6 +189,8 @@ def cmd_verify(args):
 
 
 def cmd_identities(args):
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     system, _ = load_system_file(args.file)
     rows = run_identity_suite(system, seed=args.seed)
     width = max(len(row.name) for row in rows)

@@ -186,9 +186,18 @@ def system_from_dict(doc):
     return sys_, spec
 
 
+def _open_input(path):
+    """The input file at ``path`` opened for reading; one that cannot be
+    opened is a :class:`SchemaError` naming it."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as err:
+        raise SchemaError(f"{path}: {err.strerror}") from err
+
+
 def load_system_file(path):
     """Parse and validate a system file; returns (system, operating spec)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
@@ -230,12 +239,20 @@ def result_document(sys, ss, report):
     line_rows = [{"from": sys.bus_ids[frm], "to": sys.bus_ids[to],
                   "i_T": [float(i_T[2 * t]), float(i_T[2 * t + 1])]}
                  for t, (frm, to) in enumerate(ends)]
+    diagnostics = report.as_dict()
+    diagnostics["newton"] = {
+        "iterations": ss.network.iterations,
+        "residual_history": ss.network.residual_history}
+    diagnostics["recovery"] = [
+        {"case": rec.case, "excitation_residual": rec.excitation_residual,
+         "alignment_residual": rec.alignment_residual}
+        for rec in ss.recoveries]
     return {
         "omega0": ss.omega0,
         "machines": machines,
         "buses": bus_rows,
         "lines": line_rows,
-        "diagnostics": report.as_dict(),
+        "diagnostics": diagnostics,
     }
 
 
@@ -246,7 +263,7 @@ def write_result_file(fh, sys, ss, report):
 
 def load_result_file(path, sys):
     """Rebuild (x0, u, omega0) from a result document against a system."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
@@ -315,7 +332,7 @@ def read_trajectory_csv(path, sys, inputs=None):
     numpy's text parser reads all samples in one call. Rows it rejects are
     read again as Python floats, which name the first bad file line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         header = fh.readline().rstrip("\n")
         expected = trajectory_header(sys)
         if header != expected:

@@ -54,27 +54,9 @@ def incidence_blocks(heads, tails, n):
     return out.reshape(2 * n, 2 * len(heads))
 
 
-def block_rotation_generator(n):
-    """I_n kron ROT90, the real form of j I_n: simultaneous 90-degree
-    rotation of n planar pairs."""
-    if n < 1:
-        raise ValueError(f"need at least one planar pair, got n={n}")
-    return real_blocks(1j * np.eye(int(n)))
-
-
-def machine_rotation_generator(n_g):
-    """I_ng kron MACHINE_ROT90 for a stacked machine current vector."""
-    if n_g < 1:
-        raise ValueError(f"need at least one machine, got n_g={n_g}")
-    return np.kron(np.eye(int(n_g)), MACHINE_ROT90)
-
-
 def rotate_pairs(w):
-    """Apply (I kron ROT90) to planar pairs stacked along the last axis.
-
-    Equivalent to ``block_rotation_generator(n) @ w`` for a flat vector of
-    n pairs, without building the matrix.
-    """
+    """Apply (I kron ROT90) to planar pairs stacked along the last axis,
+    without building the matrix."""
     out = np.empty_like(w)
     out[..., 0::2] = -w[..., 1::2]
     out[..., 1::2] = w[..., 0::2]

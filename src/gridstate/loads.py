@@ -61,39 +61,17 @@ class Load:
             raise ValidationError(f"power load needs v_min > 0, got {v_min!r}")
         return cls("power", (float(p), -float(q)), 2, float(v_min))
 
-    def conductance(self, vnorm):
-        """(g, b) of the shunt admittance at voltage magnitude(s) ``vnorm``."""
-        low = np.min(vnorm)
-        if low < self.v_min:
-            raise LoadDomainError(_floor_message(self.kind, low, self.v_min))
-        scale = vnorm**self.exponent
-        return self.coeffs[0] / scale, self.coeffs[1] / scale
-
-    def current(self, v):
-        """Load current drawn at bus voltage ``v`` (flows out of the bus).
-
-        ``v`` is one voltage pair or a batch of voltage columns of shape
-        (2, ...); the current has the same shape.
-        """
-        v = np.asarray(v, dtype=float)
-        g, b = self.conductance(np.sqrt(v[0] ** 2 + v[1] ** 2))
-        return g * v + b * np.stack([-v[1], v[0]])
-
-
-def _floor_message(kind, vnorm, v_min):
-    return (f"constant-{kind} load undefined at |v|={vnorm:.6e} "
-            f"below its floor v_min={v_min:.6e}")
-
 
 class LoadBank:
-    """The loads of a system in solve order, held as per-bus arrays.
+    """The loads of a system in solve order, held as per-bus arrays, and
+    the only evaluation of the shipped loads.
 
     Over complex bus voltages v = v_alpha + j v_beta every shipped load is
     i = y |v|^-k v with admittance y = a_g + j a_b, so the bank keeps y, k
     and v_min for every bus (zeros where no shipped load sits) and evaluates
-    all buses in one numpy expression. Any other object with a ``current``
-    method (a non-conforming test load, or a subclass of :class:`Load`,
-    which may override ``current``) is kept in ``custom``, called on its own.
+    all buses in one numpy expression. Any other object, a subclass of
+    :class:`Load` included, is a custom load: it brings its own
+    ``current(v)`` method, is kept in ``custom`` and is called on its own.
     """
 
     def __init__(self, loads, bus_ids):
@@ -120,9 +98,9 @@ class LoadBank:
             j = np.nonzero(below)[-1][0]
             bus, kind = self._named[j]
             raise LoadDomainError(
-                f"bus {bus!r}: "
-                f"{_floor_message(kind, mag[below][0], self.v_min[j])}",
-                bus=bus)
+                f"bus {bus!r}: constant-{kind} load undefined at "
+                f"|v|={mag[below][0]:.6e} below its floor "
+                f"v_min={self.v_min[j]:.6e}", bus=bus)
         return self.y / mag**self.k
 
 

@@ -122,7 +122,8 @@ class PowerSystem:
         Accepts any objects with a ``current(v)`` method taking voltage
         columns of shape (2, ...); used to probe how non-conforming load
         models break the steady state. Subclasses of :class:`Load` count as
-        custom loads too. The network solve refuses custom loads.
+        custom loads too and must define ``current`` themselves. The
+        network solve refuses custom loads.
         """
         clone = PowerSystem.__new__(PowerSystem)
         clone.__dict__.update(self.__dict__)
@@ -379,19 +380,3 @@ def total_energy(sys, x):
     e_lines = 0.5 * float(np.sum(sys._l_T2 * i_T**2))
     return e_mag + e_kin + e_cap + e_lines
 
-
-def field_indicator(n_g):
-    """Matrix placing the excitation voltages into the winding equations."""
-    return np.kron(np.eye(n_g), np.eye(5, 1, -2))  # 1 at the i_f row
-
-
-def stator_indicator(n_g):
-    """Matrix selecting the stator pairs from stacked machine currents."""
-    return np.kron(np.eye(n_g), np.eye(5, 2))
-
-
-def bus_indicator(n_g, n_v):
-    """Maps stacked machine currents to bus current injections (2n_v x 5n_g):
-    stator pairs land on the machine buses, load buses get zero."""
-    top = stator_indicator(n_g).T
-    return np.vstack([top, np.zeros((2 * (n_v - n_g), 5 * n_g))])

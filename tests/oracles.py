@@ -3,9 +3,11 @@
 These are the straightforward per-bus and per-sample forms: the network
 dynamics, Kirchhoff residuals and line admittance written out with dense
 matrices on an incidence built one line at a time from the endpoints, the
-load currents one bus at a time, the equivariance probe one rotation
-at a time, the invariance defect as a central difference of the residual,
-one machine at a time through its full inductance matrix L(theta) with a
+rotation generators and the bus and field selectors as dense matrices, a
+shipped load's current from its (g, b) in real pairs and the load
+currents one bus at a time, the equivariance probe one rotation at a
+time, the invariance defect as a central difference of the residual, one
+machine at a time through its full inductance matrix L(theta) with a
 Cholesky solve at every call, the torque and induced voltage of that
 matrix with their flow-derivative identities, the planar rotation as a
 2x2 matrix, the drift metrics one trajectory sample at a time, the
@@ -18,7 +20,6 @@ the package's array recovery run for one machine.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,38 @@ def rvec(theta):
 class NetworkState:
     v: np.ndarray    # 2*n_v bus voltages, stacked pairs
     i_T: np.ndarray  # 2*n_t line currents, stacked pairs
+
+
+def block_rotation_generator(n):
+    """I_n kron ROT90, the real form of j I_n: simultaneous 90-degree
+    rotation of n planar pairs."""
+    if n < 1:
+        raise ValueError(f"need at least one planar pair, got n={n}")
+    return real_blocks(1j * np.eye(int(n)))
+
+
+def machine_rotation_generator(n_g):
+    """I_ng kron MACHINE_ROT90 for a stacked machine current vector."""
+    if n_g < 1:
+        raise ValueError(f"need at least one machine, got n_g={n_g}")
+    return np.kron(np.eye(int(n_g)), MACHINE_ROT90)
+
+
+def field_indicator(n_g):
+    """Matrix placing the excitation voltages into the winding equations."""
+    return np.kron(np.eye(n_g), np.eye(5, 1, -2))  # 1 at the i_f row
+
+
+def stator_indicator(n_g):
+    """Matrix selecting the stator pairs from stacked machine currents."""
+    return np.kron(np.eye(n_g), np.eye(5, 2))
+
+
+def bus_indicator(n_g, n_v):
+    """Maps stacked machine currents to bus current injections (2n_v x 5n_g):
+    stator pairs land on the machine buses, load buses get zero."""
+    top = stator_indicator(n_g).T
+    return np.vstack([top, np.zeros((2 * (n_v - n_g), 5 * n_g))])
 
 
 def dense_incidence(network):
@@ -115,38 +148,62 @@ def branch_impedance(network, omega0):
         + omega0 * np.kron(np.diag(network.l_T), ROT90)
 
 
-def scalar_load_current(load, v):
-    """Current of one load at one voltage pair, from the exponential load
-    formula i = |v|^-k (a_g I + a_b J) v in scalar arithmetic; objects
-    other than a plain :class:`Load` (subclasses included) are asked for
-    their own ``current``."""
-    if type(load) is not Load:
-        return np.asarray(load.current(np.asarray(v, dtype=float)))
-    a, b = float(v[0]), float(v[1])
-    mag = math.hypot(a, b)
-    if mag < load.v_min:
-        raise LoadDomainError(f"|v|={mag:.6e} below v_min={load.v_min:.6e}")
-    scale = mag**load.exponent
-    g, s = load.coeffs[0] / scale, load.coeffs[1] / scale
-    return np.array([g * a - s * b, g * b + s * a])
+def _conductance(load, vnorm):
+    """(g, b) of a shipped load's shunt admittance at voltage magnitude(s)
+    ``vnorm``."""
+    low = np.min(vnorm)
+    if low < load.v_min:
+        raise LoadDomainError(f"constant-{load.kind} load undefined at "
+                              f"|v|={low:.6e} below its floor "
+                              f"v_min={load.v_min:.6e}")
+    scale = vnorm**load.exponent
+    return load.coeffs[0] / scale, load.coeffs[1] / scale
+
+
+def load_current(load, v):
+    """Current a shipped load draws at bus voltage ``v`` (flows out of the
+    bus), i = (g I + b J) v with (g, b) = |v|^-k coeffs, in real pairs.
+
+    ``v`` is one voltage pair or a batch of voltage columns of shape
+    (2, ...); the current has the same shape.
+    """
+    v = np.asarray(v, dtype=float)
+    g, b = _conductance(load, np.sqrt(v[0] ** 2 + v[1] ** 2))
+    return g * v + b * np.stack([-v[1], v[0]])
+
+
+class OracleLoad:
+    """A shipped load as a custom load: ``current`` is :func:`load_current`,
+    for the probes that take any object with that method."""
+
+    def __init__(self, load):
+        self.load = load
+
+    def current(self, v):
+        return load_current(self.load, v)
 
 
 def load_power(load, v):
     """(P, Q) a shipped load draws at one bus voltage pair ``v``."""
     vv = float(v[0] ** 2 + v[1] ** 2)
-    g, b = load.conductance(float(np.sqrt(vv)))
+    g, b = _conductance(load, float(np.sqrt(vv)))
     return g * vv, -b * vv
 
 
 def scalar_load_currents(loads, v, bus_ids=None):
-    """Per-bus load currents stacked into a 2*n_v vector, one bus at a time.
-    A floor violation names the bus by ``bus_ids`` (default: index)."""
+    """Per-bus load currents stacked into a 2*n_v vector, one bus at a time:
+    :func:`load_current` for a plain :class:`Load`, the object's own
+    ``current`` for any other (subclasses included). A floor violation
+    names the bus by ``bus_ids`` (default: index)."""
     if bus_ids is None:
         bus_ids = list(range(len(loads)))
     i_l = np.zeros(2 * len(loads))
     for k, load in enumerate(loads):
+        pair = np.asarray(v[2 * k:2 * k + 2], dtype=float)
         try:
-            i_l[2 * k:2 * k + 2] = scalar_load_current(load, v[2 * k:2 * k + 2])
+            i_l[2 * k:2 * k + 2] = (load_current(load, pair)
+                                    if type(load) is Load
+                                    else load.current(pair))
         except LoadDomainError as err:
             raise LoadDomainError(f"bus {bus_ids[k]!r}: {err}",
                                   bus=bus_ids[k]) from err

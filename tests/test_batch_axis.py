@@ -15,7 +15,7 @@ from gridstate.system import (invariance_defect, residual,
                               vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh
-from oracles import looped_drift_metrics
+from oracles import load_current, looped_drift_metrics
 
 MIXED = ("impedance", "current", "power")
 
@@ -160,10 +160,11 @@ def test_batch_below_voltage_floor_names_the_file_bus(mesh):
             evaluate(sys_)
         assert info.value.bus == bus
 
-    # A custom load (a subclass of Load) takes its voltage columns as one
-    # (2, 5) batch and is named the same way.
+    # A custom load (a subclass of Load, with its own ``current``) takes its
+    # voltage columns as one (2, 5) batch and is named the same way.
     class Custom(Load):
-        pass
+        def current(self, v):
+            return load_current(self, v)
 
     loads = list(sys_.loads)
     ld = sys_.loads[k]

@@ -353,6 +353,32 @@ def test_verify_rejects_bad_tol(tmp_path, fixture_file, capsys, monkeypatch,
         f"usage error: --tol must be positive and finite, got {float(tol)!r}\n"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["steady-state", "{missing}"], 2, "input error: {missing}: "),
+    (["steady-state", "{folder}"], 2, "input error: {folder}: "),
+    (["simulate", "{fixture}", "--from", "{missing}", "--dt", "1e-5",
+      "--t-end", "1e-4"], 2, "input error: {missing}: "),
+    (["verify", "{fixture}", "--traj", "{missing}"], 2,
+     "input error: {missing}: "),
+    (["steady-state", "{fixture}", "-o", "{folder}/no/out.json"], 1,
+     "usage error: cannot open output {folder}/no/out.json: "),
+    (["identities", "{fixture}", "--seed", "-1"], 1,
+     "usage error: --seed must be non-negative, got -1"),
+], ids=["missing-system", "folder-system", "missing-from", "missing-traj",
+        "output", "negative-seed"])
+def test_file_and_seed_errors_print_one_line(tmp_path, fixture_file, capsys,
+                                             monkeypatch, argv, code,
+                                             message):
+    # A wrong --traj is reported before any steady state is computed.
+    names = {"fixture": fixture_file, "folder": str(tmp_path),
+             "missing": str(tmp_path / "missing.json")}
+    if "-o" not in argv:
+        refuse_to_run(monkeypatch)
+    assert main([arg.format(**names) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(**names)) and err.count("\n") == 1
+
+
 def test_verify_roundtrip_and_corruption(tmp_path, fixture_file):
     result = tmp_path / "result.json"
     traj = tmp_path / "traj.csv"

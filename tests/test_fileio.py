@@ -230,7 +230,16 @@ def test_result_diagnostics_carry_margins_that_reload_ignores(tmp_path,
         write_result_file(fh, sys_, certified, report)
     doc = json.loads(path.read_text())
     assert doc["diagnostics"]["margins"] == report.margins
-    del doc["diagnostics"]["margins"]
+    net = certified.network
+    assert doc["diagnostics"]["newton"] == {
+        "iterations": net.iterations,
+        "residual_history": net.residual_history}
+    assert doc["diagnostics"]["recovery"] == [
+        {"case": rec.case, "excitation_residual": rec.excitation_residual,
+         "alignment_residual": rec.alignment_residual}
+        for rec in certified.recoveries]
+    for key in ("margins", "newton", "recovery"):
+        del doc["diagnostics"][key]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(doc))
     for a, b in zip(load_result_file(path, sys_),

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex,
-                             block_rotation_generator,
-                             machine_rotation_generator, real_blocks,
+from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
                              rotate_pairs, wrap_angle)
 
 # rot and rvec are the 2x2 reference forms of the rotation the oracles use.
-from oracles import rot, rvec
+from oracles import (block_rotation_generator, machine_rotation_generator,
+                     rot, rvec)
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 

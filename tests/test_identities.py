@@ -5,7 +5,7 @@ import gridstate.system as system
 from gridstate.fileio import load_system_file
 from gridstate.identities import run_identity_suite
 
-from conftest import AnisotropicLoad
+from conftest import AnisotropicLoad, ring_mesh
 
 PARK_ROW = "inductance factors as T L0 T^T"
 POWER_ROW = "power balance along the field"
@@ -117,3 +117,66 @@ def test_flow_row_fails_with_anisotropic_load(three_bus):
     rows = run_identity_suite(bad, n_samples=40, seed=0)
     assert {r.name for r in rows if not r.passed} == \
         {"residual rotates along flow"}
+
+
+BUS_ROW = "bus selector commutes with rotations"
+INCIDENCE_ROW = "incidence commutes with rotations"
+EXCITATION_ROW = "rotation annihilates excitation injection"
+FLOW_ROW = "residual rotates along flow"
+
+
+def _swap_injected_pairs(monkeypatch):
+    # Each machine injects (i_beta, i_alpha) into its bus rows.
+    bus_currents = system._bus_currents
+    monkeypatch.setattr(system, "_bus_currents", lambda sys_, i, v, i_T:
+                        bus_currents(sys_, i[..., [1, 0, 2, 3, 4]], v, i_T))
+
+
+def _swap_incidence_pairs(monkeypatch):
+    # Every 2x2 block of the incidence on pairs maps (a, b) to (b, a).
+    blocks = system.incidence_blocks
+
+    def swapped(heads, tails, n):
+        E2 = blocks(heads, tails, n)
+        return E2.reshape(n, 2, -1)[:, ::-1].reshape(E2.shape)
+
+    monkeypatch.setattr(system, "incidence_blocks", swapped)
+
+
+def _excite_stator_row(monkeypatch):
+    # v_f enters the stator alpha winding row instead of the field row, in
+    # the residual's operator and, through -L0^-1, in the field's.
+    build = system._rotor_operators
+
+    def moved(L0, r):
+        field, res = build(L0, r)
+        res[:, [0, 2], 7] = res[:, [2, 0], 7]
+        field[:, :5, 7] = (-np.linalg.inv(L0) @ res[:, :5, 7:8])[..., 0]
+        return field, res
+
+    monkeypatch.setattr(system, "_rotor_operators", moved)
+
+
+@pytest.mark.parametrize("mutate, own, failing", [
+    (_swap_injected_pairs, BUS_ROW, {BUS_ROW, FLOW_ROW, POWER_ROW}),
+    (_swap_incidence_pairs, INCIDENCE_ROW, {INCIDENCE_ROW, FLOW_ROW}),
+    (_excite_stator_row, EXCITATION_ROW, {EXCITATION_ROW, POWER_ROW}),
+], ids=["bus-selector", "incidence", "excitation"])
+def test_structural_rows_catch_their_mutations(fixture_path, monkeypatch,
+                                               mutate, own, failing):
+    # Each structural row reads the operator the field and residual run,
+    # so a mutation there fails that row and no other structural row.
+    mutate(monkeypatch)
+    sys_, _ = load_system_file(fixture_path)
+    rows = {r.name: r for r in run_identity_suite(sys_, n_samples=40, seed=0)}
+    assert {name for name, r in rows.items() if not r.passed} == failing
+    assert rows[own].max_defect >= 1.0
+
+
+def test_structural_rows_read_exactly_zero(three_bus):
+    mesh, _ = ring_mesh(24, ("impedance", "current", "power"), seed=3)
+    for sys_ in (three_bus[0], mesh):
+        rows = {r.name: r.max_defect
+                for r in run_identity_suite(sys_, n_samples=20, seed=0)}
+        assert [rows[name] for name in (BUS_ROW, INCIDENCE_ROW,
+                                        EXCITATION_ROW)] == [0.0] * 3

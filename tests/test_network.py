@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from gridstate.errors import ValidationError
-from gridstate.frame import (as_complex, block_rotation_generator,
-                             incidence_blocks, real_blocks)
+from gridstate.frame import as_complex, incidence_blocks, real_blocks
 from gridstate.loads import Load, LoadBank
 from gridstate.network import (Network, admittance, line_admittance,
                                solve_branch_currents)
 
 from conftest import ring_mesh
-from oracles import (NetworkState, branch_impedance, dense_incidence,
+from oracles import (NetworkState, block_rotation_generator,
+                     branch_impedance, dense_incidence,
                      dense_line_admittance, network_residual, network_rhs,
                      nodal_balance_residual)
 

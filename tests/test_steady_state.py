@@ -98,7 +98,7 @@ def complex_phasor_solve(sys_, spec):
     omega0 = spec.omega0
     shunt = np.zeros(n_v, dtype=complex)
     for k, load in enumerate(sys_.loads):
-        g, b = load.conductance(1.0) if load.kind != "none" else (0.0, 0.0)
+        g, b = load.coeffs
         assert load.kind in ("none", "impedance")
         shunt[k] = g + 1j * (b + omega0 * sys_.network.c[k])
     Y = np.diag(shunt) + dense_line_admittance(sys_.network, omega0)

@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 import gridstate.system
 from gridstate.errors import LoadDomainError, ValidationError
 from gridstate.fileio import load_system_file
-from gridstate.frame import as_complex, block_rotation_generator, \
-    machine_rotation_generator
+from gridstate.frame import as_complex
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.network import Network
-from gridstate.system import (StateLayout, assemble, bus_indicator,
-                              field_indicator, invariance_defect, mass_matrix,
-                              residual, steady_field, stator_indicator,
+from gridstate.system import (StateLayout, assemble, invariance_defect,
+                              mass_matrix, residual, steady_field,
                               tolerance_scale, total_energy, vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
-from oracles import (central_invariance_defect, electrical_torque,
-                     induced_voltage, reference_assemble, scalar_load_currents,
-                     single_machine_rhs, system_energy, system_field,
+from oracles import (block_rotation_generator, bus_indicator,
+                     central_invariance_defect, electrical_torque,
+                     field_indicator, induced_voltage, load_current,
+                     machine_rotation_generator, reference_assemble,
+                     scalar_load_currents, single_machine_rhs,
+                     stator_indicator, system_energy, system_field,
                      system_residual)
 
 
@@ -441,10 +442,11 @@ def test_load_currents_accept_int_float32_and_strided_voltages():
 
 
 def test_load_subclass_is_custom_and_named_on_domain_error():
-    # A subclass may override ``current``, so it is called on its own; an
-    # inherited floor violation still names the bus, as for bank loads.
+    # A subclass is a custom load with its own ``current``, called on its
+    # own; its floor violation still names the bus, as for bank loads.
     class Tagged(Load):
-        pass
+        def current(self, v):
+            return load_current(self, v)
 
     sys_ = tiny_system()
     ld = Tagged("power", (1.0, -0.5), 2, 0.5)
@@ -558,3 +560,32 @@ def test_load_currents_match_scalar_oracle(kinds, log_scale, seed):
     for name, before in bank.items():
         np.testing.assert_array_equal(getattr(sys_.load_bank, name), before)
     np.testing.assert_array_equal(sys_.load_currents(v), got)
+
+
+def test_load_currents_match_load_current_on_every_bus():
+    # The bank against the real-pair formula of each load, bus by bus, on
+    # one state and on a (5,) stack, with all four load kinds present.
+    rng = np.random.default_rng(48)
+    sys_ = chain_system(LOAD_KINDS * 2, 5, rng, floor=0.1)
+    mags = rng.uniform(0.5, 2.0, (5, sys_.n_v))
+    V = (mags * np.exp(1j * rng.uniform(-np.pi, np.pi, mags.shape))).view(
+        float)
+    for v in (V[2], V):
+        got = sys_.load_currents(v).reshape(v.shape[:-1] + (sys_.n_v, 2))
+        for k, load in enumerate(sys_.loads):
+            want = load_current(load, v[..., 2 * k:2 * k + 2].T).T
+            gap = np.hypot(*(got[..., k, :] - want).T)
+            assert np.all(gap <= 1e-14 * np.hypot(*want.T))
+
+    # One floored bus below its floor in one state of the stack: the bank
+    # names it by its file id, not its solve-order position, and the
+    # formula refuses it too.
+    k = next(k for k, ld in enumerate(sys_.loads)
+             if ld.v_min > 0.0 and sys_.bus_ids[k] != f"n{k}")
+    V[3, 2 * k:2 * k + 2] *= 0.5 * sys_.loads[k].v_min / mags[3, k]
+    with pytest.raises(LoadDomainError,
+                       match=f"bus {sys_.bus_ids[k]!r}: ") as info:
+        sys_.load_currents(V)
+    assert info.value.bus == sys_.bus_ids[k]
+    with pytest.raises(LoadDomainError):
+        load_current(sys_.loads[k], V[:, 2 * k:2 * k + 2].T)
