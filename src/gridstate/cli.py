@@ -100,22 +100,33 @@ def _parse_sigma_overrides(flags, n_g):
 
 
 @contextlib.contextmanager
-def _open_out(path):
+def _open_out(path, mode="w"):
     if path is None:
         yield _sys.stdout
         return
     try:
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(path, mode, encoding="utf-8")
     except OSError as err:
         raise UsageError(f"cannot open output {path}: {err.strerror}") from err
     with fh:
         yield fh
 
 
+def _check_out(path):
+    """Open the output ``path`` before the work, so that one that cannot be
+    opened fails first, and leave it as it was: a new file is removed."""
+    created = path is not None and not os.path.exists(path)
+    with _open_out(path, "a"):
+        pass
+    if created:
+        os.remove(path)
+
+
 def cmd_steady_state(args):
     system, spec = load_system_file(args.file)
     for k, s in _parse_sigma_overrides(args.sigma, system.n_g).items():
         spec.sigma[k] = s
+    _check_out(args.out)
     ss = compute_steady_state(system, spec)
     report = verify_steady_state(system, ss)
     with _open_out(args.out) as fh:
@@ -139,6 +150,7 @@ def cmd_simulate(args):
         raise UsageError(str(err)) from err
     if not math.isfinite(args.perturb_v):
         raise UsageError(f"--perturb-v must be finite, got {args.perturb_v!r}")
+    _check_out(args.out)
     report = verify_steady_state(system, FullSteadyState(x0, u, omega0))
     log.info("start point margins: %s", report.margins)
     if not report.certificate:

@@ -6,6 +6,7 @@ float precision so they re-load losslessly. Trajectories are CSV, one
 column per state entry in state-vector order.
 """
 
+import contextlib
 import json
 import math
 
@@ -186,13 +187,17 @@ def system_from_dict(doc):
     return sys_, spec
 
 
+@contextlib.contextmanager
 def _open_input(path):
     """The input file at ``path`` opened for reading; one that cannot be
-    opened is a :class:`SchemaError` naming it."""
+    read, or that is not UTF-8 text, is a :class:`SchemaError` naming it."""
     try:
-        return open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
     except OSError as err:
         raise SchemaError(f"{path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text ({err.reason})") from err
 
 
 def load_system_file(path):

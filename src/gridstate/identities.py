@@ -19,8 +19,7 @@ from .frame import MACHINE_ROT90, rotate_pairs
 from .loads import Load
 from .machine import (MachineParams, inductance_matrix, stack_params,
                       stator_frame_inductance, validate_params)
-from .system import (mass_matrix, residual, steady_field, total_energy,
-                     vector_field)
+from .system import residual, steady_field, total_energy, vector_field
 
 FD_STEP = 1e-6
 FD_TOL = 1e-6
@@ -125,33 +124,48 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     # Structural rows, exact since J only negates and swaps entries: the
     # incidence on pairs commutes with J (J E2 - E2 J vanishes), and J,
     # turning only the stator pair, annihilates the residual's v_f column
-    # (stack column 7). The bus selector row is read at the sampled states.
+    # (stack column 7). The bus selector row is read at the sampled states,
+    # and so are the field's fused rows on the pairs: turning a state turns
+    # them, every pair coupling being a multiple of the identity.
     E2 = sys.incidence2
     incidence = float(abs(rotate_pairs(E2.T).T + rotate_pairs(E2)).max())
     excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[:, :5, 7:8]).max())
     bare = sys.with_loads([Load.none()] * sys.n_v)
 
     # Defining equation of the residual: mass matrix times the gap between
-    # the steady-state and model vector fields. The identity the
+    # the steady-state and model vector fields, the mass matrix applied
+    # block by block (L(theta) on each machine's windings). The identity the
     # certificate's invariance gate rests on: along the steady field f the
     # residual turns with every stator, bus and line pair, D rho[f] =
     # omega0 G rho (G: J on those pairs, zero on the angle and speed rows).
     # And the power balance of the model field F: D E[F] = supplied - lost.
     worst_res = worst_flow = worst_power = selector = 0.0
-    h = FD_STEP
+    h, lay = FD_STEP, sys.layout
+    cols, values, starts = sys.field_rows
+    mass = np.concatenate((np.ones(sys.n_g), sys.params.m,
+                           np.ones(5 * sys.n_g), sys._c2, sys._l_T2))
     for _ in range(max(10, n_samples // 10)):
         x, u, omega0 = _random_state(sys, rng)
         selector = max(selector, _bus_selector_defect(bare, x))
+        turned = np.zeros(sys.n_x)
+        turned[lay.pair_rows] = rotate_pairs(x[lay.pair_rows])
+        fused = [np.add.reduceat(y[cols] * values, starts)[lay.pair_rows]
+                 for y in (x, turned)]
+        incidence = max(incidence,
+                        float(abs(fused[1] - rotate_pairs(fused[0])).max()))
         rho = residual(sys, x, u, omega0)
         f = steady_field(sys, x, omega0)
         F = vector_field(sys, x, u)
-        alt = mass_matrix(sys, x) @ (f - F)
+        gap = f - F
+        alt = mass * gap
+        alt[lay.sl_i] = (sys.inductance_stack(x[lay.sl_theta])
+                         @ gap[lay.sl_i].reshape(sys.n_g, 5, 1)).ravel()
         gauge = max(1.0, float(np.max(np.abs(rho))))
         worst_res = max(worst_res, float(np.max(np.abs(rho - alt))) / gauge)
         d_rho = (residual(sys, x + h * f, u, omega0)
                  - residual(sys, x - h * f, u, omega0)) / (2.0 * h)
         g_rho = steady_field(sys, rho, omega0)
-        g_rho[sys.layout.sl_theta] = 0.0
+        g_rho[lay.sl_theta] = 0.0
         gauge = max(1.0, float(np.max(np.abs(d_rho))))
         worst_flow = max(worst_flow,
                          float(np.max(np.abs(d_rho - g_rho))) / gauge)

@@ -94,7 +94,7 @@ class LoadBank:
             return self.y
         mag = np.abs(vc)
         below = mag < self.v_min
-        if below.any():
+        if np.count_nonzero(below):
             j = np.nonzero(below)[-1][0]
             bus, kind = self._named[j]
             raise LoadDomainError(

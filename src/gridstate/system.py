@@ -20,6 +20,8 @@ along, so :func:`invariance_defect` reads the residual's derivative along
 that field off the residual itself, exactly and with no extra evaluation.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
@@ -106,10 +108,8 @@ class PowerSystem:
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
         self.params = params
-        # Reciprocals for the vector field's speed and network rows.
-        self._inv_m, self._d_m = 1.0 / self.params.m, self.params.d / self.params.m
-        self._neg_inv_c2, self._inv_l2 = -1.0 / self._c2, 1.0 / self._l_T2
-        self._r_l2 = self._r_T2 / self._l_T2
+        # Reciprocals for the vector field's speed and load terms.
+        self._inv_m, self._neg_inv_c2 = 1.0 / params.m, -1.0 / self._c2
         self._L0 = L0
         self._field_op, self._residual_op = _rotor_operators(
             self._L0, self.params.resistance_diag())
@@ -130,6 +130,11 @@ class PowerSystem:
         clone.loads = tuple(loads)
         clone.load_bank = LoadBank(clone.loads, self.bus_ids)
         return clone
+
+    @cached_property
+    def field_rows(self):
+        """:func:`_field_rows` on first use; later with_loads copies share it."""
+        return _field_rows(self)
 
     def inductance_stack(self, theta):
         """Winding inductance matrices L(theta) = T L0 T^T of all machines,
@@ -207,6 +212,34 @@ def _machines(sys, x, omega, u, omega0=None):
     return i, w[..., :5], torque
 
 
+def _field_rows(sys):
+    """The vector field's constant linear rows as one CSR operator (column
+    indices, values, row starts): angles read their speeds, speeds their
+    damping -d/m, each bus pair -1/c times its stator pair and E i_T, each
+    line pair (E^T v - r i_T) / l. The winding rows, which the machines
+    write, hold an explicit zero, as ``np.add.reduceat`` returns x[start]
+    for an empty row; a connected network leaves no bus row empty."""
+    lay, net, p = sys.layout, sys.network, sys.params
+    rows, v0, iT0 = np.arange(sys.n_x), lay.sl_v.start, lay.sl_iT.start
+    heads, tails, lines = (2 * e[:, None] + np.arange(2) for e in (
+        net.heads, net.tails, np.arange(sys.n_t)))
+    inv_l, neg_inv_c = 1.0 / net.l_T[:, None], sys._neg_inv_c2
+    entries = (  # (rows, columns, values), broadcast to the rows' shape
+        (rows[lay.sl_theta], rows[lay.sl_omega], 1.0),
+        (rows[lay.sl_omega], rows[lay.sl_omega], -(p.d / p.m)),
+        (rows[lay.sl_i], rows[lay.sl_i], 0.0),
+        (rows[lay.sl_vg], lay.pair_rows[:2 * sys.n_g], neg_inv_c[:2 * sys.n_g]),
+        (v0 + heads, iT0 + lines, neg_inv_c[heads]),
+        (v0 + tails, iT0 + lines, -neg_inv_c[tails]),
+        (iT0 + lines, v0 + heads, inv_l),
+        (iT0 + lines, v0 + tails, -inv_l),
+        (iT0 + lines, iT0 + lines, -(net.r_T / net.l_T)[:, None]))
+    r, c, val = (np.concatenate([np.broadcast_to(e[k], np.shape(e[0])).ravel()
+                                 for e in entries]) for k in range(3))
+    order = np.lexsort((c, r))
+    return c[order], val[order], np.searchsorted(r[order], rows)
+
+
 def _bus_currents(sys, i, v, i_T):
     """Current leaving each bus into its load, machine and lines, stacked
     like the voltages ``v``, for machine currents ``i`` (..., n_g, 5)."""
@@ -264,17 +297,13 @@ def assemble(machines, machine_buses, network, loads=None, bus_ids=None):
 def vector_field(sys, x, u):
     """Time derivative of the full power system state, for states of shape
     (..., n_x)."""
-    b_theta, b_omega, b_i, b_v, b_iT = sys.layout._blocks
-    omega, v, i_T = x[b_omega], x[b_v], x[b_iT]
-    i, di, torque = _machines(sys, x, omega, u)
-    dx = np.empty(x.shape)
-    dx[b_theta] = omega
-    domega = np.multiply(u[:sys.n_g] - torque, sys._inv_m, out=dx[b_omega])
-    domega -= sys._d_m * omega
+    _, b_omega, b_i, b_v, _ = sys.layout._blocks
+    cols, values, starts = sys.field_rows
+    dx = np.add.reduceat(x.take(cols, axis=-1) * values, starts, axis=-1)
+    i, di, torque = _machines(sys, x, x[b_omega], u)
+    dx[b_omega] += (u[:sys.n_g] - torque) * sys._inv_m
     dx[b_i].reshape(i.shape)[...] = di
-    np.multiply(_bus_currents(sys, i, v, i_T), sys._neg_inv_c2, out=dx[b_v])
-    di_T = np.multiply(v @ sys.incidence2, sys._inv_l2, out=dx[b_iT])
-    di_T -= sys._r_l2 * i_T
+    dx[b_v] += sys.load_currents(x[b_v]) * sys._neg_inv_c2
     return dx
 
 
@@ -350,21 +379,6 @@ def invariance_defect(sys, x, u, omega0, rho=None):
 def tolerance_scale(x, u):
     """Relative gauge for residual thresholds: max(1, |x|_inf, |u|_inf)."""
     return max(1.0, float(abs(x).max()), float(abs(u).max()))
-
-
-def mass_matrix(sys, x):
-    """Dense block-diagonal mass matrix at state x (angles/speeds/fluxes/
-    charges block scaling). Intended for cross-checks, not hot paths."""
-    lay = sys.layout
-    diag = np.ones(sys.n_x)
-    diag[lay.sl_omega] = sys.params.m
-    diag[lay.sl_v] = sys._c2
-    diag[lay.sl_iT] = sys._l_T2
-    M = np.diag(diag)
-    for k, L in enumerate(sys.inductance_stack(x[lay.sl_theta])):
-        s = lay.sl_i.start + 5 * k
-        M[s:s + 5, s:s + 5] = L
-    return M
 
 
 def total_energy(sys, x):

@@ -37,8 +37,8 @@ from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery, NetworkSolution,
                                     _recover)
-from gridstate.system import (PowerSystem, residual, steady_field,
-                              tolerance_scale)
+from gridstate.system import (PowerSystem, _machines, residual,
+                              steady_field, tolerance_scale)
 
 log = logging.getLogger("oracles")
 
@@ -437,6 +437,39 @@ def system_field(sys, x, u):
     return lay.pack(rows[:, 0], rows[:, 1], rows[:, 2:], dv, di_T)
 
 
+def dense_field_rows(sys):
+    """The vector field's linear part as a dense n_x x n_x matrix on the
+    dense incidence E2 (pairs): angles read their speeds, speeds -d/m, bus
+    pairs -1/c times the machine injections and E2 i_T, line pairs
+    (E2^T v - r i_T) / l; the winding rows are zero."""
+    lay, net, p = sys.layout, sys.network, sys.params
+    E2 = real_blocks(dense_incidence(net))
+    c2, l2, r2 = (np.repeat(a, 2) for a in (net.c, net.l_T, net.r_T))
+    A = np.zeros((sys.n_x, sys.n_x))
+    A[lay.sl_theta, lay.sl_omega] = np.eye(sys.n_g)
+    A[lay.sl_omega, lay.sl_omega] = np.diag(-(p.d / p.m))
+    A[lay.sl_v, lay.sl_i] = -bus_indicator(sys.n_g, sys.n_v) / c2[:, None]
+    A[lay.sl_v, lay.sl_iT] = -E2 / c2[:, None]
+    A[lay.sl_iT, lay.sl_v] = E2.T / l2[:, None]
+    A[lay.sl_iT, lay.sl_iT] = np.diag(-(r2 / l2))
+    return A
+
+
+def dense_network_field(sys, x, u):
+    """The vector field at states (..., n_x) with its speed and network rows
+    as dense incidence products on whole blocks, and its winding rows and
+    torque from the package's rotor-frame machines."""
+    lay, net, p = sys.layout, sys.network, sys.params
+    _, omega, i_flat, v, i_T = lay.split(x)
+    _, di, torque = _machines(sys, x, omega, u)
+    E2 = real_blocks(dense_incidence(net))
+    c2, l2, r2 = (np.repeat(a, 2) for a in (net.c, net.l_T, net.r_T))
+    bus = (i_flat @ bus_indicator(sys.n_g, sys.n_v).T + i_T @ E2.T
+           + sys.load_currents(v))
+    return lay.pack(omega, (u[:sys.n_g] - torque - p.d * omega) / p.m, di,
+                    -bus / c2, (v @ E2 - r2 * i_T) / l2)
+
+
 def system_residual(sys, x, u, omega0):
     """Full residual: machine rows through :func:`machine_residual`,
     network rows through :func:`network_residual`."""
@@ -458,6 +491,21 @@ def central_invariance_defect(sys, x, u, omega0, h):
     d = system_residual(sys, x + h * f, u, omega0) \
         - system_residual(sys, x - h * f, u, omega0)
     return float(np.max(np.abs(d))) / (2.0 * h)
+
+
+def mass_matrix(sys, x):
+    """Dense block-diagonal mass matrix at state x (angles/speeds/fluxes/
+    charges block scaling), n_x x n_x."""
+    lay = sys.layout
+    diag = np.ones(sys.n_x)
+    diag[lay.sl_omega] = sys.params.m
+    diag[lay.sl_v] = sys._c2
+    diag[lay.sl_iT] = sys._l_T2
+    M = np.diag(diag)
+    for k, L in enumerate(sys.inductance_stack(x[lay.sl_theta])):
+        s = lay.sl_i.start + 5 * k
+        M[s:s + 5, s:s + 5] = L
+    return M
 
 
 def system_energy(sys, x):

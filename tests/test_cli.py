@@ -364,19 +364,53 @@ def test_verify_rejects_bad_tol(tmp_path, fixture_file, capsys, monkeypatch,
      "usage error: cannot open output {folder}/no/out.json: "),
     (["identities", "{fixture}", "--seed", "-1"], 1,
      "usage error: --seed must be non-negative, got -1"),
+    (["steady-state", "{binary}"], 2, "input error: {binary}: "),
+    (["simulate", "{fixture}", "--from", "{binary}", "--dt", "1e-5",
+      "--t-end", "1e-4"], 2, "input error: {binary}: "),
+    (["verify", "{fixture}", "--traj", "{binary}"], 2,
+     "input error: {binary}: "),
 ], ids=["missing-system", "folder-system", "missing-from", "missing-traj",
-        "output", "negative-seed"])
+        "output", "negative-seed", "binary-system", "binary-from",
+        "binary-traj"])
 def test_file_and_seed_errors_print_one_line(tmp_path, fixture_file, capsys,
                                              monkeypatch, argv, code,
                                              message):
-    # A wrong --traj is reported before any steady state is computed.
+    # A wrong --traj, or an -o that cannot be opened, is reported before
+    # any steady state is computed. The binary input starts like an ELF
+    # file and is not UTF-8.
     names = {"fixture": fixture_file, "folder": str(tmp_path),
-             "missing": str(tmp_path / "missing.json")}
-    if "-o" not in argv:
-        refuse_to_run(monkeypatch)
+             "missing": str(tmp_path / "missing.json"),
+             "binary": str(tmp_path / "binary")}
+    (tmp_path / "binary").write_bytes(b"\x7fELF\x02\x01\x01"
+                                      + bytes(range(256)))
+    refuse_to_run(monkeypatch)
     assert main([arg.format(**names) for arg in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith(message.format(**names)) and err.count("\n") == 1
+
+
+def test_output_is_opened_before_the_run(tmp_path, fixture_file, capsys,
+                                        monkeypatch):
+    result = tmp_path / "result.json"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    refuse_to_run(monkeypatch)
+    out = tmp_path / "no" / "x.csv"
+    assert main(["simulate", fixture_file, "--from", str(result), "--dt",
+                 "1e-5", "--t-end", "0.1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"usage error: cannot open output {out}: ")
+    # A run that stops after opening its output leaves an existing file
+    # as it was, and a new one not at all.
+    monkeypatch.undo()
+    doc = json.loads(result.read_text())
+    doc["machines"][0]["theta"] += 0.1
+    result.write_text(json.dumps(doc))
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("kept\n")
+    for out in (kept, new):
+        assert main(["simulate", fixture_file, "--from", str(result), "--dt",
+                     "1e-5", "--t-end", "1e-4", "-o", str(out)]) == 5
+    assert kept.read_text() == "kept\n" and not new.exists()
 
 
 def test_verify_roundtrip_and_corruption(tmp_path, fixture_file):

@@ -123,6 +123,7 @@ BUS_ROW = "bus selector commutes with rotations"
 INCIDENCE_ROW = "incidence commutes with rotations"
 EXCITATION_ROW = "rotation annihilates excitation injection"
 FLOW_ROW = "residual rotates along flow"
+MASS_ROW = "residual equals mass-matrix field gap"
 
 
 def _swap_injected_pairs(monkeypatch):
@@ -157,11 +158,28 @@ def _excite_stator_row(monkeypatch):
     monkeypatch.setattr(system, "_rotor_operators", moved)
 
 
+def _swap_line_pair_columns(monkeypatch):
+    # The field's fused rows read line 1's current pair as (beta, alpha).
+    build = system._field_rows
+
+    def swapped(sys_):
+        cols, values, starts = build(sys_)
+        a = sys_.layout.sl_iT.start
+        return np.where(cols == a, a + 1, np.where(cols == a + 1, a, cols)), \
+            values, starts
+
+    monkeypatch.setattr(system, "_field_rows", swapped)
+
+
+# The bus-selector and incidence mutants reach only the residual, which
+# stops matching the field; the fused-row mutant reaches only the field.
 @pytest.mark.parametrize("mutate, own, failing", [
-    (_swap_injected_pairs, BUS_ROW, {BUS_ROW, FLOW_ROW, POWER_ROW}),
-    (_swap_incidence_pairs, INCIDENCE_ROW, {INCIDENCE_ROW, FLOW_ROW}),
+    (_swap_injected_pairs, BUS_ROW, {BUS_ROW, FLOW_ROW, MASS_ROW}),
+    (_swap_incidence_pairs, INCIDENCE_ROW, {INCIDENCE_ROW, FLOW_ROW, MASS_ROW}),
+    (_swap_line_pair_columns, INCIDENCE_ROW,
+     {INCIDENCE_ROW, MASS_ROW, POWER_ROW}),
     (_excite_stator_row, EXCITATION_ROW, {EXCITATION_ROW, POWER_ROW}),
-], ids=["bus-selector", "incidence", "excitation"])
+], ids=["bus-selector", "incidence", "fused-rows", "excitation"])
 def test_structural_rows_catch_their_mutations(fixture_path, monkeypatch,
                                                mutate, own, failing):
     # Each structural row reads the operator the field and residual run,

@@ -13,15 +13,17 @@ from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.network import Network
 from gridstate.system import (StateLayout, assemble, invariance_defect,
-                              mass_matrix, residual, steady_field,
-                              tolerance_scale, total_energy, vector_field)
+                              residual, steady_field, tolerance_scale,
+                              total_energy, vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
 from oracles import (block_rotation_generator, bus_indicator,
-                     central_invariance_defect, electrical_torque,
+                     central_invariance_defect, dense_field_rows,
+                     dense_network_field, electrical_torque,
                      field_indicator, induced_voltage, load_current,
-                     machine_rotation_generator, reference_assemble,
-                     scalar_load_currents, single_machine_rhs,
+                     machine_rotation_generator, mass_matrix,
+                     reference_assemble, scalar_load_currents,
+                     single_machine_rhs,
                      stator_indicator, system_energy, system_field,
                      system_residual)
 
@@ -135,7 +137,7 @@ def test_assemble_matches_revalidating_reference(three_bus, case):
     args = assembly_inputs(sys_)
     new, ref = assemble(*args), reference_assemble(*args)
     for name in ("incidence2", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
-                 "_residual_op", "_inv_m", "_d_m"):
+                 "_residual_op", "_inv_m"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
     for name in ("heads", "tails", "c"):
         assert getattr(new.network, name).tobytes() == \
@@ -257,6 +259,54 @@ def test_vector_field_matches_monolithic_path(three_bus):
         slow = monolithic_field(sys_, x, u)
         scale = max(1.0, np.max(np.abs(slow)))
         np.testing.assert_allclose(fast, slow, atol=1e-12 * scale)
+
+
+def field_case(three_bus, case):
+    if case == "fixture":
+        return three_bus[0]
+    if case == "ring24-mixed":
+        return ring_mesh(24, ("impedance", "current", "power"), seed=3)[0]
+    return ring_mesh(160, ("impedance",), seed=4)[0]
+
+
+@pytest.mark.parametrize("case", ["fixture", "ring24-mixed", "ring160"])
+def test_fused_field_rows_are_the_dense_linear_part(three_bus, case):
+    # Every row has an entry (reduceat would return x[start] for an empty
+    # one), and scattered back to a dense matrix the rows are, entry for
+    # entry, the linear part written on the dense incidence.
+    sys_ = field_case(three_bus, case)
+    cols, values, starts = sys_.field_rows
+    assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+    rows = np.repeat(np.arange(sys_.n_x), np.diff(starts, append=len(cols)))
+    dense = np.zeros((sys_.n_x, sys_.n_x))
+    np.add.at(dense, (rows, cols), values)
+    np.testing.assert_array_equal(dense, dense_field_rows(sys_))
+
+
+@pytest.mark.parametrize("case", ["fixture", "ring24-mixed", "ring160"])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_vector_field_matches_dense_network_rows(three_bus, case, shape):
+    sys_ = field_case(three_bus, case)
+    rng = np.random.default_rng(45)
+    points = [random_point(sys_, rng) for _ in range(int(np.prod(shape)))]
+    x = np.reshape([p[0] for p in points], shape + (sys_.n_x,))
+    u = points[0][1]
+    want = dense_network_field(sys_, x, u)
+    np.testing.assert_allclose(vector_field(sys_, x, u), want, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_vector_field_runs_without_the_dense_incidence():
+    # The field reads its network rows from the edge list, not from the
+    # dense incidence the residual keeps; a load-swapped copy made once
+    # the rows exist shares them.
+    sys_, _ = ring_mesh(24, ("impedance", "current", "power"), seed=3)
+    clone = sys_.with_loads(sys_.loads)
+    del clone.incidence2
+    x, u = random_point(sys_, np.random.default_rng(46))
+    np.testing.assert_array_equal(vector_field(clone, x, u),
+                                  vector_field(sys_, x, u))
+    assert sys_.with_loads(sys_.loads).field_rows is sys_.field_rows
 
 
 def test_vector_field_matches_per_machine_module(three_bus):
