@@ -335,7 +335,8 @@ def read_trajectory_csv(path, sys, inputs=None):
     """Load a trajectory CSV, checking the header against the system.
 
     numpy's text parser reads all samples in one call. Rows it rejects are
-    read again as Python floats, which name the first bad file line.
+    read again as Python floats, which name the first bad file line. A
+    number that is not finite is named by its file line and column.
     """
     with _open_input(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -368,5 +369,11 @@ def read_trajectory_csv(path, sys, inputs=None):
             except ValueError as err:
                 raise SchemaError(f"{path}: line {n}: {err}") from err
         data = np.array(rows)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        n = [n for n, line in enumerate(lines, start=2) if line.strip()][row]
+        raise SchemaError(f"{path}: line {n}: {expected.split(',')[col]} is "
+                          f"not finite ({data[row, col]})")
     u = np.zeros(sys.layout.n_u) if inputs is None else np.asarray(inputs)
     return Trajectory(times=data[:, 0], states=data[:, 1:], inputs=u)

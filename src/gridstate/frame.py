@@ -43,17 +43,6 @@ def real_blocks(Y):
     return out.reshape(2 * Y.shape[0], 2 * Y.shape[1])
 
 
-def incidence_blocks(heads, tails, n):
-    """``real_blocks(E)``, bit for bit, of the n-row incidence E with +1 at
-    (heads[t], t) and -1 at (tails[t], t), written from those endpoints."""
-    lines = np.arange(len(heads))
-    out = np.zeros((n, 2, len(heads), 2))
-    out[:, 0, :, 1] = -0.0  # real_blocks writes -Im E there
-    out[heads, :, lines, :] = [[1.0, -0.0], [0.0, 1.0]]
-    out[tails, :, lines, :] = [[-1.0, -0.0], [0.0, -1.0]]
-    return out.reshape(2 * n, 2 * len(heads))
-
-
 def rotate_pairs(w):
     """Apply (I kron ROT90) to planar pairs stacked along the last axis,
     without building the matrix."""

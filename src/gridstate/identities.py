@@ -121,14 +121,13 @@ def run_identity_suite(sys, n_samples=120, seed=0):
 
     park = _park_defect(sys, rng, n_samples)
 
-    # Structural rows, exact since J only negates and swaps entries: the
-    # incidence on pairs commutes with J (J E2 - E2 J vanishes), and J,
+    # Structural rows, exact since J only negates and swaps entries: J,
     # turning only the stator pair, annihilates the residual's v_f column
     # (stack column 7). The bus selector row is read at the sampled states,
-    # and so are the field's fused rows on the pairs: turning a state turns
-    # them, every pair coupling being a multiple of the identity.
-    E2 = sys.incidence2
-    incidence = float(abs(rotate_pairs(E2.T).T + rotate_pairs(E2)).max())
+    # and so are the field's fused rows on the pairs and the residual's bus
+    # and line rows (the unloaded system's, on the bus and line pairs alone):
+    # turning a state turns them, every pair coupling being a multiple of
+    # the identity.
     excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[:, :5, 7:8]).max())
     bare = sys.with_loads([Load.none()] * sys.n_v)
 
@@ -139,20 +138,23 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     # residual turns with every stator, bus and line pair, D rho[f] =
     # omega0 G rho (G: J on those pairs, zero on the angle and speed rows).
     # And the power balance of the model field F: D E[F] = supplied - lost.
-    worst_res = worst_flow = worst_power = selector = 0.0
+    worst_res = worst_flow = worst_power = selector = incidence = 0.0
     h, lay = FD_STEP, sys.layout
     cols, values, starts = sys.field_rows
     mass = np.concatenate((np.ones(sys.n_g), sys.params.m,
                            np.ones(5 * sys.n_g), sys._c2, sys._l_T2))
+    network = np.arange(sys.n_x) >= lay.sl_v.start
     for _ in range(max(10, n_samples // 10)):
         x, u, omega0 = _random_state(sys, rng)
         selector = max(selector, _bus_selector_defect(bare, x))
         turned = np.zeros(sys.n_x)
         turned[lay.pair_rows] = rotate_pairs(x[lay.pair_rows])
-        fused = [np.add.reduceat(y[cols] * values, starts)[lay.pair_rows]
-                 for y in (x, turned)]
+        pairs = [np.concatenate((
+            np.add.reduceat(y[cols] * values, starts)[lay.pair_rows],
+            residual(bare, y * network, u, omega0)[network]))
+            for y in (x, turned)]
         incidence = max(incidence,
-                        float(abs(fused[1] - rotate_pairs(fused[0])).max()))
+                        float(abs(pairs[1] - rotate_pairs(pairs[0])).max()))
         rho = residual(sys, x, u, omega0)
         f = steady_field(sys, x, omega0)
         F = vector_field(sys, x, u)

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LoadDomainError
+from .errors import LoadDomainError, SolverError
 from .frame import rotate_pairs
 from .system import residual, tolerance_scale, vector_field
 
@@ -69,7 +69,9 @@ def rk4_step(sys, x, u, dt):
 
 def simulate(sys, x0, u, cfg):
     """Integrate from x0 under constant input, recording every
-    ``record_every`` steps (step 0 included)."""
+    ``record_every`` steps (step 0 included). A run whose recorded or final
+    state is not finite raises :class:`SolverError` naming the first such
+    time."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = np.asarray(u, dtype=float)
     x = np.array(x0, dtype=float)
@@ -86,8 +88,13 @@ def simulate(sys, x0, u, cfg):
         if step % cfg.record_every == 0:
             times.append(step * cfg.dt)
             states.append(x.copy())
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      inputs=u.copy())
+    states = np.array(states)
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=-1))
+    if bad.size or not np.isfinite(x).all():
+        t = times[bad[0]] if bad.size else n_steps * cfg.dt
+        raise SolverError(f"simulation diverged: state not finite at "
+                          f"t={t:.6e}; a smaller dt may keep it finite")
+    return Trajectory(times=np.array(times), states=states, inputs=u.copy())
 
 
 def reference_trajectory(sys, x0, omega0, t):

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import LoadDomainError, ValidationError
-from .frame import MACHINE_ROT90, as_complex, incidence_blocks, rotate_pairs
+from .frame import MACHINE_ROT90, as_complex, rotate_pairs
 from .loads import Load, LoadBank, rotation_commutator
 from .machine import stack_params, stator_frame_inductance, validate_params
 
@@ -101,9 +101,10 @@ class PowerSystem:
         self.layout = StateLayout(self.n_g, self.n_v, self.n_t)
         self.n_x = self.layout.n_x
 
-        # E kron I_2, the incidence acting on stacked pairs.
-        self.incidence2 = incidence_blocks(network.heads, network.tails,
-                                           self.n_v)
+        # Pair rows of each line's head and tail, (2, 2*n_t): the incidence
+        # on stacked pairs, E^T v two gathers and E i_T one bincount.
+        self._line_ends = (2 * np.stack((network.heads, network.tails))
+                           [..., None] + (0, 1)).reshape(2, -1)
         self._c2 = np.repeat(network.c, 2)
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
@@ -242,11 +243,15 @@ def _field_rows(sys):
 
 def _bus_currents(sys, i, v, i_T):
     """Current leaving each bus into its load, machine and lines, stacked
-    like the voltages ``v``, for machine currents ``i`` (..., n_g, 5)."""
+    like the voltages ``v``, for machine currents ``i`` (..., n_g, 5). The
+    lines draw E i_T: one weighted bincount of each line pair at its head's
+    rows and, negated, its tail's, so each bus sums its lines in order."""
     out = sys.load_currents(v)
     injected = out[..., :2 * sys.n_g].reshape(i.shape[:-1] + (2,))
     injected += i[..., :2]
-    out += i_T @ sys.incidence2.T
+    rows = np.arange(0, out.size, out.shape[-1])[:, None, None] + sys._line_ends
+    flows = np.concatenate((i_T, -i_T), axis=-1)
+    out += np.bincount(rows.ravel(), flows.ravel(), out.size).reshape(out.shape)
     return out
 
 
@@ -334,7 +339,8 @@ def residual(sys, x, u, omega0):
            omega0 * sys._c2 * rotate_pairs(v), out=rho[b_v])
     rho_lines = np.multiply(sys._r_T2, i_T, out=rho[b_iT])
     rho_lines += omega0 * sys._l_T2 * rotate_pairs(i_T)
-    rho_lines -= v @ sys.incidence2
+    heads, tails = sys._line_ends
+    rho_lines -= v.take(heads, axis=-1) - v.take(tails, axis=-1)
     return rho
 
 

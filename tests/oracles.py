@@ -296,7 +296,8 @@ def reference_solve_network(sys, spec):
         v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
     else:
         raise SolverError(f"no convergence in {opts.max_iter} iterations")
-    i_T = solve_branch_currents(sys.network, omega0, sys.incidence2.T @ v)
+    E2 = real_blocks(dense_incidence(sys.network))
+    i_T = solve_branch_currents(sys.network, omega0, E2.T @ v)
     return NetworkSolution(i_s=-balance[:2 * n_g], v=v, i_T=i_T,
                            iterations=iterations, residual_history=history)
 
@@ -734,8 +735,7 @@ def reference_assemble(machines, machine_buses, network, loads=None,
     """Assembly that checks everything again on the reordered copies: each
     machine on its own with :func:`scalar_validate_params`, the renumbered
     endpoints and reordered capacitances through the :class:`Network`
-    constructor, and the pair incidence as ``real_blocks`` of the
-    :func:`dense_incidence`."""
+    constructor."""
     problems = []
     n_v = network.n_v
     if len(machines) < 1:
@@ -763,11 +763,9 @@ def reference_assemble(machines, machine_buses, network, loads=None,
                                    if b not in set(machine_buses)]
     params = stack_params(machines)
     label = [order.index(b) for b in range(n_v)]
-    sys_ = PowerSystem(
+    return PowerSystem(
         machines, params, params.rotor_frame_inductance(),
         Network(heads=np.array([label[b] for b in network.heads]),
                 tails=np.array([label[b] for b in network.tails]),
                 c=network.c[order], r_T=network.r_T, l_T=network.l_T),
         [loads[b] for b in order], [bus_ids[b] for b in order], order)
-    sys_.incidence2 = real_blocks(dense_incidence(sys_.network))
-    return sys_

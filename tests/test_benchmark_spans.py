@@ -19,7 +19,7 @@ def traced_targets():
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    # Modules by name: the package re-exports a function called simulate.
+    # Modules by name: the package's top level does not import these.
     gs = types.SimpleNamespace(**{
         name: importlib.import_module(f"gridstate.{name}")
         for name in ("fileio", "simulate", "steady_state", "system")})

@@ -27,7 +27,7 @@ def fixture_file(fixture_path):
 
 
 def write_variant(tmp_path, fixture_path, mutate):
-    doc = json.loads(open(fixture_path).read())
+    doc = json.loads(pathlib.Path(fixture_path).read_text())
     mutate(doc)
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(doc))
@@ -270,6 +270,53 @@ def test_simulate_row_count_and_metrics(tmp_path, fixture_file, capsys):
                  "-o", str(traj)]) == 0
     lines = traj.read_text().strip().splitlines()
     assert len(lines) == int(0.002 / (1e-5 * 10)) + 2
+
+
+def test_a_diverged_simulation_is_a_solver_error(tmp_path, fixture_file,
+                                                capsys):
+    # At dt = 1e-2 RK4 leaves the fixture's stability region: the run exits
+    # 4 naming the first recorded time whose state is not finite, writes no
+    # CSV and leaves an existing output as it was. At dt = 1e-3 it stays
+    # finite.
+    result = tmp_path / "result.json"
+    traj = tmp_path / "traj.csv"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    args = ["simulate", fixture_file, "--from", str(result), "--t-end", "0.5",
+            "-o", str(traj)]
+    assert main(args + ["--dt", "1e-2"]) == 4
+    assert not traj.exists()
+    traj.write_text("kept\n")
+    assert main(args + ["--dt", "1e-2"]) == 4
+    assert traj.read_text() == "kept\n"
+    err = capsys.readouterr().err
+    assert err.count("solver error: simulation diverged: state not finite "
+                     "at t=5.000000e-02") == 2
+    assert "state_deviation" not in err
+    assert main(args + ["--dt", "1e-3"]) == 0
+
+
+@pytest.mark.parametrize("column, text", [
+    (3, "nan"), (7, "inf"), (20, "1e999"), (0, "nan")],
+    ids=["nan", "inf", "overflow", "nan-time"])
+def test_a_non_finite_trajectory_entry_is_an_input_error(
+        tmp_path, fixture_file, capsys, column, text):
+    # Like the system and result files, a trajectory whose numbers are not
+    # all finite is rejected as input (exit 2), by file line and column.
+    result = tmp_path / "result.json"
+    traj = tmp_path / "traj.csv"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    assert main(["simulate", fixture_file, "--from", str(result), "--dt",
+                 "1e-5", "--t-end", "3e-5", "-o", str(traj)]) == 0
+    lines = traj.read_text().splitlines()
+    header, row = lines[0].split(","), lines[3].split(",")
+    row[column] = text
+    lines[3] = ",".join(row)
+    traj.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", fixture_file, "--traj", str(traj)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {traj}: line 4: {header[column]} is not finite "
+        f"({float(text)})\n")
 
 
 def test_simulate_refuses_a_start_that_is_not_a_steady_state(

@@ -134,14 +134,16 @@ def _swap_injected_pairs(monkeypatch):
 
 
 def _swap_incidence_pairs(monkeypatch):
-    # Every 2x2 block of the incidence on pairs maps (a, b) to (b, a).
-    blocks = system.incidence_blocks
+    # The residual's incidence reads and writes every endpoint pair as
+    # (beta, alpha): each 2x2 block of E on pairs maps (a, b) to (b, a).
+    build = system.PowerSystem.__init__
 
-    def swapped(heads, tails, n):
-        E2 = blocks(heads, tails, n)
-        return E2.reshape(n, 2, -1)[:, ::-1].reshape(E2.shape)
+    def swapped(self, *args):
+        build(self, *args)
+        ends = self._line_ends
+        self._line_ends = ends.reshape(2, -1, 2)[..., ::-1].reshape(ends.shape)
 
-    monkeypatch.setattr(system, "incidence_blocks", swapped)
+    monkeypatch.setattr(system.PowerSystem, "__init__", swapped)
 
 
 def _excite_stator_row(monkeypatch):

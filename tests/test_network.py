@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from gridstate.errors import ValidationError
-from gridstate.frame import as_complex, incidence_blocks, real_blocks
+from gridstate import system
+from gridstate.frame import as_complex, real_blocks
 from gridstate.loads import Load, LoadBank
 from gridstate.network import (Network, admittance, line_admittance,
                                solve_branch_currents)
 
-from conftest import ring_mesh
+from conftest import ring_mesh, sample_machine
 from oracles import (NetworkState, block_rotation_generator,
                      branch_impedance, dense_incidence,
                      dense_line_admittance, network_residual, network_rhs,
@@ -36,7 +37,13 @@ def random_tree(rng, n_v):
 
 
 def pair_blocks(net):
-    return incidence_blocks(net.heads, net.tails, net.n_v)
+    """The residual's incidence on pairs as a dense matrix: the bus currents
+    of each unit line current pair alone, on an unloaded system with one
+    machine at bus 0, which keeps the network's bus order."""
+    sys_ = system.assemble([sample_machine()], [0], net)
+    eye = np.eye(2 * net.n_t)
+    return system._bus_currents(sys_, np.zeros((len(eye), 1, 5)),
+                                np.zeros((len(eye), 2 * net.n_v)), eye).T
 
 
 def no_loads(n_v):
@@ -64,10 +71,26 @@ def test_incidence_commutes_with_rotations():
     np.testing.assert_array_equal(E2 @ Jt, Jv @ E2)
 
 
-def test_system_incidence2_is_kron_identity(three_bus):
-    sys_, _ = three_bus
-    np.testing.assert_array_equal(
-        sys_.incidence2, np.kron(dense_incidence(sys_.network), np.eye(2)))
+@pytest.mark.parametrize("n_bus", [None, 24, 160])
+def test_system_incidence_is_kron_identity(three_bus, n_bus):
+    # The residual's edge-list incidence products are E kron I_2, for one
+    # state and for stacks: at omega0 = 0, with no loads or machine
+    # currents, its line rows are r i_T - E2^T v exactly and its bus rows
+    # E2 i_T to the rounding of the dense sums.
+    sys_ = three_bus[0] if n_bus is None else \
+        ring_mesh(n_bus, ("impedance", "current", "power"), seed=n_bus)[0]
+    bare, lay = sys_.with_loads([Load.none()] * sys_.n_v), sys_.layout
+    E2 = np.kron(dense_incidence(sys_.network), np.eye(2))
+    rng = np.random.default_rng(36)
+    for shape in [(), (7,), (2, 3)]:
+        v = rng.uniform(-3, 3, shape + (2 * sys_.n_v,))
+        i_T = rng.uniform(-2, 2, shape + (2 * sys_.n_t,))
+        x = lay.pack(0.0, 0.0, np.zeros(shape + (sys_.n_g, 5)), v, i_T)
+        rho = system.residual(bare, x, np.zeros(lay.n_u), 0.0)
+        np.testing.assert_array_equal(
+            rho[..., lay.sl_iT], np.repeat(sys_.network.r_T, 2) * i_T - v @ E2)
+        np.testing.assert_allclose(rho[..., lay.sl_v], i_T @ E2.T, rtol=0.0,
+                                   atol=1e-15)
 
 
 @pytest.mark.parametrize("n_bus", [None, 64])
@@ -158,9 +181,8 @@ def test_malformed_incidence_messages(heads, tails, n_v, params, message):
 
 
 def test_endpoints_match_dense_columns():
-    # incidence_blocks of the endpoints is real_blocks of the dense E, -0.0
-    # entries included, before and after relabelling; relabelling moves
-    # the rows of E.
+    # The residual's incidence of the endpoints is real_blocks of the dense
+    # E, before and after relabelling; relabelling moves the rows of E.
     rng = np.random.default_rng(32)
     for _ in range(200):
         n_v = int(rng.integers(2, 12))
@@ -179,7 +201,7 @@ def test_endpoints_match_dense_columns():
             np.testing.assert_array_equal(top.heads, np.argmax(E == 1, axis=0))
             np.testing.assert_array_equal(top.tails,
                                           np.argmax(E == -1, axis=0))
-            assert pair_blocks(top).tobytes() == real_blocks(E).tobytes()
+            np.testing.assert_array_equal(pair_blocks(top), real_blocks(E))
 
 
 def test_relabel_moves_buses_without_checking_again(monkeypatch):

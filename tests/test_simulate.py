@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gridstate.simulate
-from gridstate.errors import LoadDomainError
+from gridstate.errors import LoadDomainError, SolverError
 from gridstate.frame import ROT90
 from gridstate.simulate import (SimConfig, Trajectory, drift_metrics,
                                 reference_trajectory, rk4_step, rk4_step_fn,
@@ -57,6 +57,18 @@ def test_simulate_sample_count_and_grid():
     traj = simulate(sys_, ss.x, ss.u,
                     SimConfig(dt=1e-3, t_end=0.05, record_every=10))
     assert len(traj.times) == 0.05 / 1e-3 // 10 + 1
+
+
+@pytest.mark.parametrize("record_every, t", [(1, "5.000000e-02"),
+                                              (100, "5.000000e-01")])
+def test_a_run_that_leaves_the_finite_states_raises(three_bus, certified,
+                                                    record_every, t):
+    # The first recorded time whose state is not finite is named; a final
+    # state that is not recorded is checked too.
+    sys_, _ = three_bus
+    cfg = SimConfig(dt=1e-2, t_end=0.5, record_every=record_every)
+    with pytest.raises(SolverError, match=f"state not finite at t={t}"):
+        simulate(sys_, certified.x, certified.u, cfg)
 
 
 def test_sim_config_validation():

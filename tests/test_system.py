@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 import gridstate.system
 from gridstate.errors import LoadDomainError, ValidationError
 from gridstate.fileio import load_system_file
-from gridstate.frame import as_complex
+from gridstate.frame import as_complex, real_blocks
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.network import Network
+from gridstate.simulate import SimConfig, simulate
+from gridstate.steady_state import compute_steady_state
 from gridstate.system import (StateLayout, assemble, invariance_defect,
                               residual, steady_field, tolerance_scale,
                               total_energy, vector_field)
@@ -19,6 +22,7 @@ from gridstate.system import (StateLayout, assemble, invariance_defect,
 from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
 from oracles import (block_rotation_generator, bus_indicator,
                      central_invariance_defect, dense_field_rows,
+                     dense_incidence,
                      dense_network_field, electrical_torque,
                      field_indicator, induced_voltage, load_current,
                      machine_rotation_generator, mass_matrix,
@@ -136,7 +140,7 @@ def test_assemble_matches_revalidating_reference(three_bus, case):
         sys_ = ring_mesh(int(n), kinds, seed=int(n))[0]
     args = assembly_inputs(sys_)
     new, ref = assemble(*args), reference_assemble(*args)
-    for name in ("incidence2", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
+    for name in ("_line_ends", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
                  "_residual_op", "_inv_m"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
     for name in ("heads", "tails", "c"):
@@ -238,7 +242,7 @@ def monolithic_field(sys_, x, u):
     IvT = bus_indicator(n_g, sys_.n_v).T
     If = field_indicator(n_g)
     i_l = sys_.load_currents(v)
-    E2 = sys_.incidence2
+    E2 = real_blocks(dense_incidence(sys_.network))
     RT2 = np.repeat(sys_.network.r_T, 2)
     bracket = np.concatenate([
         omega,
@@ -297,12 +301,12 @@ def test_vector_field_matches_dense_network_rows(three_bus, case, shape):
 
 
 def test_vector_field_runs_without_the_dense_incidence():
-    # The field reads its network rows from the edge list, not from the
-    # dense incidence the residual keeps; a load-swapped copy made once
-    # the rows exist shares them.
+    # The field reads its network rows from its fused rows, not from the
+    # incidence the residual keeps; a load-swapped copy made once the rows
+    # exist shares them.
     sys_, _ = ring_mesh(24, ("impedance", "current", "power"), seed=3)
     clone = sys_.with_loads(sys_.loads)
-    del clone.incidence2
+    del clone._line_ends
     x, u = random_point(sys_, np.random.default_rng(46))
     np.testing.assert_array_equal(vector_field(clone, x, u),
                                   vector_field(sys_, x, u))
@@ -355,6 +359,56 @@ def test_rotor_frame_kernel_matches_inductance_oracle(n_g, salient):
         close(vector_field(sys_, x, u), system_field(sys_, x, u))
         close(residual(sys_, x, u, 314.0), system_residual(sys_, x, u, 314.0))
         close(total_energy(sys_, x), system_energy(sys_, x))
+
+
+@pytest.mark.parametrize("case", ["fixture", "ring24-mixed", "ring160-mixed"])
+def test_residual_matches_dense_oracle_on_rk4_stacks(three_bus, case):
+    # The edge-list residual against the oracle's dense incidence products
+    # and per-machine L(theta), state by state: on a 401-state RK4 stack
+    # from the steady state and on seeded random states around it, as
+    # one stack and as single states, within 1e-15 of tolerance_scale.
+    sys_, spec = three_bus if case == "fixture" else ring_mesh(
+        int(case[4:-6]), ("impedance", "current", "power"), seed=3)
+    ss = compute_steady_state(sys_, spec)
+    traj = simulate(sys_, ss.x, ss.u, SimConfig(dt=1e-5, t_end=4e-3))
+    rng = np.random.default_rng(47)
+    for x in (traj.states, ss.x + rng.uniform(-1.0, 1.0, (40, sys_.n_x))):
+        stacked = residual(sys_, x, ss.u, ss.omega0)
+        for k, x_k in enumerate(x):
+            want = system_residual(sys_, x_k, ss.u, ss.omega0)
+            bound = 1e-15 * tolerance_scale(x_k, ss.u)
+            for got in (stacked[k], residual(sys_, x_k, ss.u, ss.omega0)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+    assert len(traj.states) == 401
+
+
+def held_bytes(sys_):
+    """Bytes of the arrays a system holds: its own, its layout's, machine
+    constants', network's and load bank's, and the field's fused rows."""
+    owners = (vars(sys_), vars(sys_.layout), vars(sys_.params),
+              vars(sys_.network), vars(sys_.load_bank),
+              dict(enumerate(sys_.field_rows)))
+    return sum(a.nbytes for owner in owners for a in owner.values()
+               if isinstance(a, np.ndarray))
+
+
+def test_a_2560_bus_system_holds_linear_memory():
+    # Assembly and one field, residual and invariance defect at 2560 buses
+    # stay far below one n_v x n_t array (the dense pair incidence alone
+    # was 262 MB), in peak traced memory and in the arrays the system keeps.
+    tracemalloc.start()
+    try:
+        sys_, _ = ring_mesh(2560, ("impedance", "current", "power"))
+        x, u = random_point(sys_, np.random.default_rng(48), omega0=314.0)
+        vector_field(sys_, x, u)
+        rho = residual(sys_, x, u, 314.0)
+        invariance_defect(sys_, x, u, 314.0, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 16e6  # a quarter of one n_v x n_t float array
+    assert peak < bound and held_bytes(sys_) < bound
+    assert sys_.n_v * sys_.n_t * 8 > 4 * bound
 
 
 def test_steady_field_cases(three_bus):
