@@ -215,24 +215,17 @@ def load_system_file(path):
 
 def result_document(sys, ss, report):
     """Serializable steady-state result; numbers keep full precision."""
-    lay = sys.layout
-    theta, omega, i_flat, v, i_T = lay.split(ss.x)
-    i = i_flat.reshape(sys.n_g, 5)
-    machines = []
-    for k, rec in enumerate(ss.recoveries):
-        machines.append({
-            "bus": sys.bus_ids[k],
-            "theta": float(wrap_angle(rec.theta)),  # unwrapped internally
-            "i_s": [float(i[k, 0]), float(i[k, 1])],
-            "i_f": rec.i_f,
-            "i_d": rec.i_d,
-            "i_q": rec.i_q,
-            "tau_m": rec.tau_m,
-            "v_f": rec.v_f,
-            "sigma": rec.sigma,
-            "case": rec.case,
-            "nu": [float(rec.nu[0]), float(rec.nu[1])],
-        })
+    theta, _, i, v, i_T = sys.layout.split(ss.x)
+    tau_m, v_f = sys.layout.split_input(ss.u)
+    rec = ss.recovery
+    # Machine k sits at solve-order bus k; the zip stops after the machines.
+    machines = [{"bus": bus, "theta": th, "i_s": i_k[:2], "i_f": i_k[2],
+                 "i_d": i_k[3], "i_q": i_k[4], "tau_m": tm, "v_f": vf,
+                 "sigma": s, "case": c, "nu": nu}
+                for bus, th, i_k, tm, vf, s, c, nu in zip(
+                    sys.bus_ids, wrap_angle(theta).tolist(),  # unwrapped in x
+                    i.reshape(-1, 5).tolist(), tau_m.tolist(), v_f.tolist(),
+                    rec.sigma.tolist(), rec.case, rec.nu.tolist())]
     # Report buses and lines in the user's input order.
     bus_rows = [None] * sys.n_v
     for k in range(sys.n_v):
@@ -249,9 +242,9 @@ def result_document(sys, ss, report):
         "iterations": ss.network.iterations,
         "residual_history": ss.network.residual_history}
     diagnostics["recovery"] = [
-        {"case": rec.case, "excitation_residual": rec.excitation_residual,
-         "alignment_residual": rec.alignment_residual}
-        for rec in ss.recoveries]
+        {"case": c, "excitation_residual": e, "alignment_residual": a}
+        for c, e, a in zip(rec.case, rec.excitation_residual.tolist(),
+                           rec.alignment_residual.tolist())]
     return {
         "omega0": ss.omega0,
         "machines": machines,
@@ -302,8 +295,14 @@ def load_result_file(path, sys):
             raise SchemaError(f"{path}: missing bus {sys.bus_ids[k]!r}")
         v[2 * k:2 * k + 2] = _pair(buses[n], "v", f"buses[{n}]")
     i_T = np.zeros(2 * sys.n_t)
-    for t, row in enumerate(lines):
-        i_T[2 * t:2 * t + 2] = _pair(row, "i_T", f"lines[{t}]")
+    ends = zip(sys.network.heads.tolist(), sys.network.tails.tolist())
+    for t, (row, (head, tail)) in enumerate(zip(lines, ends)):
+        where = f"lines[{t}]"
+        frm, to = sys.bus_ids[head], sys.bus_ids[tail]
+        if (row.get("from"), row.get("to")) != (frm, to):
+            raise SchemaError(f"{path}: {where}: must run from bus {frm!r} "
+                              f"to bus {to!r}")
+        i_T[2 * t:2 * t + 2] = _pair(row, "i_T", where)
 
     x0 = lay.pack(theta, np.full(sys.n_g, omega0), i, v, i_T)
     u = lay.pack_input(tau_m, v_f)

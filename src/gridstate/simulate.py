@@ -36,18 +36,10 @@ class Trajectory:
     inputs: np.ndarray  # constant input vector
 
 
-def rk4_step_fn(f, x, dt):
-    """One classical Runge-Kutta step of dx/dt = f(x)."""
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def rk4_step(sys, x, u, dt):
-    """One RK4 step of the power system dynamics under constant input: the
-    stages of :func:`rk4_step_fn`, bit for bit, combined in place."""
+    """One classical Runge-Kutta step of the power system dynamics under
+    constant input: x + (dt / 6) (k1 + 2 (k2 + k3) + k4), the stages
+    combined in place in that order of operations."""
     k = []
     try:
         k.append(vector_field(sys, x, u))
@@ -69,9 +61,11 @@ def rk4_step(sys, x, u, dt):
 
 def simulate(sys, x0, u, cfg):
     """Integrate from x0 under constant input, recording every
-    ``record_every`` steps (step 0 included). A run whose recorded or final
-    state is not finite raises :class:`SolverError` naming the first such
-    time."""
+    ``record_every`` steps (step 0 included). The state is checked at steps
+    1, 2, 4, 8, ... and at the last, so a run that leaves the finite states
+    at step s stops by step 2s; it raises :class:`SolverError` naming the
+    first recorded time whose state is not finite, else the time it
+    stopped at."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     u = np.asarray(u, dtype=float)
     x = np.array(x0, dtype=float)
@@ -88,10 +82,12 @@ def simulate(sys, x0, u, cfg):
         if step % cfg.record_every == 0:
             times.append(step * cfg.dt)
             states.append(x.copy())
+        if not step & (step - 1) and not np.isfinite(x).all():
+            break
     states = np.array(states)
     bad = np.flatnonzero(~np.isfinite(states).all(axis=-1))
     if bad.size or not np.isfinite(x).all():
-        t = times[bad[0]] if bad.size else n_steps * cfg.dt
+        t = times[bad[0]] if bad.size else step * cfg.dt
         raise SolverError(f"simulation diverged: state not finite at "
                           f"t={t:.6e}; a smaller dt may keep it finite")
     return Trajectory(times=np.array(times), states=states, inputs=u.copy())

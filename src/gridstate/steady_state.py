@@ -88,25 +88,24 @@ class NetworkSolution:
 
 @dataclass
 class MachineRecovery:
-    """Closed-form machine steady state behind a solved network point.
+    """Closed-form machine steady states behind a solved network point, one
+    entry per machine in machine order: (n_g,) arrays, ``nu`` (n_g, 2).
 
     ``nu`` is the stator voltage left over after the impedance drop, i.e.
-    the voltage the excitation winding must induce; ``case`` flags the
-    degenerate branches (nu_zero, omega_zero, alpha_equal) next to the
-    generic "regular" one.
+    the voltage the excitation winding must induce; ``case`` labels each
+    machine's branch: the degenerate nu_zero, omega_zero and alpha_equal,
+    or the generic "regular". The damper currents vanish in steady state.
     """
 
-    theta: float
-    i_f: float
-    i_d: float
-    i_q: float
-    tau_m: float
-    v_f: float
+    theta: np.ndarray
+    i_f: np.ndarray
+    tau_m: np.ndarray
+    v_f: np.ndarray
     nu: np.ndarray
-    sigma: int
-    case: str
-    excitation_residual: float  # relative defect of the excitation equation
-    alignment_residual: float   # relative defect of the angle alignment equation
+    sigma: np.ndarray
+    case: list
+    excitation_residual: np.ndarray  # relative defect, excitation equation
+    alignment_residual: np.ndarray   # relative defect, angle alignment
 
 
 @dataclass
@@ -114,9 +113,8 @@ class FullSteadyState:
     x: np.ndarray
     u: np.ndarray
     omega0: float
-    recoveries: list = None
+    recovery: MachineRecovery = None
     network: NetworkSolution = None
-    diagnostics: dict = None
 
 
 @dataclass
@@ -148,9 +146,9 @@ def recovery_parts(p, v, i_s, omega0):
 
 
 def _recover(p, v, i_s, omega0, sigma):
-    """Closed-form recovery of a stack of machines: constants ``p`` with
-    (n,) array fields, complex terminal voltages and stator currents (n,),
-    polarizations (n,)."""
+    """Closed-form recovery of a stack of machines into one record:
+    constants ``p`` with (n,) array fields, complex terminal voltages and
+    stator currents (n,), polarizations (n,)."""
     sigma = np.asarray(sigma)
     bad = (sigma != 1) & (sigma != -1)
     if bad.any():
@@ -217,14 +215,10 @@ def _recover(p, v, i_s, omega0, sigma):
     # The torque (L0 i_r) . (J i_r) at i_r = (e^{-j theta} i_s, i_f, 0, 0).
     i_r = np.conj(z) * i_s
     tau_m = p.d * omega0 - i_r.imag * (2.0 * p.l_sa * i_r.real + p.l_sf * i_f)
-    rows = zip(theta.tolist(), i_f.tolist(), tau_m.tolist(),
-               (p.r_f * i_f).tolist(), nu.view(float).reshape(-1, 2),
-               sigma.astype(int).tolist(), cases, exc_res.tolist(),
-               ali_res.tolist())
-    return [MachineRecovery(theta=th, i_f=f, i_d=0.0, i_q=0.0, tau_m=tm,
-                            v_f=vf, nu=n, sigma=s, case=c,
-                            excitation_residual=e, alignment_residual=al)
-            for th, f, tm, vf, n, s, c, e, al in rows]
+    return MachineRecovery(
+        theta=theta, i_f=i_f, tau_m=tau_m, v_f=p.r_f * i_f,
+        nu=nu.view(float).reshape(-1, 2), sigma=sigma.astype(int), case=cases,
+        excitation_residual=exc_res, alignment_residual=ali_res)
 
 
 def solve_network(sys, spec):
@@ -308,29 +302,29 @@ def solve_network(sys, spec):
 
 
 def recover_all(sys, spec, net):
-    """Recoveries of all machines behind a network solution, in one pass."""
+    """Recovery of all machines behind a network solution, in one pass."""
     return _recover(sys.params, as_complex(net.v[:2 * sys.n_g]),
                     as_complex(net.i_s), spec.omega0, spec.sigma)
 
 
-def assemble_steady_state(sys, net, recoveries, omega0):
-    """Stack a network solution and machine recoveries into a full state and
-    input, and verify the full-system residual meets the tolerance."""
-    if len(recoveries) != sys.n_g:
-        raise ValueError(f"need {sys.n_g} recoveries, got {len(recoveries)}")
-    m = np.array([(rec.theta, rec.i_f, rec.i_d, rec.i_q, rec.tau_m, rec.v_f)
-                  for rec in recoveries], dtype=float).reshape(-1, 6)
-    i = np.concatenate((net.i_s.reshape(-1, 2), m[:, 1:4]), axis=1)
-    x = sys.layout.pack(m[:, 0], omega0, i, net.v, net.i_T)
-    u = sys.layout.pack_input(m[:, 4], m[:, 5])
-
+def _residual_gate(sys, x, u, omega0):
+    """The residual at (x, u), its block norms, |rho|_inf and the tolerance
+    scale. The blocks partition the state; a NaN block makes |rho|_inf NaN."""
     rho = residual(sys, x, u, omega0)
     blocks = residual_block_norms(sys, rho)
-    # The blocks partition the state; a NaN block makes rho_inf NaN.
     rho_inf = max(blocks.values(), key=lambda b: b if b == b else math.inf)
-    scale = tolerance_scale(x, u)
-    diagnostics = {"residual_blocks": blocks, "residual_inf": rho_inf,
-                   "scale": scale}
+    return rho, blocks, rho_inf, tolerance_scale(x, u)
+
+
+def assemble_steady_state(sys, net, recovery, omega0):
+    """Stack a network solution and the machine recovery into a full state
+    and input, and verify the full-system residual meets the tolerance."""
+    i = np.zeros((sys.n_g, 5))  # the damper currents stay zero
+    i[:, :2] = net.i_s.reshape(-1, 2)
+    i[:, 2] = recovery.i_f
+    x = sys.layout.pack(recovery.theta, omega0, i, net.v, net.i_T)
+    u = sys.layout.pack_input(recovery.tau_m, recovery.v_f)
+    _, blocks, rho_inf, scale = _residual_gate(sys, x, u, omega0)
     if not rho_inf <= CERT_RESIDUAL_TOL * scale:
         detail = ", ".join(f"{k}={val:.3e}" for k, val in blocks.items())
         raise SolverError(
@@ -338,15 +332,15 @@ def assemble_steady_state(sys, net, recoveries, omega0):
             f"{rho_inf:.3e} > {CERT_RESIDUAL_TOL:.1e} * scale ({scale:.3e}); "
             f"blocks: {detail}"
         )
-    return FullSteadyState(x=x, u=u, omega0=omega0, recoveries=recoveries,
-                           network=net, diagnostics=diagnostics)
+    return FullSteadyState(x=x, u=u, omega0=omega0, recovery=recovery,
+                           network=net)
 
 
 def compute_steady_state(sys, spec):
     """Full pipeline: network solve, machine recovery, assembly."""
     net = solve_network(sys, spec)
-    recoveries = recover_all(sys, spec, net)
-    return assemble_steady_state(sys, net, recoveries, spec.omega0)
+    recovery = recover_all(sys, spec, net)
+    return assemble_steady_state(sys, net, recovery, spec.omega0)
 
 
 def verify_steady_state(sys, ss):
@@ -360,10 +354,7 @@ def verify_steady_state(sys, ss):
     ones by the rotation probe. Thresholds are relative to the state/input
     scale; ``margins`` holds each gate's value over its threshold.
     """
-    rho = residual(sys, ss.x, ss.u, ss.omega0)
-    blocks = residual_block_norms(sys, rho)
-    rho_inf = max(blocks.values(), key=lambda b: b if b == b else math.inf)
-    scale = tolerance_scale(ss.x, ss.u)
+    rho, blocks, rho_inf, scale = _residual_gate(sys, ss.x, ss.u, ss.omega0)
     inv = invariance_defect(sys, ss.x, ss.u, ss.omega0, rho)
     v = ss.x[sys.layout.sl_v]
     equiv = [0.0] * sys.n_v

@@ -10,17 +10,18 @@ time, the invariance defect as a central difference of the residual, one
 machine at a time through its full inductance matrix L(theta) with a
 Cholesky solve at every call, the torque and induced voltage of that
 matrix with their flow-derivative identities, the planar rotation as a
-2x2 matrix, the drift metrics one trajectory sample at a time, the
-closed-form machine recovery one machine at a time in 2x2 rotation
-matrices, the Newton network solve that rebuilds the admittance and the
-whole Jacobian at every iteration, and the system assembly that checks
-each machine on its own and every reordered component again. Two helpers
-with no caller in the package live here too: the (P, Q) a load draws, and
-the package's array recovery run for one machine.
+2x2 matrix, the classical RK4 step of a generic field dx/dt = f(x), the
+drift metrics one trajectory sample at a time, the closed-form machine
+recovery one machine at a time in 2x2 rotation matrices, the Newton
+network solve that rebuilds the admittance and the whole Jacobian at
+every iteration, and the system assembly that checks each machine on its
+own and every reordered component again. Three helpers with no caller in
+the package live here too: the (P, Q) a load draws, the package's array
+recovery run for one machine, and one machine's row of an array recovery.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -528,6 +529,15 @@ def grid_min_eigenvalue(p, n_theta=64):
                                         endpoint=False))
 
 
+def rk4_step_fn(f, x, dt):
+    """One classical Runge-Kutta step of dx/dt = f(x)."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def looped_drift_metrics(sys, traj, x0, omega0):
     """:class:`DriftMetrics` of a trajectory, one reference state and one
     residual call per sample."""
@@ -611,17 +621,25 @@ def excitation_demand(p, v_term, i_s, omega0, theta):
     return np.asarray(v_term, dtype=float) - Zs @ np.asarray(i_s, dtype=float)
 
 
+def machine_row(rec, k):
+    """Machine k's entries of an array :class:`MachineRecovery`, as the
+    record of scalars that :func:`recover_machine` returns."""
+    return MachineRecovery(**{f.name: getattr(rec, f.name)[k]
+                              for f in fields(rec)})
+
+
 def recover_one(p, v_term, i_s, omega0, sigma):
     """The package's array recovery (``recover_all``'s code) run for one
     machine: constants ``p``, terminal voltage and stator current pairs."""
-    return _recover(stack_params([p]), as_complex(v_term), as_complex(i_s),
-                    omega0, [sigma])[0]
+    return machine_row(_recover(stack_params([p]), as_complex(v_term),
+                                as_complex(i_s), omega0, [sigma]), 0)
 
 
 def recover_machine(p, v_term, i_s, omega0, sigma, tol=RECOVERY_TOL):
     """Closed-form rotor angle, excitation current and inputs for one machine
     given its terminal voltage and injected stator current.
 
+    The result is a :class:`MachineRecovery` of scalars, ``nu`` one pair.
     ``sigma`` in {-1, +1} picks between the two antipodal rotor angles; the
     excitation current carries the sign. Degenerate situations are returned
     flagged, not silently: a vanishing excitation demand (nu_zero), equal
@@ -697,7 +715,7 @@ def _finalize_recovery(p, v_term, i_s, omega0, sigma, theta, i_f, case,
     currents = np.array([i_s[0], i_s[1], i_f, 0.0, 0.0])
     tau_e = electrical_torque(p, theta, currents)
     return MachineRecovery(
-        theta=float(theta), i_f=float(i_f), i_d=0.0, i_q=0.0,
+        theta=float(theta), i_f=float(i_f),
         tau_m=float(p.d * omega0 + tau_e), v_f=float(p.r_f * i_f),
         nu=nu, sigma=int(sigma), case=case,
         excitation_residual=float(exc_res), alignment_residual=float(ali_res),

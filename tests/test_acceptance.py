@@ -15,13 +15,13 @@ from gridstate.cli import main
 from gridstate.frame import ROT90
 from gridstate.identities import random_valid_params, run_identity_suite
 from gridstate.simulate import (SimConfig, drift_metrics,
-                                reference_trajectory, rk4_step_fn, simulate)
+                                reference_trajectory, simulate)
 from gridstate.steady_state import (OperatingSpec, compute_steady_state,
                                     solve_network, verify_steady_state)
 from gridstate.system import tolerance_scale, total_energy, vector_field
 
 from conftest import AnisotropicLoad
-from oracles import excitation_demand, recover_one, rot
+from oracles import excitation_demand, recover_one, rk4_step_fn, rot
 
 OMEGA0 = 2 * np.pi * 50
 TEN_PERIODS = 0.2
@@ -111,11 +111,11 @@ def test_criterion_4_two_solution_property(three_bus):
     base = states[(1, 1)]
     for k, key in enumerate([(-1, 1), (1, -1)]):
         other = states[key]
-        dtheta = (other.recoveries[k].theta - base.recoveries[k].theta) \
+        dtheta = (other.recovery.theta[k] - base.recovery.theta[k]) \
             % (2 * np.pi)
         assert dtheta == pytest.approx(np.pi, abs=1e-9)
-        assert other.recoveries[k].i_f == pytest.approx(
-            -base.recoveries[k].i_f, rel=1e-9)
+        assert other.recovery.i_f[k] == pytest.approx(
+            -base.recovery.i_f[k], rel=1e-9)
     report(4, "all four polarization choices certify; angles shift by pi "
               "and excitation currents flip sign to 1e-9")
 

@@ -184,7 +184,13 @@ def test_non_finite_numbers_exit_code(tmp_path, fixture_path, capsys, mutate,
      "machines[1]: missing required key 'i_f'"),
     (_set("buses", 2, "v", [1.0]),
      "buses[2]: key 'v' must hold two numbers, got 1"),
-], ids=["theta-nan", "missing-i_f", "short-v"])
+    (lambda doc: doc["lines"].reverse(),
+     "lines[0]: must run from bus 'b1' to bus 'b2'"),
+    (lambda doc: [row.update({"from": "x", "to": "y"})
+                  for row in doc["lines"]],
+     "lines[0]: must run from bus 'b1' to bus 'b2'"),
+], ids=["theta-nan", "missing-i_f", "short-v", "lines-reversed",
+        "unknown-line-ends"])
 def test_malformed_result_file_exit_code(tmp_path, fixture_file, capsys,
                                          mutate, message):
     # simulate --from starts from the result file's state as written.
@@ -272,6 +278,7 @@ def test_simulate_row_count_and_metrics(tmp_path, fixture_file, capsys):
     assert len(lines) == int(0.002 / (1e-5 * 10)) + 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverged_simulation_is_a_solver_error(tmp_path, fixture_file,
                                                 capsys):
     # At dt = 1e-2 RK4 leaves the fixture's stability region: the run exits

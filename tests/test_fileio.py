@@ -1,5 +1,7 @@
+import importlib.util
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from gridstate.fileio import (load_result_file, load_system_file,
                               read_trajectory_csv, result_document,
                               system_from_dict, trajectory_header,
                               write_result_file, write_trajectory_csv)
+from gridstate.frame import wrap_angle
 from gridstate.simulate import SimConfig, simulate
-from gridstate.steady_state import verify_steady_state
+from gridstate.steady_state import compute_steady_state, verify_steady_state
 from gridstate.system import residual, tolerance_scale
 
 
@@ -104,6 +107,40 @@ def test_result_roundtrip(tmp_path, three_bus, certified):
     # wrapped; the model is periodic in them).
     rho = residual(sys_, x0, u, omega0)
     assert np.max(np.abs(rho)) <= 1e-9 * tolerance_scale(x0, u)
+
+
+def test_multi_machine_result_roundtrip(tmp_path, fixture_path):
+    # A seeded 24-bus mixed-load mesh whose 4 machines alternate their
+    # polarizations: the machine rows follow the recovery in machine order.
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / \
+        "cases.py"
+    spec = importlib.util.spec_from_file_location("benchmark_cases", path)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    doc = cases.with_polarization(cases.mesh_document(
+        fixture_doc(fixture_path), 5, 24, 6.0, n_machines=4,
+        load_every_free_bus=True), (1, -1, 1, -1))
+    sys_, op = system_from_dict(doc)
+    ss = compute_steady_state(sys_, op)
+    result = tmp_path / "result.json"
+    with open(result, "w") as fh:
+        write_result_file(fh, sys_, ss, verify_steady_state(sys_, ss))
+
+    x0, u, _ = load_result_file(result, sys_)
+    np.testing.assert_array_equal(u, ss.u)
+    theta = sys_.layout.sl_theta
+    np.testing.assert_array_equal(x0[theta], wrap_angle(ss.x[theta]))
+    np.testing.assert_array_equal(x0[theta.stop:], ss.x[theta.stop:])
+    rec = ss.recovery
+    assert rec.sigma.tolist() == [1, -1, 1, -1]
+    rows = json.loads(result.read_text())["machines"]
+    assert len(rows) == 4
+    for k, row in enumerate(rows):
+        assert row["theta"] == wrap_angle(rec.theta[k])
+        assert [row[key] for key in ("i_f", "tau_m", "v_f", "sigma", "case")] \
+            == [rec.i_f[k], rec.tau_m[k], rec.v_f[k], rec.sigma[k],
+                rec.case[k]]
+        assert row["nu"] == rec.nu[k].tolist()
 
 
 def test_result_document_precision_and_determinism(three_bus, certified):
@@ -234,10 +271,11 @@ def test_result_diagnostics_carry_margins_that_reload_ignores(tmp_path,
     assert doc["diagnostics"]["newton"] == {
         "iterations": net.iterations,
         "residual_history": net.residual_history}
+    rec = certified.recovery
     assert doc["diagnostics"]["recovery"] == [
-        {"case": rec.case, "excitation_residual": rec.excitation_residual,
-         "alignment_residual": rec.alignment_residual}
-        for rec in certified.recoveries]
+        {"case": c, "excitation_residual": e, "alignment_residual": a}
+        for c, e, a in zip(rec.case, rec.excitation_residual,
+                           rec.alignment_residual)]
     for key in ("margins", "newton", "recovery"):
         del doc["diagnostics"][key]
     bare = tmp_path / "bare.json"

@@ -5,13 +5,12 @@ import gridstate.simulate
 from gridstate.errors import LoadDomainError, SolverError
 from gridstate.frame import ROT90
 from gridstate.simulate import (SimConfig, Trajectory, drift_metrics,
-                                reference_trajectory, rk4_step, rk4_step_fn,
-                                simulate)
+                                reference_trajectory, rk4_step, simulate)
 from gridstate.steady_state import compute_steady_state
 from gridstate.system import steady_field, total_energy
 
 from conftest import ring_mesh, slow_two_bus
-from oracles import rot
+from oracles import rk4_step_fn, rot
 
 
 def rotation_error_after_one_period(omega0, dt):
@@ -59,16 +58,31 @@ def test_simulate_sample_count_and_grid():
     assert len(traj.times) == 0.05 / 1e-3 // 10 + 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("record_every, t", [(1, "5.000000e-02"),
-                                              (100, "5.000000e-01")])
+                                              (100, "8.000000e-02")])
 def test_a_run_that_leaves_the_finite_states_raises(three_bus, certified,
                                                     record_every, t):
-    # The first recorded time whose state is not finite is named; a final
-    # state that is not recorded is checked too.
+    # The first recorded time whose state is not finite is named; when no
+    # recorded state is bad yet, the time of the check that stopped the run.
     sys_, _ = three_bus
     cfg = SimConfig(dt=1e-2, t_end=0.5, record_every=record_every)
     with pytest.raises(SolverError, match=f"state not finite at t={t}"):
         simulate(sys_, certified.x, certified.u, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_run_stops_by_twice_its_first_bad_step(monkeypatch,
+                                                           three_bus,
+                                                           certified):
+    # At dt = 1e-2 the fixture's state leaves the finite numbers at step 5;
+    # the check at step 8 stops the run there, not at step 50.
+    sys_, _ = three_bus
+    calls = counting_field(monkeypatch)
+    with pytest.raises(SolverError,
+                       match="state not finite at t=5.000000e-02"):
+        simulate(sys_, certified.x, certified.u, SimConfig(dt=1e-2, t_end=0.5))
+    assert len(calls) == 4 * 8
 
 
 def test_sim_config_validation():

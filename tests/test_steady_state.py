@@ -500,8 +500,10 @@ def test_rotor_inertia_and_inert_inductances_do_not_move_residual(three_bus,
 def test_assembled_fixture_residual(three_bus, certified):
     sys_, _ = three_bus
     ss = certified
-    scale = tolerance_scale(ss.x, ss.u)
-    assert ss.diagnostics["residual_inf"] <= 1e-9 * scale
+    report = verify_steady_state(sys_, ss)
+    assert report.residual_inf <= 1e-9 * tolerance_scale(ss.x, ss.u)
+    # The damper currents, no field of the recovery, are zero in x.
+    assert not ss.x[sys_.layout.sl_i].reshape(-1, 5)[:, 3:].any()
 
 
 def test_model_field_equals_rotating_field_at_steady_state(three_bus,
@@ -560,11 +562,11 @@ def test_both_polarizations_certify(three_bus):
     for ss in (base, flipped):
         rep = verify_steady_state(sys_, ss)
         assert rep.certificate, rep.failures
-    dtheta = (flipped.recoveries[0].theta - base.recoveries[0].theta) \
+    dtheta = (flipped.recovery.theta[0] - base.recovery.theta[0]) \
         % (2 * np.pi)
     assert dtheta == pytest.approx(np.pi, abs=1e-9)
-    assert flipped.recoveries[0].i_f == pytest.approx(
-        -base.recoveries[0].i_f, rel=1e-9)
+    assert flipped.recovery.i_f[0] == pytest.approx(
+        -base.recovery.i_f[0], rel=1e-9)
 
 
 def test_assembly_rejects_off_manifold_network_point(three_bus):
@@ -575,9 +577,9 @@ def test_assembly_rejects_off_manifold_network_point(three_bus):
     net = solve_network(sys_, spec)
     net.v = net.v.copy()
     net.v[2:4] *= 1.05  # push the solution off the network manifold
-    recoveries = recover_all(sys_, spec, net)
+    recovery = recover_all(sys_, spec, net)
     with pytest.raises(SolverError, match="fails verification") as err:
-        assemble_steady_state(sys_, net, recoveries, spec.omega0)
+        assemble_steady_state(sys_, net, recovery, spec.omega0)
     assert "nodes" in str(err.value)
 
 
@@ -657,7 +659,7 @@ def test_assembly_rejects_a_nan_network_point(three_bus, certified):
     v[-1] = np.nan
     with pytest.raises(SolverError, match=r"\|residual\|_inf = nan"):
         assemble_steady_state(sys_, replace(certified.network, v=v),
-                              certified.recoveries, certified.omega0)
+                              certified.recovery, certified.omega0)
 
 
 def test_verify_flags_wrong_speed(three_bus, certified):
@@ -747,9 +749,9 @@ def test_round_rotor_without_demand_reports_zero_angle():
                          gen_voltage_angle=np.angle([v1, v2]),
                          sigma=np.array([1, 1]))
     ss = compute_steady_state(sys_, spec)
-    rec = ss.recoveries[1]
-    assert rec.case == "nu_zero"
-    assert rec.theta == 0.0 and rec.i_f == 0.0
-    assert ss.recoveries[0].case == "regular"
-    assert ss.diagnostics["residual_inf"] <= 1e-9 * ss.diagnostics["scale"]
-    assert verify_steady_state(sys_, ss).certificate
+    rec = ss.recovery
+    assert rec.case == ["regular", "nu_zero"]
+    assert rec.theta[1] == 0.0 and rec.i_f[1] == 0.0
+    report = verify_steady_state(sys_, ss)
+    assert report.residual_inf <= 1e-9 * report.scale
+    assert report.certificate
