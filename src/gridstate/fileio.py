@@ -73,10 +73,16 @@ def _objects(doc, key, where):
     return items
 
 
+def _bus_lookup(index_of, bid):
+    """Index of bus id ``bid`` or None; ``true`` names no bus, ``2.0`` bus 2."""
+    return None if isinstance(bid, (list, dict, bool)) else index_of.get(bid)
+
+
 def _bus_index(index_of, bid, where):
-    if isinstance(bid, (list, dict, bool)) or bid not in index_of:
+    k = _bus_lookup(index_of, bid)
+    if k is None:
         raise SchemaError(f"{where}: unknown bus id {bid!r}")
-    return index_of[bid]
+    return k
 
 
 def _build_load(spec, where):
@@ -276,11 +282,12 @@ def load_result_file(path, sys):
         raise SchemaError(f"{path}: result sizes do not match the system")
 
     lay = sys.layout
+    index_of = {bid: k for k, bid in enumerate(sys.bus_ids)}  # solve order
     i = np.zeros((sys.n_g, 5))
     theta, tau_m, v_f = np.zeros((3, sys.n_g))
     for k, m in enumerate(machines):
         where = f"machines[{k}]"
-        if m.get("bus") != sys.bus_ids[k]:
+        if _bus_lookup(index_of, m.get("bus")) != k:
             raise SchemaError(f"{path}: machine {k + 1} bus id mismatch")
         theta[k], i[k, 2], i[k, 3], i[k, 4], tau_m[k], v_f[k] = (
             _require(m, key, float, where)
@@ -298,10 +305,11 @@ def load_result_file(path, sys):
     ends = zip(sys.network.heads.tolist(), sys.network.tails.tolist())
     for t, (row, (head, tail)) in enumerate(zip(lines, ends)):
         where = f"lines[{t}]"
-        frm, to = sys.bus_ids[head], sys.bus_ids[tail]
-        if (row.get("from"), row.get("to")) != (frm, to):
-            raise SchemaError(f"{path}: {where}: must run from bus {frm!r} "
-                              f"to bus {to!r}")
+        if (_bus_lookup(index_of, row.get("from")),
+                _bus_lookup(index_of, row.get("to"))) != (head, tail):
+            raise SchemaError(f"{path}: {where}: must run from bus "
+                              f"{sys.bus_ids[head]!r} to bus "
+                              f"{sys.bus_ids[tail]!r}")
         i_T[2 * t:2 * t + 2] = _pair(row, "i_T", where)
 
     x0 = lay.pack(theta, np.full(sys.n_g, omega0), i, v, i_T)

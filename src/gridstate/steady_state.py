@@ -110,6 +110,9 @@ class MachineRecovery:
 
 @dataclass
 class FullSteadyState:
+    """A candidate (x, u) at omega0, with the recovery and network solution
+    behind it when computed; :func:`verify_steady_state` certifies it."""
+
     x: np.ndarray
     u: np.ndarray
     omega0: float
@@ -307,37 +310,20 @@ def recover_all(sys, spec, net):
                     as_complex(net.i_s), spec.omega0, spec.sigma)
 
 
-def _residual_gate(sys, x, u, omega0):
-    """The residual at (x, u), its block norms, |rho|_inf and the tolerance
-    scale. The blocks partition the state; a NaN block makes |rho|_inf NaN."""
-    rho = residual(sys, x, u, omega0)
-    blocks = residual_block_norms(sys, rho)
-    rho_inf = max(blocks.values(), key=lambda b: b if b == b else math.inf)
-    return rho, blocks, rho_inf, tolerance_scale(x, u)
-
-
 def assemble_steady_state(sys, net, recovery, omega0):
     """Stack a network solution and the machine recovery into a full state
-    and input, and verify the full-system residual meets the tolerance."""
+    and input, unchecked: :func:`verify_steady_state` certifies them."""
     i = np.zeros((sys.n_g, 5))  # the damper currents stay zero
     i[:, :2] = net.i_s.reshape(-1, 2)
     i[:, 2] = recovery.i_f
     x = sys.layout.pack(recovery.theta, omega0, i, net.v, net.i_T)
     u = sys.layout.pack_input(recovery.tau_m, recovery.v_f)
-    _, blocks, rho_inf, scale = _residual_gate(sys, x, u, omega0)
-    if not rho_inf <= CERT_RESIDUAL_TOL * scale:
-        detail = ", ".join(f"{k}={val:.3e}" for k, val in blocks.items())
-        raise SolverError(
-            f"assembled steady state fails verification: |residual|_inf = "
-            f"{rho_inf:.3e} > {CERT_RESIDUAL_TOL:.1e} * scale ({scale:.3e}); "
-            f"blocks: {detail}"
-        )
     return FullSteadyState(x=x, u=u, omega0=omega0, recovery=recovery,
                            network=net)
 
 
 def compute_steady_state(sys, spec):
-    """Full pipeline: network solve, machine recovery, assembly."""
+    """Network solve, machine recovery, assembly: an uncertified candidate."""
     net = solve_network(sys, spec)
     recovery = recover_all(sys, spec, net)
     return assemble_steady_state(sys, net, recovery, spec.omega0)
@@ -354,7 +340,11 @@ def verify_steady_state(sys, ss):
     ones by the rotation probe. Thresholds are relative to the state/input
     scale; ``margins`` holds each gate's value over its threshold.
     """
-    rho, blocks, rho_inf, scale = _residual_gate(sys, ss.x, ss.u, ss.omega0)
+    rho = residual(sys, ss.x, ss.u, ss.omega0)
+    # The blocks partition the state; a NaN block makes |rho|_inf NaN.
+    blocks = residual_block_norms(sys, rho)
+    rho_inf = max(blocks.values(), key=lambda b: b if b == b else math.inf)
+    scale = tolerance_scale(ss.x, ss.u)
     inv = invariance_defect(sys, ss.x, ss.u, ss.omega0, rho)
     v = ss.x[sys.layout.sl_v]
     equiv = [0.0] * sys.n_v

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -10,7 +11,17 @@ from gridstate.network import Network
 from gridstate.steady_state import OperatingSpec, compute_steady_state
 from gridstate.system import assemble
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "fixtures"
+
+
+def benchmark_cases():
+    """The benchmark's seeded case generator, ``benchmark/cases.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_cases", ROOT / "benchmark" / "cases.py")
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    return cases
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +40,18 @@ def certified(three_bus):
     """Certified steady state of the canonical fixture."""
     sys_, spec = three_bus
     return compute_steady_state(sys_, spec)
+
+
+def numeric_ids(doc):
+    """The fixture with bus ids 1, 2, 3 in place of 'b1', 'b2', 'b3'; a
+    boolean true would look up bus 1 in a plain dict."""
+    number = {bus["id"]: k + 1 for k, bus in enumerate(doc["buses"])}
+    for bus in doc["buses"]:
+        bus["id"] = number[bus["id"]]
+    for line in doc["lines"]:
+        line["from"], line["to"] = number[line["from"]], number[line["to"]]
+    for entry in doc["machines"] + doc["operating_point"]["generator_voltages"]:
+        entry["bus"] = number[entry["bus"]]
 
 
 def sample_machine(salient=True):

@@ -18,7 +18,7 @@ from gridstate.fileio import (load_result_file, load_system_file,
 from gridstate.simulate import SimConfig, simulate
 from gridstate.steady_state import compute_steady_state
 
-from conftest import AnisotropicLoad
+from conftest import AnisotropicLoad, benchmark_cases, numeric_ids
 
 
 @pytest.fixture()
@@ -126,18 +126,6 @@ def test_boolean_polarization_is_rejected(tmp_path, fixture_path, capsys,
         f"{polarization[bad]}" in capsys.readouterr().err
 
 
-def numeric_ids(doc):
-    """The fixture with bus ids 1, 2, 3 in place of 'b1', 'b2', 'b3'; a
-    boolean true would look up bus 1 in a plain dict."""
-    number = {bus["id"]: k + 1 for k, bus in enumerate(doc["buses"])}
-    for bus in doc["buses"]:
-        bus["id"] = number[bus["id"]]
-    for line in doc["lines"]:
-        line["from"], line["to"] = number[line["from"]], number[line["to"]]
-    for entry in doc["machines"] + doc["operating_point"]["generator_voltages"]:
-        entry["bus"] = number[entry["bus"]]
-
-
 @pytest.mark.parametrize("path, message", [
     (("buses", 2, "id"), "buses[2]: key 'id' must be a string or number"),
     (("lines", 1, "to"), "lines[1]: unknown bus id True"),
@@ -177,29 +165,35 @@ def test_non_finite_numbers_exit_code(tmp_path, fixture_path, capsys, mutate,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mutate, message", [
+@pytest.mark.parametrize("mutate, message, renumber", [
     (_set("machines", 0, "theta", float("nan")),
-     "machines[0]: key 'theta' must be finite"),
+     "machines[0]: key 'theta' must be finite", False),
     (lambda doc: doc["machines"][1].pop("i_f"),
-     "machines[1]: missing required key 'i_f'"),
+     "machines[1]: missing required key 'i_f'", False),
     (_set("buses", 2, "v", [1.0]),
-     "buses[2]: key 'v' must hold two numbers, got 1"),
+     "buses[2]: key 'v' must hold two numbers, got 1", False),
     (lambda doc: doc["lines"].reverse(),
-     "lines[0]: must run from bus 'b1' to bus 'b2'"),
+     "lines[0]: must run from bus 'b1' to bus 'b2'", False),
     (lambda doc: [row.update({"from": "x", "to": "y"})
                   for row in doc["lines"]],
-     "lines[0]: must run from bus 'b1' to bus 'b2'"),
+     "lines[0]: must run from bus 'b1' to bus 'b2'", False),
+    (_set("machines", 0, "bus", True), "machine 1 bus id mismatch", True),
+    (_set("lines", 0, "from", True),
+     "lines[0]: must run from bus 1 to bus 2", True),
 ], ids=["theta-nan", "missing-i_f", "short-v", "lines-reversed",
-        "unknown-line-ends"])
-def test_malformed_result_file_exit_code(tmp_path, fixture_file, capsys,
-                                         mutate, message):
-    # simulate --from starts from the result file's state as written.
+        "unknown-line-ends", "machine-bus-true", "line-from-true"])
+def test_malformed_result_file_exit_code(tmp_path, fixture_path, capsys,
+                                         mutate, message, renumber):
+    # simulate --from starts from the result file's state as written. Its
+    # bus ids name buses as in system files: true does not name bus 1.
+    system = (write_variant(tmp_path, fixture_path, numeric_ids) if renumber
+              else str(fixture_path))
     result = tmp_path / "result.json"
-    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    assert main(["steady-state", system, "-o", str(result)]) == 0
     doc = json.loads(result.read_text())
     mutate(doc)
     result.write_text(json.dumps(doc))
-    assert main(["simulate", fixture_file, "--from", str(result),
+    assert main(["simulate", system, "--from", str(result),
                  "--dt", "1e-5", "--t-end", "1e-4",
                  "-o", str(tmp_path / "traj.csv")]) == 2
     err = capsys.readouterr().err
@@ -238,6 +232,24 @@ def test_newton_failure_exit_code(tmp_path, fixture_path):
                                               "v_min": 1e-3}}
     path = write_variant(tmp_path, fixture_path, mutate)
     assert main(["steady-state", path]) == 4
+
+
+def test_a_loose_newton_tolerance_is_a_certification_failure(tmp_path,
+                                                            fixture_path,
+                                                            capsys):
+    # Newton stops at its own tolerance; whether the point it stopped at is
+    # a steady state is the certificate's call, and the result file says
+    # why it is not.
+    cases = benchmark_cases()
+    doc = cases.mesh_document(cases.read_document(fixture_path), 116, 16, 2.0)
+    doc["operating_point"]["newton"] = {"tol": 1e-2}
+    path, out = tmp_path / "mesh.json", tmp_path / "result.json"
+    cases.write_document(path, doc)
+    assert main(["steady-state", str(path), "-o", str(out)]) == 5
+    assert "worst block: nodes" in capsys.readouterr().err
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert diagnostics["certificate"] is False
+    assert diagnostics["margins"]["residual"] > 1.0
 
 
 def test_newton_domain_error_names_file_bus(tmp_path, fixture_path, capsys):

@@ -1,7 +1,5 @@
-import importlib.util
 import io
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +13,8 @@ from gridstate.frame import wrap_angle
 from gridstate.simulate import SimConfig, simulate
 from gridstate.steady_state import compute_steady_state, verify_steady_state
 from gridstate.system import residual, tolerance_scale
+
+from conftest import benchmark_cases, numeric_ids
 
 
 def fixture_doc(fixture_path):
@@ -109,14 +109,26 @@ def test_result_roundtrip(tmp_path, three_bus, certified):
     assert np.max(np.abs(rho)) <= 1e-9 * tolerance_scale(x0, u)
 
 
+def test_result_file_bus_ids_follow_the_system_reader(tmp_path,
+                                                      fixture_path):
+    # A result file names buses as a system file does: 2.0 is bus 2.
+    doc = fixture_doc(fixture_path)
+    numeric_ids(doc)
+    sys_, spec = system_from_dict(doc)
+    ss = compute_steady_state(sys_, spec)
+    result = result_document(sys_, ss, verify_steady_state(sys_, ss))
+    result["machines"][1]["bus"] = result["lines"][0]["to"] = 2.0
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(result))
+    x0, u, _ = load_result_file(path, sys_)
+    np.testing.assert_array_equal(u, ss.u)
+    np.testing.assert_array_equal(x0[sys_.layout.sl_v], ss.x[sys_.layout.sl_v])
+
+
 def test_multi_machine_result_roundtrip(tmp_path, fixture_path):
     # A seeded 24-bus mixed-load mesh whose 4 machines alternate their
     # polarizations: the machine rows follow the recovery in machine order.
-    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / \
-        "cases.py"
-    spec = importlib.util.spec_from_file_location("benchmark_cases", path)
-    cases = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cases)
+    cases = benchmark_cases()
     doc = cases.with_polarization(cases.mesh_document(
         fixture_doc(fixture_path), 5, 24, 6.0, n_machines=4,
         load_every_free_bus=True), (1, -1, 1, -1))
