@@ -14,9 +14,10 @@ custom load (the shipped loads commute with rotations by construction).
 The recovery is one array pass over the machines, with terminal voltages
 v and stator currents i as complex numbers alpha + j beta:
 a = -j (v - (r_s + j omega0 l_s) i), b = -omega0 l_sa conj(i),
-theta = arctan2(-(Im a + Im b), Re b - Re a),
-i_f = Re(e^{-j theta} a + e^{j theta} b) / (omega0 l_sf) and
-nu = j (a + e^{2j theta} b). The tests hold it against a scalar reference
+theta = arg(conj(b) - a), i_f = Re(e^{-j theta} a + e^{j theta} b) /
+(omega0 l_sf) and nu = j (a + e^{2j theta} b), computed once: the flip by
+pi to the antipodal solution the polarization may ask for negates
+e^{j theta} and i_f, not nu. The tests hold it against a scalar reference
 that works one machine at a time in 2x2 rotation matrices.
 """
 
@@ -40,6 +41,8 @@ DEGENERACY_BAND = 1e-9       # relative band flagging nu ~ 0 / equal ellipse rad
 CERT_RESIDUAL_TOL = 1e-9     # certificate: |residual|_inf <= tol * scale
 CERT_INVARIANCE_TOL = 1e-5   # certificate: invariance defect <= tol * scale
 CERT_EQUIVARIANCE_TOL = 1e-12
+# Re(y _PAIR_FORM) is the real form [[g, -b], [b, g]] of y = g + j b.
+_PAIR_FORM = np.array([[1.0, 1j], [-1j, 1.0]])
 
 
 @dataclass
@@ -136,18 +139,6 @@ class VerificationReport:
         return asdict(self)
 
 
-def recovery_parts(p, v, i_s, omega0):
-    """Rotor-frame parts (a, b) of the excitation demand: seen from a rotor
-    at angle theta, the voltage the excitation winding must induce, turned
-    back a quarter turn, is e^{-j theta} a + e^{j theta} b, an
-    origin-centered ellipse as the angle sweeps. ``v`` and ``i_s`` are
-    complex; ``p`` holds scalars or, from :func:`machine.stack_params`,
-    arrays, and everything broadcasts."""
-    a = -1j * (v - (p.r_s + 1j * omega0 * p.l_s) * i_s)
-    b = -omega0 * p.l_sa * np.conj(i_s)
-    return a, b
-
-
 def _recover(p, v, i_s, omega0, sigma):
     """Closed-form recovery of a stack of machines into one record:
     constants ``p`` with (n,) array fields, complex terminal voltages and
@@ -158,11 +149,14 @@ def _recover(p, v, i_s, omega0, sigma):
         k = int(np.argmax(bad))
         raise ValueError(f"machine {k + 1}: sigma must be -1 or +1, "
                          f"got {sigma[k]!r}")
-    a, b = recovery_parts(p, v, i_s, omega0)
+    n, w_f = len(v), omega0 * p.l_sf
+    a = -1j * (v - (p.r_s + 1j * omega0 * p.l_s) * i_s)
+    b = -omega0 * p.l_sa * np.conj(i_s)
     if omega0 == 0.0:
         # The frequency is shared, so this branch holds for every machine.
         # Here a = -j (v - r_s i_s) and b = 0.
-        infeasible = np.abs(a) > RECOVERY_TOL * np.maximum(1.0, np.abs(v))
+        nu_norm = np.abs(a)
+        infeasible = nu_norm > RECOVERY_TOL * np.maximum(1.0, np.abs(v))
         if infeasible.any():
             k = int(np.argmax(infeasible))
             raise InfeasibleSteadyStateError(
@@ -170,50 +164,52 @@ def _recover(p, v, i_s, omega0, sigma):
                 f"stator voltage |v - r_s i_s| = {abs(a[k]):.3e} is nonzero "
                 "(any rotor angle and excitation current would leave it "
                 "unbalanced)")
-        theta, i_f = np.zeros((2, len(v)))
-        degenerate = np.ones(len(v), dtype=bool)
-        cases = ["omega_zero"] * len(v)
+        theta, i_f = np.zeros((2, n))
+        z, nu = np.ones(n, dtype=complex), 1j * a
+        degenerate, cases = np.ones(n, dtype=bool), ["omega_zero"] * n
     else:
         # The quadrature part Im(e^{-j theta} a + e^{j theta} b) is linear
-        # in (cos, sin) of the angle; its zero is defined unless
-        # a = conj(b), equal radii included. Near-equal radii, where the
-        # ellipse may collapse through the origin, are only flagged.
+        # in (cos, sin) of the angle; its zero arg(conj(b) - a) is defined
+        # unless a = conj(b), equal radii included. Near-equal radii, where
+        # the ellipse may collapse through the origin, are only flagged.
         ra, rb = np.abs(a), np.abs(b)
         alpha_equal = np.abs(ra - rb) <= DEGENERACY_BAND * (ra + rb)
-        theta = np.arctan2(-(a.imag + b.imag), b.real - a.real)
+        d = np.conj(b) - a
+        theta = np.arctan2(d.imag, d.real)
         z = np.exp(1j * theta)
-        i_f = (np.conj(z) * a + z * b).real / (omega0 * p.l_sf)
-        nu_zero = np.abs(a + z * z * b) <= DEGENERACY_BAND * np.abs(v)
-        # The two solutions are antipodal: advancing the angle by pi flips
-        # the excitation current's sign. The polarization fixes the sign of
-        # omega0 * l_sf * i_f, at positive frequency that of i_f itself.
-        flip = ~nu_zero & (sigma * omega0 * p.l_sf * i_f < 0.0)
-        # A round rotor (b = 0) with no demand balances at every angle and
-        # draws no torque; report theta = 0, not the angle rounding picked.
-        theta = np.where(nu_zero & (b == 0.0), 0.0, theta + np.pi * flip)
-        i_f = np.where(nu_zero, 0.0, np.where(flip, -i_f, i_f))
+        zb = z * b
+        demand = (np.conj(z) * a + zb).real  # omega0 l_sf i_f
+        i_f = demand / w_f
+        nu = 1j * (a + z * zb)
+        nu_norm = np.abs(nu)
+        degenerate = nu_norm <= DEGENERACY_BAND * np.abs(v)  # nu ~ 0
+        # The polarization fixes the sign of omega0 * l_sf * i_f.
+        flip = ~degenerate & (sigma * demand < 0.0)
+        np.add(theta, np.pi, out=theta, where=flip)
+        np.negative(z, out=z, where=flip)
+        np.negative(i_f, out=i_f, where=flip)
         cases = ["nu_zero" if nz else "alpha_equal" if ae else "regular"
-                 for nz, ae in zip(nu_zero.tolist(), alpha_equal.tolist())]
-        degenerate = nu_zero
+                 for nz, ae in zip(degenerate.tolist(), alpha_equal.tolist())]
 
-    z = np.exp(1j * theta)
-    nu = 1j * (a + z * z * b)
-    nu_norm = np.abs(nu)
     gauge = np.maximum(1.0, nu_norm)
-    exc_res = np.abs(omega0 * p.l_sf * i_f - sigma * nu_norm) / gauge
+    exc_res = np.abs(w_f * i_f - sigma * nu_norm) / gauge
     ali_res = np.abs(1j * z * nu_norm - sigma * nu) / gauge
-    bad = ~degenerate & (np.maximum(exc_res, ali_res) > RECOVERY_TOL)
+    if degenerate.any():
+        for k in np.flatnonzero(degenerate).tolist():
+            log.warning("machine %d: recovery hit degenerate case %r; this does "
+                        "not define a sensible operating point", k + 1, cases[k])
+        # Degenerate machines have i_f = 0 and nothing left to balance; a
+        # round rotor (b = 0) balances at any angle, torque-free: theta = 0.
+        still = degenerate & (b == 0.0)
+        theta[still], z[still], i_f[degenerate] = 0.0, 1.0, 0.0
+        exc_res[degenerate] = ali_res[degenerate] = 0.0
+    bad = np.maximum(exc_res, ali_res) > RECOVERY_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise SolverError(
             f"machine {k + 1}: machine recovery inconsistent: excitation "
             f"residual {exc_res[k]:.3e}, alignment residual {ali_res[k]:.3e} "
             f"exceed {RECOVERY_TOL:.1e}")
-    for k in np.flatnonzero(degenerate).tolist():
-        log.warning("machine %d: recovery hit degenerate case %r; this does "
-                    "not define a sensible operating point", k + 1, cases[k])
-    # Degenerate machines have i_f = 0: nothing is left to balance.
-    exc_res[degenerate] = ali_res[degenerate] = 0.0
 
     # The torque (L0 i_r) . (J i_r) at i_r = (e^{-j theta} i_s, i_f, 0, 0).
     i_r = np.conj(z) * i_s
@@ -231,13 +227,13 @@ def solve_network(sys, spec):
     Tinney & Walker, Proc. IEEE 1967). The balance is one product of the
     complex nodal admittance with the complex voltages. A load of exponent
     k draws i = y |v|^-k v, whose derivative on the pair is the real form
-    of y |v|^-k minus k i v^T / |v|^2: the Jacobian is the real form of
-    the admittance's load-bus block minus one rank-one 2x2 block per
-    loaded bus. Only the diagonals depend on v, so both matrices are built
-    once per solve and each iteration rewrites their diagonals. The
-    machine-bus rows of the converged balance are the stator currents; the
-    line currents follow from the branch impedances. For impedance-only
-    loads the balance is affine, and the first step lands on the solution.
+    of y |v|^-k minus k i v^T / |v|^2. Only the diagonals depend on v, so
+    both matrices are built once per solve; each iteration writes the
+    Jacobian's diagonal 2x2 blocks as Re(Y_kk [[1, j], [-j, 1]]) minus the
+    rank-one terms. The machine-bus rows of the converged balance are the
+    stator currents; the line currents follow from the branch impedances.
+    For impedance-only loads the balance is affine, and the first step
+    lands on the solution.
     """
     n_g, n_l = sys.n_g, sys.n_l
     opts, omega0, bank = spec.newton, spec.omega0, sys.load_bank
@@ -253,13 +249,15 @@ def solve_network(sys, spec):
     vc = as_complex(v)  # a view: the Newton updates of v show through
     v_l = v[2 * n_g:].reshape(-1, 2)
     lines = line_admittance(sys.network, omega0)
-    # The workspace: Y and the Jacobian off their diagonals, and the flat
-    # positions of the Jacobian's diagonal 2x2 blocks.
+    # The workspace: Y and the Jacobian off their diagonals, the flat
+    # positions of the Jacobian's diagonal 2x2 blocks, and the load
+    # weights k / |v|^2 (only k > 0 loads have a floor keeping |v| > 0).
     Y = lines.copy()
+    y_diag = Y.diagonal()[n_g:, None, None]
     jac = real_blocks(lines[n_g:, n_g:])
     diag_blocks = (np.arange(n_l)[:, None, None] * (4 * n_l + 2)
                    + [[0, 1], [2 * n_l, 2 * n_l + 1]])
-    k = bank.k[n_g:]  # only k > 0 loads have a floor that keeps |v| > 0
+    k, w = bank.k[n_g:], np.zeros(n_l)
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
@@ -279,11 +277,11 @@ def solve_network(sys, spec):
                               f"({res}) at iteration {iterations}")
         if res <= opts.tol * max(1.0, float(abs(v).max())):
             break
-        i_l = (y_load[n_g:] * vc[n_g:]).view(float).reshape(-1, 2)
-        w = np.divide(k, (v_l ** 2).sum(axis=1), out=np.zeros(n_l),
-                      where=k > 0)
-        blocks = real_blocks(Y.diagonal()[n_g:, None]).reshape(-1, 2, 2)
-        blocks -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
+        blocks = (y_diag * _PAIR_FORM).real  # real form of each Y_kk
+        if not bank.constant:  # minus the rank-one terms, none when k = 0
+            i_l = (y_load[n_g:] * vc[n_g:]).view(float).reshape(-1, 2)
+            np.divide(k, (v_l ** 2).sum(axis=1), out=w, where=k > 0)
+            blocks -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
         jac.put(diag_blocks, blocks)
         try:
             v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
@@ -369,10 +367,12 @@ def verify_steady_state(sys, ss):
         failures.append("rotor speeds deviate from omega0: max |omega0 - "
                         f"omega| = {blocks['frequency']:.3e}")
     if not margins["invariance"] <= 1.0:
-        failures.append(
-            f"invariance defect {inv:.3e} exceeds "
-            f"{CERT_INVARIANCE_TOL:.1e}*scale; the residual drifts along the "
-            "rotating flow (non-constant inputs or non-conforming load)")
+        why = ("the residual drifts along the rotating flow (non-constant "
+               "inputs or non-conforming load)" if sys.load_bank.custom else
+               "with shipped loads only it is |omega0| times the largest "
+               "stator, bus or line residual entry")
+        failures.append(f"invariance defect {inv:.3e} exceeds "
+                        f"{CERT_INVARIANCE_TOL:.1e}*scale; {why}")
     bad_loads = [sys.bus_ids[k] for k, d in enumerate(equiv)
                  if not d <= CERT_EQUIVARIANCE_TOL]
     if bad_loads:

@@ -48,9 +48,10 @@ class StateLayout:
         rows = np.arange(self.n_x)
         stator = rows[self.sl_i].reshape(n_g, 5)[:, :2].ravel()
         self.pair_rows = np.concatenate((stator, rows[self.sl_v.start:]))
-        # Block indices into the last axis, built once for the hot paths.
+        # Block indices and starts on the last axis, built once for hot paths.
         self._blocks = tuple((Ellipsis, sl) for sl in (
             self.sl_theta, self.sl_omega, self.sl_i, self.sl_v, self.sl_iT))
+        self._block_starts = np.array([sl.start for _, sl in self._blocks])
 
     def pack(self, theta, omega, i, v, i_T):
         """State(s) of shape (..., n_x); the batch shape is that of ``v``, the
@@ -345,12 +346,11 @@ def residual(sys, x, u, omega0):
 
 
 def residual_block_norms(sys, rho):
-    """Max-norm of each residual block, keyed by what the block balances;
-    on a stack of residuals (..., n_x), the max over the stack."""
-    names = ("frequency", "torque", "windings", "nodes", "lines")
-    size = np.abs(rho)
-    return {name: float(size[b].max(initial=0.0))
-            for name, b in zip(names, sys.layout._blocks)}
+    """Max-norm of each residual block (NaN if it holds a NaN), keyed by what
+    the block balances; on a stack (..., n_x), the max over the stack."""
+    size = np.maximum.reduceat(np.abs(rho), sys.layout._block_starts, axis=-1)
+    return dict(zip(("frequency", "torque", "windings", "nodes", "lines"),
+                    size.reshape(-1, 5).max(axis=0, initial=0.0).tolist()))
 
 
 def invariance_defect(sys, x, u, omega0, rho=None):

@@ -16,8 +16,7 @@ from gridstate.errors import InfeasibleSteadyStateError
 from gridstate.frame import ROT90
 from gridstate.identities import random_valid_params
 from gridstate.network import Network
-from gridstate.steady_state import (NetworkSolution, OperatingSpec,
-                                    recover_all, recovery_parts)
+from gridstate.steady_state import NetworkSolution, OperatingSpec, recover_all
 from gridstate.system import assemble
 
 import oracles
@@ -269,9 +268,9 @@ def test_ellipse_bound_attained_within_samples():
     # comes close to it.
     rng = np.random.default_rng(9)
     p = random_valid_params(rng)
-    v = complex(*rng.uniform(-3, 3, 2))
-    i_s = complex(*rng.uniform(-3, 3, 2))
-    a, b = recovery_parts(p, v, i_s, 120.0)
+    geom = oracles.recovery_geometry(p, rng.uniform(-3, 3, 2),
+                                     rng.uniform(-3, 3, 2), 120.0)
+    a, b = complex(*geom.round_part), complex(*geom.salient_part)
     theta = np.linspace(-np.pi, np.pi, 720)
     radii = np.abs(np.exp(-1j * theta) * a + np.exp(1j * theta) * b) ** 2
     bound = (abs(a) - abs(b)) ** 2

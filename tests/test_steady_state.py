@@ -262,6 +262,21 @@ def test_admittance_runs_once_per_newton_iteration(monkeypatch, kinds):
     assert len(calls) == sol.iterations == len(sol.residual_history)
 
 
+def test_one_real_form_build_per_solve(monkeypatch):
+    # real_blocks writes the Jacobian's constant part once per solve; each
+    # iteration writes only the diagonal 2x2 blocks, in place.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "real_blocks", counting)
+    sys_, spec = ring_mesh(32, LOAD_KINDS, seed=5, level=2.0)
+    assert solve_network(sys_, spec).iterations > 2
+    assert len(calls) == 1
+
+
 def test_a_solve_keeps_its_workspace_to_itself():
     # The Newton workspace lives for one solve: nothing is cached on the
     # system, so a repeated certify of the same case does all of its work.
@@ -734,6 +749,7 @@ def test_controls_fail_by_wide_margins_at_low_voltage():
     bad = verify_steady_state(sys_.with_loads(loads), ss)
     assert not bad.certificate
     assert bad.margins["invariance"] >= 1e3
+    assert any("non-conforming load" in f for f in bad.failures)
     assert bad.margins["equivariance"] >= 1e3
     shifted = verify_steady_state(sys_, replace(ss, u=1.01 * ss.u))
     assert not shifted.certificate
