@@ -206,17 +206,22 @@ def _open_input(path):
         raise SchemaError(f"{path}: not UTF-8 text ({err.reason})") from err
 
 
-def load_system_file(path):
-    """Parse and validate a system file; returns (system, operating spec)."""
+def _read_object(path):
+    """The JSON object in the file at ``path``; a syntax error or any other
+    top-level value is a :class:`SchemaError` naming the file."""
     with _open_input(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: JSON syntax error: {err}") from err
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise SchemaError(f"{path}: JSON syntax error: {err}") from err
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
-    return system_from_dict(doc)
+    return doc
+
+
+def load_system_file(path):
+    """Parse and validate a system file; returns (system, operating spec)."""
+    return system_from_dict(_read_object(path))
 
 
 def result_document(sys, ss, report):
@@ -267,13 +272,7 @@ def write_result_file(fh, sys, ss, report):
 
 def load_result_file(path, sys):
     """Rebuild (x0, u, omega0) from a result document against a system."""
-    with _open_input(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: JSON syntax error: {err}") from err
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be a JSON object")
+    doc = _read_object(path)
     omega0 = _require(doc, "omega0", float, "top level")
     machines, buses, lines = (_objects(doc, key, "top level")
                               for key in ("machines", "buses", "lines"))

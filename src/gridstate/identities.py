@@ -89,16 +89,16 @@ def _power_flows(sys, x, u):
     return float(supplied), float(lost)
 
 
-def _bus_selector_defect(bare, x):
+def _bus_selector_defect(bare, x, turned):
     """Max-norm gap between the bus currents of ``bare`` (no loads, zero
     line currents: only the machines inject) at the stator pairs and
-    voltages of state x turned by J, and those currents turned by J."""
-    _, _, i_flat, v, i_T = bare.layout.split(x)
-    i, zero = i_flat.reshape(bare.n_g, 5), np.zeros_like(i_T)
-    turned = system._bus_currents(bare, i @ MACHINE_ROT90.T, rotate_pairs(v),
-                                  zero)
-    return float(abs(turned - rotate_pairs(
-        system._bus_currents(bare, i, v, zero))).max())
+    voltages of state x turned by J, ``turned``, and those currents turned
+    by J."""
+    lay = bare.layout
+    zero = np.zeros(2 * bare.n_t)
+    at = [system._bus_currents(bare, y[lay.sl_i].reshape(bare.n_g, 5),
+                               y[lay.sl_v], zero) for y in (x, turned)]
+    return float(abs(at[1] - rotate_pairs(at[0])).max())
 
 
 def _random_state(sys, rng):
@@ -136,7 +136,7 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     # block by block (L(theta) on each machine's windings). The identity the
     # certificate's invariance gate rests on: along the steady field f the
     # residual turns with every stator, bus and line pair, D rho[f] =
-    # omega0 G rho (G: J on those pairs, zero on the angle and speed rows).
+    # omega0 G rho (G: J on those pairs, zero elsewhere; StateLayout.rotate).
     # And the power balance of the model field F: D E[F] = supplied - lost.
     worst_res = worst_flow = worst_power = selector = incidence = 0.0
     h, lay = FD_STEP, sys.layout
@@ -146,9 +146,8 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     network = np.arange(sys.n_x) >= lay.sl_v.start
     for _ in range(max(10, n_samples // 10)):
         x, u, omega0 = _random_state(sys, rng)
-        selector = max(selector, _bus_selector_defect(bare, x))
-        turned = np.zeros(sys.n_x)
-        turned[lay.pair_rows] = rotate_pairs(x[lay.pair_rows])
+        turned = lay.rotate(x)
+        selector = max(selector, _bus_selector_defect(bare, x, turned))
         pairs = [np.concatenate((
             np.add.reduceat(y[cols] * values, starts)[lay.pair_rows],
             residual(bare, y * network, u, omega0)[network]))
@@ -166,8 +165,7 @@ def run_identity_suite(sys, n_samples=120, seed=0):
         worst_res = max(worst_res, float(np.max(np.abs(rho - alt))) / gauge)
         d_rho = (residual(sys, x + h * f, u, omega0)
                  - residual(sys, x - h * f, u, omega0)) / (2.0 * h)
-        g_rho = steady_field(sys, rho, omega0)
-        g_rho[lay.sl_theta] = 0.0
+        g_rho = omega0 * lay.rotate(rho)
         gauge = max(1.0, float(np.max(np.abs(d_rho))))
         worst_flow = max(worst_flow,
                          float(np.max(np.abs(d_rho - g_rho))) / gauge)

@@ -14,10 +14,10 @@ the vector field, [-I, R, K0, L0 J] on the stack plus omega0 i_r for the
 residual, and the stator rows of L0, which give the torque. One batched
 Cholesky of L0 validates all machines at assembly, exact for all angles.
 
-The steady field turns every planar pair at omega0 and advances the rotor
-angles with it; with loads that commute with rotations the residual turns
-along, so :func:`invariance_defect` reads the residual's derivative along
-that field off the residual itself, exactly and with no extra evaluation.
+The steady field, omega0 G with G = :meth:`StateLayout.rotate`, turns
+every planar pair at omega0 and advances the rotor angles; loads that commute
+with rotations turn the residual along, so :func:`invariance_defect` reads
+its derivative off the residual, exactly and with no extra evaluation.
 """
 
 from functools import cached_property
@@ -71,6 +71,13 @@ class StateLayout:
         """Views (theta, omega, i, v, i_T) into state(s) of shape (..., n_x)."""
         b_theta, b_omega, b_i, b_v, b_iT = self._blocks
         return x[b_theta], x[b_omega], x[b_i], x[b_v], x[b_iT]
+
+    def rotate(self, x):
+        """G x for state(s) (..., n_x): J on each pair of ``pair_rows``,
+        zero elsewhere; omega0 G turns the pairs as the steady flow does."""
+        out = np.zeros(np.shape(x))
+        out[..., self.pair_rows] = rotate_pairs(x[..., self.pair_rows])
+        return out
 
     def pack_input(self, tau_m, v_f):
         return np.concatenate([np.asarray(tau_m, dtype=float).ravel(),
@@ -316,12 +323,10 @@ def vector_field(sys, x, u):
 def steady_field(sys, x, omega0):
     """Rotating steady-state vector field: angles advance at omega0, speeds
     hold, and every planar pair (stator currents, bus voltages, line
-    currents) rotates rigidly at omega0. States are (..., n_x)."""
-    lay = sys.layout
-    _, _, i_flat, v, i_T = lay.split(x)
-    i = i_flat.reshape(i_flat.shape[:-1] + (sys.n_g, 5))
-    return lay.pack(omega0, 0.0, omega0 * i @ MACHINE_ROT90.T,
-                    omega0 * rotate_pairs(v), omega0 * rotate_pairs(i_T))
+    currents) rotates rigidly at omega0, omega0 G x. States are (..., n_x)."""
+    f = omega0 * sys.layout.rotate(x)
+    f[..., sys.layout.sl_theta] = omega0
+    return f
 
 
 def residual(sys, x, u, omega0):
@@ -359,27 +364,23 @@ def invariance_defect(sys, x, u, omega0, rho=None):
 
     The field advances the angles and turns every planar pair at omega0;
     with loads that commute with rotations the residual turns along, so
-    D rho[f] = omega0 G rho, G being J on each stator, bus and line pair
-    and 0 on the angle and speed rows. A custom load adds omega0 times its
-    :func:`~gridstate.loads.rotation_commutator` on its bus rows. ``rho``
-    is the residual at (x, u) when the caller has it already. Takes one
-    state of shape (n_x,): the commutator works one voltage pair at a time.
+    D rho[f] = omega0 G rho (:meth:`StateLayout.rotate`), whose max-norm is
+    |omega0| times the largest pair entry of rho. A custom load adds its
+    :func:`~gridstate.loads.rotation_commutator` to J rho on its bus pair.
+    ``rho`` is the residual at (x, u) when the caller has it already. Takes
+    one state of shape (n_x,): the commutator works one pair at a time.
     """
     if np.shape(x) != (sys.n_x,):
         raise ValueError(f"invariance_defect takes one state, got {np.shape(x)}")
     if rho is None:
         rho = residual(sys, x, u, omega0)
     lay = sys.layout
-    if not sys.load_bank.custom:
-        # omega0 G rho turns the pairs, so |omega0| scales their max entry.
-        return abs(omega0) * float(abs(rho[lay.pair_rows]).max())
-    drift = steady_field(sys, rho, omega0)
-    drift[lay.sl_theta] = 0.0
-    v, drift_v = x[lay.sl_v], drift[lay.sl_v]
+    drift = abs(rho[lay.pair_rows])  # bus k's pair at 2 (n_g + k)
     for k, load in sys.load_bank.custom:
-        drift_v[2 * k:2 * k + 2] += omega0 * rotation_commutator(
-            load, v[2 * k:2 * k + 2])
-    return float(np.max(np.abs(drift)))
+        at, row = 2 * (sys.n_g + k), lay.sl_v.start + 2 * k
+        drift[at:at + 2] = abs(rotate_pairs(rho[row:row + 2])
+                               + rotation_commutator(load, x[row:row + 2]))
+    return abs(omega0) * float(drift.max())
 
 
 def tolerance_scale(x, u):

@@ -2,22 +2,24 @@
 
 These are the straightforward per-bus and per-sample forms: the network
 dynamics, Kirchhoff residuals and line admittance written out with dense
-matrices on an incidence built one line at a time from the endpoints, the
-rotation generators and the bus and field selectors as dense matrices, a
-shipped load's current from its (g, b) in real pairs and the load
-currents one bus at a time, the equivariance probe one rotation at a
-time, the invariance defect as a central difference of the residual, one
-machine at a time through its full inductance matrix L(theta) with a
-Cholesky solve at every call, the torque and induced voltage of that
-matrix with their flow-derivative identities, the planar rotation as a
-2x2 matrix, the classical RK4 step of a generic field dx/dt = f(x), the
-drift metrics one trajectory sample at a time, the closed-form machine
-recovery one machine at a time in 2x2 rotation matrices, the Newton
-network solve that rebuilds the admittance and the whole Jacobian at
-every iteration, and the system assembly that checks each machine on its
-own and every reordered component again. Three helpers with no caller in
-the package live here too: the (P, Q) a load draws, the package's array
-recovery run for one machine, and one machine's row of an array recovery.
+matrices on an incidence built one line at a time from the endpoints,
+the rotation generators and the bus and field selectors as dense
+matrices, a shipped load's current from its (g, b) in real pairs and the
+load currents one bus at a time, the equivariance probe one rotation at
+a time, the steady field and the rotating reference written block by
+block with the machines' 5x5 turn, the invariance defect as a central
+difference of the residual, one machine at a time through its full
+inductance matrix L(theta) with a Cholesky solve at every call, the
+torque and induced voltage of that matrix with their flow-derivative
+identities, the planar rotation as a 2x2 matrix, the classical RK4 step
+of a generic field dx/dt = f(x), the drift metrics one trajectory sample
+at a time, the closed-form machine recovery one machine at a time in 2x2
+rotation matrices, the Newton network solve that rebuilds the admittance
+and the whole Jacobian at every iteration, and the system assembly that
+checks each machine on its own and every reordered component again.
+Three helpers with no caller in the package live here too: the (P, Q) a
+load draws, the package's array recovery run for one machine, and one
+machine's row of an array recovery.
 """
 
 import logging
@@ -485,6 +487,34 @@ def system_residual(sys, x, u, omega0):
                     net[2 * sys.n_v:])
 
 
+def blockwise_steady_field(sys, x, omega0):
+    """Steady field of states (..., n_x) packed from its blocks: angles at
+    omega0, speeds 0, each machine's currents turned by MACHINE_ROT90, bus
+    voltage and line current pairs by J, all times omega0."""
+    lay = sys.layout
+    _, _, i_flat, v, i_T = lay.split(x)
+    i = i_flat.reshape(i_flat.shape[:-1] + (sys.n_g, 5))
+    return lay.pack(omega0, 0.0, omega0 * i @ MACHINE_ROT90.T,
+                    omega0 * rotate_pairs(v), omega0 * rotate_pairs(i_T))
+
+
+def blockwise_reference_trajectory(sys, x0, omega0, t):
+    """Rotating reference from x0 at time(s) t packed from its blocks: the
+    stator, bus and line pairs each turned by cos + sin J on their own."""
+    lay = sys.layout
+    theta0, omega_b, i0, v0, iT0 = lay.split(np.asarray(x0, dtype=float))
+    t = np.asarray(t, dtype=float)
+    c, s = np.cos(omega0 * t)[..., None], np.sin(omega0 * t)[..., None]
+    blocks = i0.reshape(sys.n_g, 5)
+    i = np.tile(blocks, t.shape + (1, 1))
+    stator = blocks[:, :2].ravel()
+    i[..., :2] = (c * stator + s * rotate_pairs(stator)).reshape(
+        t.shape + (sys.n_g, 2))
+    return lay.pack(theta0 + omega0 * t[..., None], omega_b, i,
+                    c * v0 + s * rotate_pairs(v0),
+                    c * iT0 + s * rotate_pairs(iT0))
+
+
 def central_invariance_defect(sys, x, u, omega0, h):
     """Max-norm of the central difference of the residual along the steady
     field f = steady_field(sys, x, omega0),
@@ -552,7 +582,7 @@ def looped_drift_metrics(sys, traj, x0, omega0):
     freq_dev = np.empty(len(traj.times))
     rho_dev = np.empty(len(traj.times))
     for idx, (t, x) in enumerate(zip(traj.times, traj.states)):
-        ref = reference_trajectory(sys, x0, omega0, t)
+        ref = reference_trajectory(sys, x0, omega0, t - traj.times[0])
         state_dev[idx] = np.max(np.abs(x - ref)) / scale
         vmag = np.linalg.norm(x[lay.sl_v].reshape(-1, 2), axis=1)
         vmag_dev[idx] = np.max(np.abs(vmag - vmag0) / vmag0)

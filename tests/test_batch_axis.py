@@ -15,7 +15,8 @@ from gridstate.system import (invariance_defect, residual,
                               vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh
-from oracles import load_current, looped_drift_metrics
+from oracles import (blockwise_reference_trajectory, blockwise_steady_field,
+                     load_current, looped_drift_metrics)
 
 MIXED = ("impedance", "current", "power")
 
@@ -140,6 +141,36 @@ def test_reference_trajectory_over_times_equals_per_time_calls(case):
     np.testing.assert_array_equal(grid, per_time.reshape(3, 20, -1))
     assert reference_trajectory(sys_, ss.x, ss.omega0, 0.0).shape \
         == ss.x.shape
+
+
+@pytest.mark.parametrize("name", ["fixture", "ring24-mixed"])
+def test_the_one_rotation_equals_the_blockwise_formulas(three_bus, certified,
+                                                        name):
+    # StateLayout.rotate on the pair rows gives, bit for bit, what turning
+    # the stator, bus and line blocks one by one gives: for one time, a
+    # vector and a grid of times, and for one state and stacks of 401.
+    if name == "fixture":
+        sys_, ss = three_bus[0], certified
+    else:
+        sys_, spec = ring_mesh(24, MIXED, seed=3)
+        ss = compute_steady_state(sys_, spec)
+    times = np.linspace(-0.01, 0.02, 401)
+    for t in (0.0, 0.0123, times, times[:399].reshape(3, -1)):
+        want = blockwise_reference_trajectory(sys_, ss.x, ss.omega0, t)
+        got = reference_trajectory(sys_, ss.x, ss.omega0, t)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    X = stack_around(ss.x, (401,), seed=14)
+    for x in (ss.x, X, X.reshape(1, 401, -1), X[:399].reshape(3, 133, -1)):
+        for omega0 in (ss.omega0, -7.5, 0.0):
+            want = blockwise_steady_field(sys_, x, omega0)
+            got = steady_field(sys_, x, omega0)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+    # G itself is the field at omega0 = 1 with the angle rows zeroed.
+    want = blockwise_steady_field(sys_, X, 1.0)
+    want[:, sys_.layout.sl_theta] = 0.0
+    np.testing.assert_array_equal(sys_.layout.rotate(X), want)
 
 
 def test_batch_below_voltage_floor_names_the_file_bus(mesh):

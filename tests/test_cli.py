@@ -293,6 +293,14 @@ def test_simulate_row_count_and_metrics(tmp_path, fixture_file, capsys):
                  "-o", str(traj)]) == 0
     lines = traj.read_text().strip().splitlines()
     assert len(lines) == int(0.002 / (1e-5 * 10)) + 2
+    # 50 steps recorded every 7th: steps 0, 7, ..., 49 and the last, 50.
+    assert main(["simulate", fixture_file, "--from", str(result),
+                 "--dt", "1e-5", "--t-end", "5e-4", "--record-every", "7",
+                 "-o", str(traj)]) == 0
+    lines = traj.read_text().strip().splitlines()
+    assert len(lines) == 1 + 8 + 1
+    assert float(lines[-2].split(",")[0]) == 49 * 1e-5
+    assert float(lines[-1].split(",")[0]) == 50 * 1e-5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -491,6 +499,15 @@ def test_verify_roundtrip_and_corruption(tmp_path, fixture_file):
     assert main(["simulate", fixture_file, "--from", str(result),
                  "--dt", "1e-5", "--t-end", "0.001", "-o", str(traj)]) == 0
     assert main(["verify", fixture_file, "--traj", str(traj)]) == 0
+
+    # The reference turns the first sample by omega0 times the time since
+    # it, so the run from t = 5e-4 on, and the run backwards, verify too.
+    window = tmp_path / "window.csv"
+    header, *rows = traj.read_text().splitlines()
+    assert float(rows[50].split(",")[0]) == 5e-4
+    for part in (rows[50:], rows[::-1]):
+        window.write_text("\n".join([header] + part) + "\n")
+        assert main(["verify", fixture_file, "--traj", str(window)]) == 0
 
     lines = traj.read_text().splitlines()
     parts = lines[50].split(",")

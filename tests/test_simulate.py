@@ -57,6 +57,15 @@ def test_simulate_sample_count_and_grid():
                     SimConfig(dt=1e-3, t_end=0.05, record_every=10))
     assert len(traj.times) == 0.05 / 1e-3 // 10 + 1
 
+    # A stride that does not divide the 50 steps still records the last.
+    full = simulate(sys_, ss.x, ss.u, SimConfig(dt=1e-3, t_end=0.05))
+    for record_every in (7, 49, 51):
+        traj = simulate(sys_, ss.x, ss.u, SimConfig(
+            dt=1e-3, t_end=0.05, record_every=record_every))
+        steps = list(range(0, 50, record_every)) + [50]
+        np.testing.assert_array_equal(traj.times, full.times[steps])
+        np.testing.assert_array_equal(traj.states, full.states[steps])
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("record_every, t", [(1, "5.000000e-02"),

@@ -25,7 +25,7 @@ from oracles import (block_rotation_generator, bus_indicator,
                      dense_incidence,
                      dense_network_field, electrical_torque,
                      field_indicator, induced_voltage, load_current,
-                     machine_rotation_generator, mass_matrix,
+                     machine_rotation_generator, mass_matrix, OracleLoad,
                      reference_assemble, scalar_load_currents,
                      single_machine_rhs,
                      stator_indicator, system_energy, system_field,
@@ -518,6 +518,35 @@ def test_invariance_defect_flags_anisotropic_load(certified, three_bus):
     scale = tolerance_scale(ss.x, ss.u)
     assert invariance_defect(bad, ss.x, ss.u, ss.omega0) \
         >= 1e-2 * scale
+
+
+@pytest.mark.parametrize("name", ["fixture", "ring24-mixed"])
+def test_wrapped_shipped_loads_read_the_shipped_invariance(three_bus, name):
+    # The custom path is the shipped path with each custom bus pair's
+    # entries replaced by |J rho_k + commutator|. An empty load's
+    # commutator is exactly 0, so wrapping it changes no bit at any state;
+    # wrapping every load changes none at states off the steady state,
+    # where the largest entry sits elsewhere, and at the steady state only
+    # by the commutator's rounding, far inside the gate.
+    sys_, spec = three_bus if name == "fixture" else ring_mesh(
+        24, ("impedance", "current", "power"), seed=3)
+    ss = compute_steady_state(sys_, spec)
+    empty = sys_.with_loads([OracleLoad(ld) if ld.kind == "none" else ld
+                             for ld in sys_.loads])
+    every = sys_.with_loads([OracleLoad(ld) for ld in sys_.loads])
+    assert len(empty.load_bank.custom) >= sys_.n_g
+    assert len(every.load_bank.custom) == sys_.n_v
+    rng = np.random.default_rng(1)
+    for spread in (0.0, 1e-2, 0.3):
+        x = ss.x * (1.0 + spread * rng.standard_normal(ss.x.shape))
+        shipped = invariance_defect(sys_, x, ss.u, ss.omega0)
+        assert invariance_defect(empty, x, ss.u, ss.omega0) == shipped
+        wrapped = invariance_defect(every, x, ss.u, ss.omega0)
+        if spread:
+            assert wrapped == shipped
+        else:
+            gate = 1e-5 * tolerance_scale(x, ss.u)
+            assert abs(wrapped - shipped) <= 1e-5 * gate
 
 
 def test_load_currents_accept_int_float32_and_strided_voltages():
