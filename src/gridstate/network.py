@@ -13,8 +13,8 @@ shunt j omega0 c plus its load's admittance, and the nodal admittance is
 the complex n_v x n_v matrix of :func:`admittance`.
 """
 
-import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,12 +80,21 @@ class Network:
     def n_t(self):
         return len(self.heads)
 
+    @cached_property
+    def scatter(self):
+        """Flat float positions of each line's (h, h), (t, t), (h, t) and
+        (t, h) entries, real then imaginary, in an n_v x n_v complex matrix;
+        built on first use and kept, as it depends on the edge list alone."""
+        h, t, n = self.heads, self.tails, self.n_v
+        flat = np.stack((h, t), axis=1) @ [[n + 1, 0, n, 1], [0, n + 1, 1, n]]
+        return (2 * flat[..., None] + [0, 1]).ravel()
+
     def relabel(self, order):
         """This network with its bus ``order[k]`` renumbered k, unchecked:
-        renumbering keeps every property checked above."""
-        label, new = np.argsort(order), copy.copy(self)
+        renumbering keeps every property checked above (and no index)."""
+        label, new = np.argsort(order), object.__new__(type(self))
         vars(new).update(heads=label[self.heads], tails=label[self.tails],
-                         c=self.c[order])
+                         c=self.c[order], r_T=self.r_T, l_T=self.l_T)
         return new
 
 
@@ -118,14 +127,12 @@ def line_admittance(network, omega0):
 
     A line with admittance y = 1 / z, head h and tail t adds y at (h, h)
     and (t, t) and -y at (h, t) and (t, h). One weighted ``bincount`` of
-    these entries' (real, imaginary) pairs sums them in line order, so
-    parallel lines add up."""
-    h, t, n = network.heads, network.tails, network.n_v
+    these entries' (real, imaginary) pairs at :attr:`Network.scatter` sums
+    them in line order, so parallel lines add up."""
+    n = network.n_v
     y = 1.0 / (network.r_T + 1j * omega0 * network.l_T)
-    # Flat positions h n + h, t n + t, h n + t and t n + h of each line.
-    flat = np.stack((h, t), axis=1) @ [[n + 1, 0, n, 1], [0, n + 1, 1, n]]
     pairs = (y[:, None] * [1.0, 1.0, -1.0, -1.0]).view(float).ravel()
-    sums = np.bincount((2 * flat[..., None] + [0, 1]).ravel(), pairs, 2 * n * n)
+    sums = np.bincount(network.scatter, pairs, 2 * n * n)
     return sums.view(complex).reshape(n, n)
 
 

@@ -2,11 +2,12 @@
 
 Pipeline: fix the machine-bus voltage phasors, Newton-solve the nodal
 current balance for the load-bus voltages on the complex admittance of
-:mod:`gridstate.network` (pairs read as alpha + j beta; the admittance and
-its Jacobian are built once per solve, and each iteration rewrites only
-their diagonals), read off the injected stator currents and line
-currents, then recover each machine's rotor angle, excitation current and
-inputs in closed form. The recovered point is certified from one
+:mod:`gridstate.network` (pairs read as alpha + j beta; the index arrays
+that depend on the edge list alone are built once per system, the
+admittance and its Jacobian once per solve, and each iteration rewrites
+only their diagonals), read off the injected stator currents and line
+currents, then recover each machine's rotor angle, excitation current
+and inputs in closed form. The recovered point is certified from one
 full-system residual evaluation, read in one pass: its size per block,
 its exact derivative along the rotating flow, and a rotation probe of any
 custom load (the shipped loads commute with rotations by construction).
@@ -230,10 +231,10 @@ def solve_network(sys, spec):
     of y |v|^-k minus k i v^T / |v|^2. Only the diagonals depend on v, so
     both matrices are built once per solve; each iteration writes the
     Jacobian's diagonal 2x2 blocks as Re(Y_kk [[1, j], [-j, 1]]) minus the
-    rank-one terms. The machine-bus rows of the converged balance are the
-    stator currents; the line currents follow from the branch impedances.
-    For impedance-only loads the balance is affine, and the first step
-    lands on the solution.
+    rank-one terms, at positions built once per system. The machine-bus
+    rows of the converged balance are the stator currents; the line
+    currents follow from the branch impedances. For impedance-only loads
+    the balance is affine, and the first step lands on the solution.
     """
     n_g, n_l = sys.n_g, sys.n_l
     opts, omega0, bank = spec.newton, spec.omega0, sys.load_bank
@@ -244,20 +245,18 @@ def solve_network(sys, spec):
 
     v = np.zeros(2 * sys.n_v)
     v[:2 * n_g] = spec.gen_voltages()
-    v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
+    v[2 * n_g::2] = float(spec.gen_voltage_mag.sum()) / n_g  # the mean
 
     vc = as_complex(v)  # a view: the Newton updates of v show through
     v_l = v[2 * n_g:].reshape(-1, 2)
     lines = line_admittance(sys.network, omega0)
-    # The workspace: Y and the Jacobian off their diagonals, the flat
-    # positions of the Jacobian's diagonal 2x2 blocks, and the load
+    # The workspace: Y and the Jacobian off their diagonals, and the load
     # weights k / |v|^2 (only k > 0 loads have a floor keeping |v| > 0).
     Y = lines.copy()
     y_diag = Y.diagonal()[n_g:, None, None]
     jac = real_blocks(lines[n_g:, n_g:])
-    diag_blocks = (np.arange(n_l)[:, None, None] * (4 * n_l + 2)
-                   + [[0, 1], [2 * n_l, 2 * n_l + 1]])
     k, w = bank.k[n_g:], np.zeros(n_l)
+    floored = k > 0
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
@@ -280,9 +279,9 @@ def solve_network(sys, spec):
         blocks = (y_diag * _PAIR_FORM).real  # real form of each Y_kk
         if not bank.constant:  # minus the rank-one terms, none when k = 0
             i_l = (y_load[n_g:] * vc[n_g:]).view(float).reshape(-1, 2)
-            np.divide(k, (v_l ** 2).sum(axis=1), out=w, where=k > 0)
+            np.divide(k, (v_l ** 2).sum(axis=1), out=w, where=floored)
             blocks -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
-        jac.put(diag_blocks, blocks)
+        jac.put(sys.jacobian_diagonal, blocks)
         try:
             v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
         except np.linalg.LinAlgError as err:
@@ -290,10 +289,12 @@ def solve_network(sys, spec):
                 f"singular Jacobian in network solve at iteration {iterations}"
             ) from err
     else:
+        weakest = n_g + int(np.argmin(abs(vc[n_g:])))  # n_l > 0 here
         raise SolverError(
             f"network solve did not converge in {opts.max_iter} iterations; "
-            f"final residual {history[-1]:.3e}"
-        )
+            f"residual history {history[0]:.3e} first, {min(history):.3e} "
+            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage |v| = "
+            f"{abs(vc[weakest]):.3e} at bus {sys.bus_ids[weakest]!r}")
 
     i_s = -balance[:2 * n_g]
     drops = vc[sys.network.heads] - vc[sys.network.tails]

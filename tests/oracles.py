@@ -274,31 +274,40 @@ def balance_jacobian(sys, Y, v):
     return jac
 
 
-def reference_solve_network(sys, spec):
-    """The Newton network solve with a fresh admittance and a full
-    :func:`balance_jacobian` at every iteration, from the same flat start
-    and with the same convergence test as the package."""
-    n_g = sys.n_g
-    opts = spec.newton
-    omega0 = spec.omega0
+def reference_iterates(sys, spec):
+    """The Newton iterates of the network solve, with a fresh admittance and
+    a full :func:`balance_jacobian` at every iteration, from the same flat
+    start as the package: yields (v, balance, residual) at each iterate
+    until the package's convergence test holds, with no iteration cap."""
+    n_g, omega0 = sys.n_g, spec.omega0
     v = np.zeros(2 * sys.n_v)
     v[:2 * n_g] = spec.gen_voltages()
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
     vc = as_complex(v)
     lines = line_admittance(sys.network, omega0)
-    history = []
-    for iterations in range(1, opts.max_iter + 1):
+    while True:
         Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
                        lines)
         balance = (Y @ vc).view(float)
         res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
-        history.append(res)
-        if res <= opts.tol * max(1.0, float(np.max(np.abs(v)))):
-            break
+        yield v.copy(), balance, res
+        if res <= spec.newton.tol * max(1.0, float(np.max(np.abs(v)))):
+            return
         jac = balance_jacobian(sys, Y, v)
         v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
-    else:
-        raise SolverError(f"no convergence in {opts.max_iter} iterations")
+
+
+def reference_solve_network(sys, spec):
+    """The network solve from :func:`reference_iterates`, with the package's
+    iteration cap."""
+    n_g, omega0, history = sys.n_g, spec.omega0, []
+    for iterations, (v, balance, res) in enumerate(
+            reference_iterates(sys, spec), start=1):
+        history.append(res)
+        if iterations == spec.newton.max_iter:
+            break
+    if res > spec.newton.tol * max(1.0, float(np.max(np.abs(v)))):
+        raise SolverError(f"no convergence in {iterations} iterations")
     E2 = real_blocks(dense_incidence(sys.network))
     i_T = solve_branch_currents(sys.network, omega0, E2.T @ v)
     return NetworkSolution(i_s=-balance[:2 * n_g], v=v, i_T=i_T,

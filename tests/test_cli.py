@@ -234,6 +234,28 @@ def test_newton_failure_exit_code(tmp_path, fixture_path):
     assert main(["steady-state", path]) == 4
 
 
+def test_newton_failure_names_the_weakest_bus(tmp_path, fixture_path,
+                                              capsys):
+    # On a 16-bus mesh whose solve is cut after two Newton iterations, the
+    # exit is 4 and stderr carries the in-process message: the residual
+    # history and the non-machine bus with the lowest |v|, by file bus id.
+    cases = benchmark_cases()
+    doc = cases.mesh_document(cases.read_document(fixture_path), 116, 16, 2.0)
+    doc["operating_point"]["newton"] = {"max_iter": 2}
+    path = tmp_path / "capped.json"
+    cases.write_document(path, doc)
+    with pytest.raises(SolverError, match="did not converge in 2") as err:
+        compute_steady_state(*load_system_file(path))
+    out = tmp_path / "r.json"
+    assert main(["steady-state", str(path), "-o", str(out)]) == 4
+    assert capsys.readouterr().err == f"solver error: {err.value}\n"
+    assert not out.exists()
+    weakest = str(err.value).rpartition(" at bus ")[2]
+    free = ({bus["id"] for bus in doc["buses"]}
+            - {machine["bus"] for machine in doc["machines"]})
+    assert weakest in {repr(bus) for bus in free}
+
+
 def test_a_loose_newton_tolerance_is_a_certification_failure(tmp_path,
                                                             fixture_path,
                                                             capsys):

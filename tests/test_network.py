@@ -204,6 +204,30 @@ def test_endpoints_match_dense_columns():
             np.testing.assert_array_equal(pair_blocks(top), real_blocks(E))
 
 
+def test_relabelling_keeps_no_stale_positions():
+    # line_admittance keeps its scatter positions on the network after the
+    # first call; a relabelled network must build its own for the new
+    # numbering, and parallel lines still add up.
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n_v = int(rng.integers(2, 12))
+        heads, tails = random_tree(rng, n_v)
+        for _ in range(int(rng.integers(0, 5))):
+            a, b = rng.choice(n_v, size=2, replace=False)
+            heads.append(a)
+            tails.append(b)
+        net = make_network(heads, tails, n_v=n_v,
+                           r_T=rng.uniform(0.05, 0.5, len(heads)),
+                           l_T=rng.uniform(1e-3, 5e-3, len(heads)))
+        omega0 = float(rng.choice([0.0, 50.0, 314.0]))
+        line_admittance(net, omega0)
+        moved = net.relabel(rng.permutation(n_v))
+        for top in (net, moved):
+            want = dense_line_admittance(top, omega0)
+            got = line_admittance(top, omega0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_relabel_moves_buses_without_checking_again(monkeypatch):
     checked = make_network([0, 1], [1, 2], c=np.array([1e-4, 2e-4, 3e-4]),
                            r_T=np.array([0.1, 0.2]),

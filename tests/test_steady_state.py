@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridstate import steady_state
 from gridstate.errors import InfeasibleSteadyStateError, SolverError
+from gridstate.fileio import system_from_dict
 from gridstate.frame import ROT90, as_complex, real_blocks, wrap_angle
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
@@ -24,7 +27,7 @@ from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
 from oracles import (balance_jacobian, dense_incidence, dense_line_admittance,
                      electrical_torque, excitation_demand, network_residual,
                      nodal_balance_residual, recover_one,
-                     reference_solve_network, rvec)
+                     reference_iterates, reference_solve_network, rvec)
 
 LOAD_KINDS = ("impedance", "current", "power")
 
@@ -278,14 +281,25 @@ def test_one_real_form_build_per_solve(monkeypatch):
 
 
 def test_a_solve_keeps_its_workspace_to_itself():
-    # The Newton workspace lives for one solve: nothing is cached on the
-    # system, so a repeated certify of the same case does all of its work.
+    # The Newton workspace lives for one solve. The first solve leaves only
+    # the two index arrays that depend on the edge list alone on the system,
+    # O(n_t + n_l) integers and no admittance or Jacobian; a repeated
+    # certify of the same case adds nothing and does all of its other work.
     sys_, spec = ring_mesh(16, LOAD_KINDS, seed=4, level=2.0)
-    owners = (sys_, sys_.layout, sys_.load_bank)
+    owners = (sys_, sys_.network, sys_.layout, sys_.load_bank)
     before = [dict(vars(owner)) for owner in owners]
     first = solve_network(sys_, spec)
+    after = [dict(vars(owner)) for owner in owners]
+    added = {name: value for old, new in zip(before, after)
+             for name, value in new.items() if name not in old}
+    assert sorted(added) == ["jacobian_diagonal", "scatter"]
+    assert added["jacobian_diagonal"].shape == (sys_.n_l, 2, 2)
+    assert added["scatter"].shape == (8 * sys_.n_t,)
+    assert all(index.dtype.kind == "i" for index in added.values())
+    assert [{name: new[name] for name in old}
+            for old, new in zip(before, after)] == before
     verify_steady_state(sys_, compute_steady_state(sys_, spec))
-    assert [dict(vars(owner)) for owner in owners] == before
+    assert [dict(vars(owner)) for owner in owners] == after
     assert_same_solution(solve_network(sys_, spec), first)
 
 
@@ -322,6 +336,9 @@ def test_newton_contracts_fast_for_power_loads():
 
 
 def test_newton_failure_reports_residual():
+    # A solve that does not converge names the first, smallest and last
+    # entries of its residual history and, by bus id, the load bus with the
+    # lowest |v| at its last iterate: the reference iterates, bit for bit.
     sys_, spec = slow_two_bus(omega0=5.0)
     loads = [Load.none(), Load.constant_power(5.0, 1.0, v_min=0.1)]
     sys_p = assemble(list(sys_.machines), [0], sys_.network, loads=loads,
@@ -331,8 +348,59 @@ def test_newton_failure_reports_residual():
                          gen_voltage_angle=spec.gen_voltage_angle,
                          sigma=spec.sigma,
                          newton=NewtonOptions(max_iter=1))
-    with pytest.raises(SolverError, match="did not converge"):
-        solve_network(sys_p, spec)
+    mesh, mesh_spec = ring_mesh(16, LOAD_KINDS, seed=4, level=2.0)
+    for sys_x, spec_x in ((sys_p, spec), (mesh, replace(
+            mesh_spec, newton=NewtonOptions(max_iter=3)))):
+        cap = spec_x.newton.max_iter
+        with pytest.raises(SolverError,
+                           match=f"did not converge in {cap} iterations"
+                           ) as err:
+            solve_network(sys_x, spec_x)
+        iterates = list(islice(reference_iterates(sys_x, spec_x), cap + 1))
+        history = [res for _, _, res in iterates[:cap]]
+        mag = np.hypot(*iterates[cap][0].reshape(-1, 2).T)[sys_x.n_g:]
+        weakest = sys_x.bus_ids[sys_x.n_g + int(np.argmin(mag))]
+        assert str(err.value).endswith(
+            f"residual history {history[0]:.3e} first, {min(history):.3e} "
+            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage "
+            f"|v| = {mag.min():.3e} at bus {weakest!r}")
+    # The mesh tells the three history entries and its many buses apart.
+    assert len(set(history)) == 3 and mesh.n_l > 1
+
+
+def test_a_with_loads_clone_solves_like_its_source():
+    # A clone made before the first solve builds its own Jacobian block
+    # positions, one made after shares its source's (the network and its
+    # scatter positions are shared either way); all solve bit for bit alike.
+    sys_, spec = ring_mesh(16, LOAD_KINDS, seed=6, level=2.0)
+    early = sys_.with_loads(sys_.loads)
+    first = solve_network(sys_, spec)
+    late = sys_.with_loads(sys_.loads)
+    assert late.jacobian_diagonal is sys_.jacobian_diagonal
+    assert late.network.scatter is sys_.network.scatter
+    for clone in (early, late):
+        assert_same_solution(solve_network(clone, spec), first)
+    np.testing.assert_array_equal(early.jacobian_diagonal,
+                                  sys_.jacobian_diagonal)
+
+
+def test_a_machine_only_network_certifies_in_one_iteration(fixture_path):
+    # The fixture without its load bus and that bus's lines: every bus holds
+    # a machine (n_l = 0), so the load-bus balance is empty, its residual 0
+    # at the first iterate, and the Jacobian's block positions are empty.
+    doc = json.loads(fixture_path.read_text())
+    doc["buses"] = doc["buses"][:2]
+    doc["lines"] = [line for line in doc["lines"]
+                    if "b3" not in (line["from"], line["to"])]
+    sys_, spec = system_from_dict(doc)
+    ss = compute_steady_state(sys_, spec)
+    assert (sys_.n_l, sys_.n_t) == (0, 1)
+    assert ss.network.iterations == 1
+    assert ss.network.residual_history == [0.0]
+    assert sys_.jacobian_diagonal.shape == (0, 2, 2)
+    report = verify_steady_state(sys_, ss)
+    assert report.certificate, report.failures
+    assert report.margins["residual"] < 1e-6
 
 
 def test_network_solve_refuses_custom_loads(three_bus):
