@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .frame import as_complex
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,6 @@ def _count_components(n, heads, tails):
     for a, b in zip(heads.tolist(), tails.tolist()):
         root[find(a)] = find(b)
     return sum(find(a) == a for a in range(n))
-
-
-def solve_branch_currents(network, omega0, w):
-    """Line current pairs i_T with (r + j omega0 l) i_T = w on every line,
-    for the stacked voltage-drop pairs ``w``."""
-    z = network.r_T + 1j * omega0 * network.l_T
-    return (as_complex(w) / z).view(float)
 
 
 def line_admittance(network, omega0):

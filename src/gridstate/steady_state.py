@@ -2,15 +2,16 @@
 
 Pipeline: fix the machine-bus voltage phasors, Newton-solve the nodal
 current balance for the load-bus voltages on the complex admittance of
-:mod:`gridstate.network` (pairs read as alpha + j beta; the index arrays
-that depend on the edge list alone are built once per system, the
-admittance and its Jacobian once per solve, and each iteration rewrites
-only their diagonals), read off the injected stator currents and line
-currents, then recover each machine's rotor angle, excitation current
-and inputs in closed form. The recovered point is certified from one
-full-system residual evaluation, read in one pass: its size per block,
-its exact derivative along the rotating flow, and a rotation probe of any
-custom load (the shipped loads commute with rotations by construction).
+:mod:`gridstate.network` (pairs read as alpha + j beta; the admittance
+and its Jacobian are the solve's own, built once per solve, and each
+iteration rewrites only their diagonals; just the line admittance's
+scatter positions, set by the edge list, stay on the network), read off
+the injected stator currents and line currents, then recover each
+machine's rotor angle, excitation current and inputs in closed form. The
+recovered point is certified from one full-system residual evaluation,
+read in one pass: its size per block, its exact derivative along the
+rotating flow, and a rotation probe of any custom load (the shipped
+loads commute with rotations by construction).
 
 The recovery is one array pass over the machines, with terminal voltages
 v and stator currents i as complex numbers alpha + j beta:
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
 from .frame import as_complex, real_blocks
 from .loads import equivariance_defect
-from .network import admittance, line_admittance, solve_branch_currents
+from .network import admittance, line_admittance
 from .system import (invariance_defect, residual, residual_block_norms,
                      tolerance_scale)
 
@@ -70,13 +71,6 @@ class OperatingSpec:
     gen_voltage_angle: np.ndarray
     sigma: np.ndarray
     newton: NewtonOptions = field(default_factory=NewtonOptions)
-
-    def gen_voltages(self):
-        """Machine-bus voltage pairs stacked into a 2*n_g vector."""
-        out = np.empty(2 * len(self.gen_voltage_mag))
-        out[0::2] = self.gen_voltage_mag * np.cos(self.gen_voltage_angle)
-        out[1::2] = self.gen_voltage_mag * np.sin(self.gen_voltage_angle)
-        return out
 
 
 @dataclass
@@ -221,6 +215,15 @@ def _recover(p, v, i_s, omega0, sigma):
         excitation_residual=exc_res, alignment_residual=ali_res)
 
 
+def _failure_tail(sys, vc, history):
+    """How a failed solve ended: the first, smallest and last entries of its
+    residual history, and the load bus with the lowest |v| at ``vc``."""
+    weakest = sys.n_g + int(np.argmin(abs(vc[sys.n_g:])))  # n_l > 0 here
+    return (f"residual history {history[0]:.3e} first, {min(history):.3e} "
+            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage |v| = "
+            f"{abs(vc[weakest]):.3e} at bus {sys.bus_ids[weakest]!r}")
+
+
 def solve_network(sys, spec):
     """Solve the nodal current balance with machine-bus voltages pinned.
 
@@ -231,30 +234,31 @@ def solve_network(sys, spec):
     of y |v|^-k minus k i v^T / |v|^2. Only the diagonals depend on v, so
     both matrices are built once per solve; each iteration writes the
     Jacobian's diagonal 2x2 blocks as Re(Y_kk [[1, j], [-j, 1]]) minus the
-    rank-one terms, at positions built once per system. The machine-bus
-    rows of the converged balance are the stator currents; the line
-    currents follow from the branch impedances. For impedance-only loads
+    rank-one terms, through a view of them. The machine-bus rows of the
+    converged balance are the stator currents; the line currents are the
+    voltage drops over the branch impedances. For impedance-only loads
     the balance is affine, and the first step lands on the solution.
     """
-    n_g, n_l = sys.n_g, sys.n_l
+    n_g, n_l, net = sys.n_g, sys.n_l, sys.network
     opts, omega0, bank = spec.newton, spec.omega0, sys.load_bank
     if bank.custom:
         raise SolverError(
             "network solve handles the shipped load types only; custom loads "
             f"at bus(es) {[sys.bus_ids[k] for k, _ in bank.custom]!r}")
 
-    v = np.zeros(2 * sys.n_v)
-    v[:2 * n_g] = spec.gen_voltages()
-    v[2 * n_g::2] = float(spec.gen_voltage_mag.sum()) / n_g  # the mean
-
-    vc = as_complex(v)  # a view: the Newton updates of v show through
+    vc = np.empty(sys.n_v, dtype=complex)
+    vc[:n_g] = spec.gen_voltage_mag * np.exp(1j * spec.gen_voltage_angle)
+    vc[n_g:] = float(spec.gen_voltage_mag.sum()) / n_g  # the mean
+    v = vc.view(float)  # the pairs, a view: Newton updates of v show in vc
     v_l = v[2 * n_g:].reshape(-1, 2)
-    lines = line_admittance(sys.network, omega0)
-    # The workspace: Y and the Jacobian off their diagonals, and the load
-    # weights k / |v|^2 (only k > 0 loads have a floor keeping |v| > 0).
+    lines = line_admittance(net, omega0)
+    # The workspace: Y and the Jacobian off their diagonals, a view of the
+    # Jacobian's diagonal 2x2 blocks, and the load weights k / |v|^2 (only
+    # k > 0 loads have a floor keeping |v| > 0).
     Y = lines.copy()
     y_diag = Y.diagonal()[n_g:, None, None]
     jac = real_blocks(lines[n_g:, n_g:])
+    jac_diag = np.einsum("kakb->kab", jac.reshape(n_l, 2, n_l, 2))
     k, w = bank.k[n_g:], np.zeros(n_l)
     floored = k > 0
     history = []
@@ -266,7 +270,7 @@ def solve_network(sys, spec):
                 f"network solve left a load's domain at iteration "
                 f"{iterations}: {err}"
             ) from err
-        admittance(sys.network, y_load, omega0, lines, out=Y)
+        admittance(net, y_load, omega0, lines, out=Y)
         balance = (Y @ vc).view(float)
         res = float(abs(balance[2 * n_g:]).max(initial=0.0))
         history.append(res)
@@ -276,29 +280,25 @@ def solve_network(sys, spec):
                               f"({res}) at iteration {iterations}")
         if res <= opts.tol * max(1.0, float(abs(v).max())):
             break
-        blocks = (y_diag * _PAIR_FORM).real  # real form of each Y_kk
+        jac_diag[...] = (y_diag * _PAIR_FORM).real  # real form of each Y_kk
         if not bank.constant:  # minus the rank-one terms, none when k = 0
             i_l = (y_load[n_g:] * vc[n_g:]).view(float).reshape(-1, 2)
             np.divide(k, (v_l ** 2).sum(axis=1), out=w, where=floored)
-            blocks -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
-        jac.put(sys.jacobian_diagonal, blocks)
+            jac_diag -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
         try:
             v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
         except np.linalg.LinAlgError as err:
             raise SolverError(
-                f"singular Jacobian in network solve at iteration {iterations}"
-            ) from err
+                f"singular Jacobian in network solve at iteration "
+                f"{iterations}; {_failure_tail(sys, vc, history)}") from err
     else:
-        weakest = n_g + int(np.argmin(abs(vc[n_g:])))  # n_l > 0 here
         raise SolverError(
             f"network solve did not converge in {opts.max_iter} iterations; "
-            f"residual history {history[0]:.3e} first, {min(history):.3e} "
-            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage |v| = "
-            f"{abs(vc[weakest]):.3e} at bus {sys.bus_ids[weakest]!r}")
+            f"{_failure_tail(sys, vc, history)}")
 
     i_s = -balance[:2 * n_g]
-    drops = vc[sys.network.heads] - vc[sys.network.tails]
-    i_T = solve_branch_currents(sys.network, omega0, drops.view(float))
+    z = net.r_T + 1j * omega0 * net.l_T
+    i_T = ((vc[net.heads] - vc[net.tails]) / z).view(float)
     return NetworkSolution(i_s=i_s, v=v, i_T=i_T, iterations=iterations,
                            residual_history=history)
 
@@ -374,8 +374,8 @@ def verify_steady_state(sys, ss):
                "stator, bus or line residual entry")
         failures.append(f"invariance defect {inv:.3e} exceeds "
                         f"{CERT_INVARIANCE_TOL:.1e}*scale; {why}")
-    bad_loads = [sys.bus_ids[k] for k, d in enumerate(equiv)
-                 if not d <= CERT_EQUIVARIANCE_TOL]
+    bad_loads = [sys.bus_ids[k] for k, _ in sys.load_bank.custom
+                 if not equiv[k] <= CERT_EQUIVARIANCE_TOL]
     if bad_loads:
         failures.append(
             f"load model at bus(es) {bad_loads!r} is not rotation-equivariant")

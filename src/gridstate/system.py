@@ -145,13 +145,6 @@ class PowerSystem:
         """:func:`_field_rows` on first use; later with_loads copies share it."""
         return _field_rows(self)
 
-    @cached_property
-    def jacobian_diagonal(self):
-        """Flat positions (n_l, 2, 2) of the Newton Jacobian's diagonal blocks."""
-        n = self.n_l
-        return (np.arange(n)[:, None, None] * (4 * n + 2)
-                + [[0, 1], [2 * n, 2 * n + 1]])
-
     def inductance_stack(self, theta):
         """Winding inductance matrices L(theta) = T L0 T^T of all machines,
         shape (n_g, 5, 5)."""

@@ -24,6 +24,22 @@ def benchmark_cases():
     return cases
 
 
+def singular_solve_at(monkeypatch, call):
+    """Make ``np.linalg.solve`` raise LinAlgError at its ``call``-th call
+    from now on and solve as usual otherwise; returns the list of calls
+    counted, which a test clears to count again."""
+    solve, calls = np.linalg.solve, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def fixture_path():
     return FIXTURE_DIR / "three_bus.json"

@@ -15,8 +15,10 @@ identities, the planar rotation as a 2x2 matrix, the classical RK4 step
 of a generic field dx/dt = f(x), the drift metrics one trajectory sample
 at a time, the closed-form machine recovery one machine at a time in 2x2
 rotation matrices, the Newton network solve that rebuilds the admittance
-and the whole Jacobian at every iteration, and the system assembly that
-checks each machine on its own and every reordered component again.
+and the whole Jacobian at every iteration, from its own generator voltage
+pairs and to its own branch currents (dense incidence drops over each
+line's impedance), and the system assembly that checks each machine on
+its own and every reordered component again.
 Three helpers with no caller in the package live here too: the (P, Q) a
 load draws, the package's array recovery run for one machine, and one
 machine's row of an array recovery.
@@ -34,8 +36,7 @@ from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
                              rotate_pairs)
 from gridstate.loads import Load
 from gridstate.machine import ParamViolation, inductance_matrix, stack_params
-from gridstate.network import (Network, admittance, line_admittance,
-                               solve_branch_currents)
+from gridstate.network import Network, admittance, line_admittance
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery, NetworkSolution,
@@ -149,6 +150,20 @@ def branch_impedance(network, omega0):
     """
     return np.kron(np.diag(network.r_T), np.eye(2)) \
         + omega0 * np.kron(np.diag(network.l_T), ROT90)
+
+
+def branch_currents(network, omega0, w):
+    """Line current pairs i_T with (r + j omega0 l) i_T = w, one complex
+    division per line, for the stacked voltage-drop pairs ``w``."""
+    z = network.r_T + 1j * omega0 * network.l_T
+    return (np.asarray(w, dtype=float).view(complex) / z).view(float)
+
+
+def generator_pairs(spec):
+    """The prescribed machine-bus voltage pairs (mag cos, mag sin),
+    stacked in machine order."""
+    mag, angle = spec.gen_voltage_mag, spec.gen_voltage_angle
+    return np.stack((mag * np.cos(angle), mag * np.sin(angle)), 1).ravel()
 
 
 def _conductance(load, vnorm):
@@ -281,7 +296,7 @@ def reference_iterates(sys, spec):
     until the package's convergence test holds, with no iteration cap."""
     n_g, omega0 = sys.n_g, spec.omega0
     v = np.zeros(2 * sys.n_v)
-    v[:2 * n_g] = spec.gen_voltages()
+    v[:2 * n_g] = generator_pairs(spec)
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
     vc = as_complex(v)
     lines = line_admittance(sys.network, omega0)
@@ -308,8 +323,8 @@ def reference_solve_network(sys, spec):
             break
     if res > spec.newton.tol * max(1.0, float(np.max(np.abs(v)))):
         raise SolverError(f"no convergence in {iterations} iterations")
-    E2 = real_blocks(dense_incidence(sys.network))
-    i_T = solve_branch_currents(sys.network, omega0, E2.T @ v)
+    E2 = np.kron(dense_incidence(sys.network), np.eye(2))
+    i_T = branch_currents(sys.network, omega0, E2.T @ v)
     return NetworkSolution(i_s=-balance[:2 * n_g], v=v, i_T=i_T,
                            iterations=iterations, residual_history=history)
 

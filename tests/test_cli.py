@@ -18,7 +18,8 @@ from gridstate.fileio import (load_result_file, load_system_file,
 from gridstate.simulate import SimConfig, simulate
 from gridstate.steady_state import compute_steady_state
 
-from conftest import AnisotropicLoad, benchmark_cases, numeric_ids
+from conftest import (AnisotropicLoad, benchmark_cases, numeric_ids,
+                      singular_solve_at)
 
 
 @pytest.fixture()
@@ -254,6 +255,24 @@ def test_newton_failure_names_the_weakest_bus(tmp_path, fixture_path,
     free = ({bus["id"] for bus in doc["buses"]}
             - {machine["bus"] for machine in doc["machines"]})
     assert weakest in {repr(bus) for bus in free}
+
+
+def test_a_singular_jacobian_exits_4_without_a_result(tmp_path, fixture_path,
+                                                     capsys, monkeypatch):
+    # A singular Newton step, forced at iteration 2 of a 16-bus mesh, is a
+    # solver error: exit 4, the in-process message on stderr, no -o file.
+    cases = benchmark_cases()
+    doc = cases.mesh_document(cases.read_document(fixture_path), 116, 16, 2.0)
+    path, out = tmp_path / "mesh.json", tmp_path / "r.json"
+    cases.write_document(path, doc)
+    calls = singular_solve_at(monkeypatch, 2)
+    with pytest.raises(SolverError, match="^singular Jacobian .* iteration 2; "
+                       "residual history .* at bus 'n[0-9]+'$") as err:
+        compute_steady_state(*load_system_file(path))
+    calls.clear()
+    assert main(["steady-state", str(path), "-o", str(out)]) == 4
+    assert capsys.readouterr().err == f"solver error: {err.value}\n"
+    assert not out.exists()
 
 
 def test_a_loose_newton_tolerance_is_a_certification_failure(tmp_path,

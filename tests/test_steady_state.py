@@ -14,19 +14,19 @@ from gridstate.frame import ROT90, as_complex, real_blocks, wrap_angle
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
-from gridstate.network import (Network, admittance, line_admittance,
-                               solve_branch_currents)
+from gridstate.network import Network, admittance, line_admittance
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
                                     assemble_steady_state,
                                     compute_steady_state, recover_all,
                                     solve_network, verify_steady_state)
 from gridstate.system import assemble, residual, tolerance_scale
 
-from conftest import (AnisotropicLoad, ring_mesh, sample_machine,
-                      slow_two_bus)
-from oracles import (balance_jacobian, dense_incidence, dense_line_admittance,
-                     electrical_torque, excitation_demand, network_residual,
-                     nodal_balance_residual, recover_one,
+from conftest import (AnisotropicLoad, benchmark_cases, ring_mesh,
+                      sample_machine, singular_solve_at, slow_two_bus)
+from oracles import (balance_jacobian, branch_currents, branch_impedance,
+                     dense_incidence, dense_line_admittance,
+                     electrical_torque, excitation_demand, generator_pairs,
+                     network_residual, nodal_balance_residual, recover_one,
                      reference_iterates, reference_solve_network, rvec)
 
 LOAD_KINDS = ("impedance", "current", "power")
@@ -194,7 +194,7 @@ def test_balance_jacobian_matches_central_difference():
     sys_, spec = ring_mesh(20, ("impedance", "current", "power"), seed=3)
     n_g = sys_.n_g
     rng = np.random.default_rng(7)
-    v = np.concatenate([spec.gen_voltages(),
+    v = np.concatenate([generator_pairs(spec),
                         rng.uniform(5.0, 12.0, 2 * sys_.n_l)])
 
     lines = line_admittance(sys_.network, spec.omega0)
@@ -282,20 +282,20 @@ def test_one_real_form_build_per_solve(monkeypatch):
 
 def test_a_solve_keeps_its_workspace_to_itself():
     # The Newton workspace lives for one solve. The first solve leaves only
-    # the two index arrays that depend on the edge list alone on the system,
-    # O(n_t + n_l) integers and no admittance or Jacobian; a repeated
-    # certify of the same case adds nothing and does all of its other work.
+    # the line admittance's scatter positions, O(n_t) integers that depend
+    # on the edge list alone, on the network, and nothing on the system: no
+    # admittance, Jacobian or index of it. A repeated certify of the same
+    # case adds nothing and does all of its other work.
     sys_, spec = ring_mesh(16, LOAD_KINDS, seed=4, level=2.0)
     owners = (sys_, sys_.network, sys_.layout, sys_.load_bank)
     before = [dict(vars(owner)) for owner in owners]
     first = solve_network(sys_, spec)
     after = [dict(vars(owner)) for owner in owners]
-    added = {name: value for old, new in zip(before, after)
-             for name, value in new.items() if name not in old}
-    assert sorted(added) == ["jacobian_diagonal", "scatter"]
-    assert added["jacobian_diagonal"].shape == (sys_.n_l, 2, 2)
-    assert added["scatter"].shape == (8 * sys_.n_t,)
-    assert all(index.dtype.kind == "i" for index in added.values())
+    added = [{name: value for name, value in new.items() if name not in old}
+             for old, new in zip(before, after)]
+    assert [sorted(names) for names in added] == [[], ["scatter"], [], []]
+    assert added[1]["scatter"].shape == (8 * sys_.n_t,)
+    assert added[1]["scatter"].dtype.kind == "i"
     assert [{name: new[name] for name in old}
             for old, new in zip(before, after)] == before
     verify_steady_state(sys_, compute_steady_state(sys_, spec))
@@ -335,6 +335,17 @@ def test_newton_contracts_fast_for_power_loads():
     assert drops and min(drops) < 1e-3
 
 
+def failure_tail(sys_, v, history):
+    """How a failed solve ended, from the reference: the first, smallest and
+    last entries of ``history`` and, by bus id, the load bus with the lowest
+    |v| at the voltage pairs ``v``."""
+    mag = np.hypot(*v.reshape(-1, 2).T)[sys_.n_g:]
+    weakest = sys_.bus_ids[sys_.n_g + int(np.argmin(mag))]
+    return (f"residual history {history[0]:.3e} first, {min(history):.3e} "
+            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage "
+            f"|v| = {mag.min():.3e} at bus {weakest!r}")
+
+
 def test_newton_failure_reports_residual():
     # A solve that does not converge names the first, smallest and last
     # entries of its residual history and, by bus id, the load bus with the
@@ -358,36 +369,51 @@ def test_newton_failure_reports_residual():
             solve_network(sys_x, spec_x)
         iterates = list(islice(reference_iterates(sys_x, spec_x), cap + 1))
         history = [res for _, _, res in iterates[:cap]]
-        mag = np.hypot(*iterates[cap][0].reshape(-1, 2).T)[sys_x.n_g:]
-        weakest = sys_x.bus_ids[sys_x.n_g + int(np.argmin(mag))]
         assert str(err.value).endswith(
-            f"residual history {history[0]:.3e} first, {min(history):.3e} "
-            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage "
-            f"|v| = {mag.min():.3e} at bus {weakest!r}")
+            "iterations; " + failure_tail(sys_x, iterates[cap][0], history))
     # The mesh tells the three history entries and its many buses apart.
     assert len(set(history)) == 3 and mesh.n_l > 1
 
 
+def test_a_singular_jacobian_reports_how_the_solve_ended(monkeypatch,
+                                                         fixture_path):
+    # A singular Newton step stops the solve with the account of a solve
+    # that runs out of iterations: the residual history so far and the
+    # weakest load bus at the iterate it stopped on, by file bus id.
+    cases = benchmark_cases()
+    doc = cases.mesh_document(cases.read_document(fixture_path), 116, 16, 2.0)
+    sys_, spec = system_from_dict(doc)
+    iterates = list(islice(reference_iterates(sys_, spec), 3))
+    history = [res for _, _, res in iterates[:2]]
+    singular_solve_at(monkeypatch, 2)
+    with pytest.raises(SolverError) as err:
+        solve_network(sys_, spec)
+    assert str(err.value) == ("singular Jacobian in network solve at "
+                              "iteration 2; "
+                              + failure_tail(sys_, iterates[1][0], history))
+    # The weakest bus is read at the second iterate, not the third.
+    assert failure_tail(sys_, iterates[1][0], history) \
+        != failure_tail(sys_, iterates[2][0], history)
+
+
 def test_a_with_loads_clone_solves_like_its_source():
-    # A clone made before the first solve builds its own Jacobian block
-    # positions, one made after shares its source's (the network and its
-    # scatter positions are shared either way); all solve bit for bit alike.
+    # Clones made before and after the first solve alike share the network
+    # and its scatter positions, and nothing else of a solve outlives it, so
+    # they hold the same entries and solve bit for bit like their source.
     sys_, spec = ring_mesh(16, LOAD_KINDS, seed=6, level=2.0)
     early = sys_.with_loads(sys_.loads)
     first = solve_network(sys_, spec)
     late = sys_.with_loads(sys_.loads)
-    assert late.jacobian_diagonal is sys_.jacobian_diagonal
-    assert late.network.scatter is sys_.network.scatter
+    assert vars(early).keys() == vars(late).keys() == vars(sys_).keys()
     for clone in (early, late):
+        assert clone.network.scatter is sys_.network.scatter
         assert_same_solution(solve_network(clone, spec), first)
-    np.testing.assert_array_equal(early.jacobian_diagonal,
-                                  sys_.jacobian_diagonal)
 
 
 def test_a_machine_only_network_certifies_in_one_iteration(fixture_path):
     # The fixture without its load bus and that bus's lines: every bus holds
     # a machine (n_l = 0), so the load-bus balance is empty, its residual 0
-    # at the first iterate, and the Jacobian's block positions are empty.
+    # at the first iterate, and the Jacobian and its diagonal view empty.
     doc = json.loads(fixture_path.read_text())
     doc["buses"] = doc["buses"][:2]
     doc["lines"] = [line for line in doc["lines"]
@@ -397,10 +423,30 @@ def test_a_machine_only_network_certifies_in_one_iteration(fixture_path):
     assert (sys_.n_l, sys_.n_t) == (0, 1)
     assert ss.network.iterations == 1
     assert ss.network.residual_history == [0.0]
-    assert sys_.jacobian_diagonal.shape == (0, 2, 2)
     report = verify_steady_state(sys_, ss)
     assert report.certificate, report.failures
     assert report.margins["residual"] < 1e-6
+
+
+def test_line_currents_are_the_drops_over_the_branch_impedances(three_bus):
+    # z_t i_T = v_h - v_t on every line, through the dense impedance and
+    # incidence, also where parallel lines share their endpoints: the mesh's
+    # first four lines are doubled by lines of other impedances.
+    mesh, mesh_spec = ring_mesh(16, LOAD_KINDS, seed=8, level=2.0)
+    net = mesh.network
+    twin = Network(heads=np.r_[net.heads, net.heads[:4]],
+                   tails=np.r_[net.tails, net.tails[:4]], c=net.c,
+                   r_T=np.r_[net.r_T, 2.0 * net.r_T[:4]],
+                   l_T=np.r_[net.l_T, 1.5 * net.l_T[:4]])
+    doubled = assemble(list(mesh.machines), list(range(mesh.n_g)), twin,
+                       loads=list(mesh.loads), bus_ids=list(mesh.bus_ids))
+    for sys_, spec in (three_bus, (doubled, mesh_spec)):
+        sol = solve_network(sys_, spec)
+        drops = np.kron(dense_incidence(sys_.network), np.eye(2)).T @ sol.v
+        Z = branch_impedance(sys_.network, spec.omega0)
+        np.testing.assert_allclose(Z @ sol.i_T, drops, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(drops)))
+    assert sol.iterations > 1
 
 
 def test_network_solve_refuses_custom_loads(three_bus):
@@ -422,7 +468,7 @@ def test_imbalanced_nodes_admit_no_line_currents(three_bus):
         v = rng.uniform(-3, 3, 2 * sys_.n_v)
         i_s = rng.uniform(-2, 2, 2 * sys_.n_g)
         E2 = real_blocks(dense_incidence(sys_.network))
-        i_T_star = solve_branch_currents(sys_.network, spec.omega0, E2.T @ v)
+        i_T_star = branch_currents(sys_.network, spec.omega0, E2.T @ v)
         rho_star = network_residual(sys_.network, sys_.loads, i_s, v,
                                     i_T_star, spec.omega0)
         nodal = nodal_balance_residual(sys_.network, sys_.loads, i_s, v,
