@@ -72,9 +72,17 @@ class LoadBank:
     all buses in one numpy expression. Any other object, a subclass of
     :class:`Load` included, is a custom load: it brings its own
     ``current(v)`` method, is kept in ``custom`` and is called on its own.
+
+    The first ``n_g`` buses hold the machines. The bank splits the others,
+    the load buses, by their balance: a bus with no load or an impedance
+    load (k = 0) is linear in its voltage, one with k > 0 nonlinear.
+    ``solve_order`` lists the machine buses, the ``n_kept - n_g``
+    nonlinear load buses and then the linear ones, the order in which the
+    network solve eliminates the linear buses; ``y_linear`` is y with the
+    k > 0 loads left out.
     """
 
-    def __init__(self, loads, bus_ids):
+    def __init__(self, loads, bus_ids, n_g):
         self.custom = [(k, ld) for k, ld in enumerate(loads)
                        if ld is not None and type(ld) is not Load]
         shipped = [ld if type(ld) is Load else Load.none() for ld in loads]
@@ -85,6 +93,11 @@ class LoadBank:
         # work pays where numpy call overhead dominates (small systems).
         self.constant = not (np.any(self.k) or np.any(self.v_min))
         self._named = [(bus, ld.kind) for bus, ld in zip(bus_ids, shipped)]
+        linear = self.k == 0
+        self.y_linear = self.y * linear
+        linear[:n_g] = False  # a stable sort keeps each group in bus order
+        self.solve_order = linear.argsort(kind="stable")
+        self.n_kept = len(linear) - int(np.count_nonzero(linear))
 
     def admittance(self, vc):
         """y |v|^-k per bus at the complex bus voltages ``vc`` (..., n_v).

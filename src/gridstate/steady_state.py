@@ -1,14 +1,16 @@
 """Constructive steady-state computation and certification.
 
-Pipeline: fix the machine-bus voltage phasors, Newton-solve the nodal
-current balance for the load-bus voltages on the complex admittance of
-:mod:`gridstate.network` (pairs read as alpha + j beta; the admittance
-and its Jacobian are the solve's own, built once per solve, and each
-iteration rewrites only their diagonals; just the line admittance's
-scatter positions, set by the edge list, stay on the network), read off
-the injected stator currents and line currents, then recover each
-machine's rotor angle, excitation current and inputs in closed form. The
-recovered point is certified from one full-system residual evaluation,
+Pipeline: fix the machine-bus voltage phasors, eliminate the load buses
+whose balance is linear (no load or an impedance load) from the complex
+admittance of :mod:`gridstate.network` once per solve, Newton-solve the
+nodal current balance of the reduced admittance for the other load-bus
+voltages (pairs read as alpha + j beta; the workspace is the solve's own,
+and each iteration rewrites only its Jacobian's diagonal blocks; just the
+line admittance's scatter positions, set by the edge list, stay on the
+network), read off the injected stator currents from one full balance
+at the solution and the line currents, then recover each machine's rotor
+angle, excitation current and inputs in closed form. The recovered point
+is certified from one full-system residual evaluation,
 read in one pass: its size per block, its exact derivative along the
 rotating flow, and a rotation probe of any custom load (the shipped
 loads commute with rotations by construction).
@@ -217,50 +219,93 @@ def _recover(p, v, i_s, omega0, sigma):
 
 def _failure_tail(sys, vc, history):
     """How a failed solve ended: the first, smallest and last entries of its
-    residual history, and the load bus with the lowest |v| at ``vc``."""
-    weakest = sys.n_g + int(np.argmin(abs(vc[sys.n_g:])))  # n_l > 0 here
-    return (f"residual history {history[0]:.3e} first, {min(history):.3e} "
-            f"smallest, {history[-1]:.3e} last; lowest load-bus voltage |v| = "
-            f"{abs(vc[weakest]):.3e} at bus {sys.bus_ids[weakest]!r}")
+    residual history, if any, and the load bus with the lowest |v| at
+    ``vc``, the voltages of all buses."""
+    tail = [f"residual history {history[0]:.3e} first, {min(history):.3e} "
+            f"smallest, {history[-1]:.3e} last" if history
+            else "no residual evaluated"]
+    if sys.n_l:  # a machine-bus load can leave its domain with no load bus
+        weakest = sys.n_g + int(np.argmin(abs(vc[sys.n_g:])))
+        tail.append(f"lowest load-bus voltage |v| = {abs(vc[weakest]):.3e} "
+                    f"at bus {sys.bus_ids[weakest]!r}")
+    return "; ".join(tail)
+
+
+def _diagonal_blocks(jac):
+    """Writable view, (n, 2, 2), of the diagonal 2x2 blocks of a
+    C-contiguous (2n, 2n) matrix, from its strides: each block starts
+    4n + 2 entries after the one before, its second row 2n entries after
+    its first."""
+    n, step = len(jac) // 2, jac.itemsize
+    return np.ndarray((n, 2, 2), buffer=jac, strides=(
+        (4 * n + 2) * step, 2 * n * step, step))
 
 
 def solve_network(sys, spec):
     """Solve the nodal current balance with machine-bus voltages pinned.
 
-    Newton iteration on the load-bus voltage pairs (Newton power flow,
-    Tinney & Walker, Proc. IEEE 1967). The balance is one product of the
-    complex nodal admittance with the complex voltages. A load of exponent
-    k draws i = y |v|^-k v, whose derivative on the pair is the real form
-    of y |v|^-k minus k i v^T / |v|^2. Only the diagonals depend on v, so
-    both matrices are built once per solve; each iteration writes the
-    Jacobian's diagonal 2x2 blocks as Re(Y_kk [[1, j], [-j, 1]]) minus the
-    rank-one terms, through a view of them. The machine-bus rows of the
-    converged balance are the stator currents; the line currents are the
-    voltage drops over the branch impedances. For impedance-only loads
-    the balance is affine, and the first step lands on the solution.
+    The balance is one product of the complex nodal admittance with the
+    complex voltages. With G the machine buses, N the load buses of
+    exponent k > 0 and L the linear ones (no load or an impedance load),
+    one complex solve on the constant admittance Y (lines, shunts
+    j omega0 c, impedance loads) eliminates L once (Kron reduction; Kron,
+    Tensor Analysis of Networks, 1939; Dorfler & Bullo, IEEE TCAS-I 2013):
+    v_L = -Y_LL^-1 (Y_LG v_G + Y_LN v_N). Newton iteration (Newton power
+    flow, Tinney & Walker, Proc. IEEE 1967) then runs on v_N alone. A load
+    draws i = y |v|^-k v, whose derivative on the pair is the real form of
+    y |v|^-k minus k i v^T / |v|^2, so the reduced Jacobian is the real
+    form of R = Y_NN - Y_NL Y_LL^-1 Y_LN plus these load terms: the Schur
+    complement of the full one, whose iterates it follows from the first
+    step on. Each iteration writes only its diagonal 2x2 blocks, through a
+    strided view, as Re((R_kk + y |v|^-k) [[1, j], [-j, 1]]) minus the
+    rank-one terms; with impedance loads only there is no step, one linear
+    solve. ``residual_history`` holds the largest reduced imbalance at each
+    iterate, but its last entry is the largest load-bus imbalance of one
+    full admittance and balance at the solution, whose machine-bus rows
+    are the stator currents. The line currents are the voltage drops over
+    the branch impedances.
     """
-    n_g, n_l, net = sys.n_g, sys.n_l, sys.network
-    opts, omega0, bank = spec.newton, spec.omega0, sys.load_bank
+    n_g, net, bank = sys.n_g, sys.network, sys.load_bank
+    opts, omega0 = spec.newton, spec.omega0
     if bank.custom:
         raise SolverError(
             "network solve handles the shipped load types only; custom loads "
             f"at bus(es) {[sys.bus_ids[k] for k, _ in bank.custom]!r}")
 
+    order, n_k = bank.solve_order, bank.n_kept
+    nonlinear, linear = order[n_g:n_k], order[n_k:]
     vc = np.empty(sys.n_v, dtype=complex)
     vc[:n_g] = spec.gen_voltage_mag * np.exp(1j * spec.gen_voltage_angle)
-    vc[n_g:] = float(spec.gen_voltage_mag.sum()) / n_g  # the mean
-    v = vc.view(float)  # the pairs, a view: Newton updates of v show in vc
-    v_l = v[2 * n_g:].reshape(-1, 2)
+    v = vc.view(float)  # the pairs, a view: updates of vc show in v
+    # h = (1, v_N): the nonlinear buses' voltages behind a leading one, on
+    # which the linear buses' voltages and the reduced balance are linear.
+    # Newton updates their pairs p through a view of h.
+    h = np.empty(n_k - n_g + 1, dtype=complex)
+    h[0], h[1:] = 1.0, float(spec.gen_voltage_mag.sum()) / n_g  # the mean
+    p = h[1:].view(float)
+    p_n = p.reshape(-1, 2)
     lines = line_admittance(net, omega0)
-    # The workspace: Y and the Jacobian off their diagonals, a view of the
-    # Jacobian's diagonal 2x2 blocks, and the load weights k / |v|^2 (only
-    # k > 0 loads have a floor keeping |v| > 0).
-    Y = lines.copy()
-    y_diag = Y.diagonal()[n_g:, None, None]
-    jac = real_blocks(lines[n_g:, n_g:])
-    jac_diag = np.einsum("kakb->kab", jac.reshape(n_l, 2, n_l, 2))
-    k, w = bank.k[n_g:], np.zeros(n_l)
-    floored = k > 0
+    Y = admittance(net, bank.y_linear, omega0, lines)
+    P = Y[order[:, None], order]  # blocks G, N, L: [:n_g], [n_g:n_k], [n_k:]
+    # At the pinned voltages the machine columns add up to one column of
+    # known currents, kept in the last one: below G, the rows of A h are
+    # those of Y (v_G, v_N, 0).
+    P[n_g:, n_g - 1] = P[n_g:, :n_g] @ vc[:n_g]
+    A = P[:, n_g - 1:n_k]
+    try:
+        S = -np.linalg.solve(P[n_k:, n_k:], A[n_k:])  # v_L = S h
+    except np.linalg.LinAlgError:
+        # Re(Y_LL) is a grounded Laplacian of positive line conductances
+        # plus g >= 0 on its diagonal, positive definite, so only
+        # non-finite entries get here; the residual reports them.
+        S = np.full((len(linear), len(h)), np.nan, dtype=complex)
+    M = A[n_g:n_k] + P[n_g:n_k, n_k:] @ S  # N's reduced balance: M h + i_N
+
+    def spread():  # the voltages of all buses from h
+        vc[nonlinear] = h[1:]
+        vc[linear] = S @ h
+
+    spread()
     history = []
     for iterations in range(1, opts.max_iter + 1):
         try:
@@ -268,34 +313,44 @@ def solve_network(sys, spec):
         except LoadDomainError as err:
             raise SolverError(
                 f"network solve left a load's domain at iteration "
-                f"{iterations}: {err}"
+                f"{iterations}: {err}; {_failure_tail(sys, vc, history)}"
             ) from err
-        admittance(net, y_load, omega0, lines, out=Y)
-        balance = (Y @ vc).view(float)
-        res = float(abs(balance[2 * n_g:]).max(initial=0.0))
+        y_n = y_load[nonlinear]
+        i_n = y_n * h[1:]
+        balance = (M @ h + i_n).view(float)
+        res = float(abs(balance).max(initial=0.0))
         history.append(res)
         log.debug("newton iter %d: residual %.3e", iterations, res)
-        if not math.isfinite(res):
+        top = float(abs(v).max())  # all voltages, the linear buses' too
+        if not math.isfinite(res + top):
             raise SolverError(f"network solve hit a non-finite residual "
-                              f"({res}) at iteration {iterations}")
-        if res <= opts.tol * max(1.0, float(abs(v).max())):
+                              f"({res}) or voltage ({top}) at iteration "
+                              f"{iterations}")
+        if res <= opts.tol * max(1.0, top):
             break
-        jac_diag[...] = (y_diag * _PAIR_FORM).real  # real form of each Y_kk
-        if not bank.constant:  # minus the rank-one terms, none when k = 0
-            i_l = (y_load[n_g:] * vc[n_g:]).view(float).reshape(-1, 2)
-            np.divide(k, (v_l ** 2).sum(axis=1), out=w, where=floored)
-            jac_diag -= w[:, None, None] * i_l[:, :, None] * v_l[:, None, :]
+        if iterations == 1:  # the Jacobian's workspace, at the first step
+            jac = real_blocks(M[:, 1:])
+            jac_diag = _diagonal_blocks(jac)
+            r_diag = M.diagonal(1)[:, None]
+            k = bank.k[nonlinear]
+        jac_diag[...] = ((r_diag + y_n[:, None])[..., None] * _PAIR_FORM).real
+        w = k / (p_n ** 2).sum(axis=1)  # |v| >= v_min > 0 where k > 0
+        jac_diag -= (w[:, None, None] * i_n.view(float).reshape(-1, 2, 1)
+                     * p_n[:, None, :])
         try:
-            v[2 * n_g:] -= np.linalg.solve(jac, balance[2 * n_g:])
+            p -= np.linalg.solve(jac, balance)
         except np.linalg.LinAlgError as err:
             raise SolverError(
                 f"singular Jacobian in network solve at iteration "
                 f"{iterations}; {_failure_tail(sys, vc, history)}") from err
+        spread()
     else:
         raise SolverError(
             f"network solve did not converge in {opts.max_iter} iterations; "
             f"{_failure_tail(sys, vc, history)}")
 
+    balance = (admittance(net, y_load, omega0, lines, out=Y) @ vc).view(float)
+    history[-1] = float(abs(balance[2 * n_g:]).max(initial=0.0))
     i_s = -balance[:2 * n_g]
     z = net.r_T + 1j * omega0 * net.l_T
     i_T = ((vc[net.heads] - vc[net.tails]) / z).view(float)

@@ -123,7 +123,7 @@ class PowerSystem:
         self._field_op, self._residual_op = _rotor_operators(
             self._L0, self.params.resistance_diag())
         self.loads = tuple(loads)
-        self.load_bank = LoadBank(self.loads, self.bus_ids)
+        self.load_bank = LoadBank(self.loads, self.bus_ids, self.n_g)
 
     def with_loads(self, loads):
         """Copy of this system with the per-bus loads replaced (solve order).
@@ -137,7 +137,7 @@ class PowerSystem:
         clone = PowerSystem.__new__(PowerSystem)
         clone.__dict__.update(self.__dict__)
         clone.loads = tuple(loads)
-        clone.load_bank = LoadBank(clone.loads, self.bus_ids)
+        clone.load_bank = LoadBank(clone.loads, self.bus_ids, self.n_g)
         return clone
 
     @cached_property

@@ -14,11 +14,12 @@ torque and induced voltage of that matrix with their flow-derivative
 identities, the planar rotation as a 2x2 matrix, the classical RK4 step
 of a generic field dx/dt = f(x), the drift metrics one trajectory sample
 at a time, the closed-form machine recovery one machine at a time in 2x2
-rotation matrices, the Newton network solve that rebuilds the admittance
-and the whole Jacobian at every iteration, from its own generator voltage
-pairs and to its own branch currents (dense incidence drops over each
-line's impedance), and the system assembly that checks each machine on
-its own and every reordered component again.
+rotation matrices, the Newton network solve on the full balance, with no
+Kron reduction, that rebuilds the admittance and the whole Jacobian at
+every iteration, from its own generator voltage pairs and to its own
+branch currents (dense incidence drops over each line's impedance), and
+the system assembly that checks each machine on its own and every
+reordered component again.
 Three helpers with no caller in the package live here too: the (P, Q) a
 load draws, the package's array recovery run for one machine, and one
 machine's row of an array recovery.
@@ -289,17 +290,30 @@ def balance_jacobian(sys, Y, v):
     return jac
 
 
-def reference_iterates(sys, spec):
-    """The Newton iterates of the network solve, with a fresh admittance and
-    a full :func:`balance_jacobian` at every iteration, from the same flat
-    start as the package: yields (v, balance, residual) at each iterate
-    until the package's convergence test holds, with no iteration cap."""
+def reference_iterates(sys, spec, linear_start=False):
+    """The Newton iterates of the full network balance, with a fresh
+    admittance and a full :func:`balance_jacobian` at every iteration, from
+    a flat start: every load bus at the mean machine-bus voltage magnitude.
+    Yields (v, balance, residual) at each iterate until the package's
+    convergence test holds, with no iteration cap.
+
+    With ``linear_start`` the load buses with no load or an impedance load
+    start instead at the voltages that balance their own rows, one dense
+    solve, where the package's Kron-reduced solve starts; its iterates are
+    then the package's from the first one on."""
     n_g, omega0 = sys.n_g, spec.omega0
     v = np.zeros(2 * sys.n_v)
     v[:2 * n_g] = generator_pairs(spec)
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
     vc = as_complex(v)
     lines = line_admittance(sys.network, omega0)
+    if linear_start:
+        linear = [b for b in range(n_g, sys.n_v) if sys.loads[b].exponent == 0]
+        kept = [b for b in range(sys.n_v) if b not in linear]
+        Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
+                       lines)
+        vc[linear] = np.linalg.solve(Y[np.ix_(linear, linear)],
+                                     -Y[np.ix_(linear, kept)] @ vc[kept])
     while True:
         Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
                        lines)

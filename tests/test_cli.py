@@ -275,6 +275,27 @@ def test_a_singular_jacobian_exits_4_without_a_result(tmp_path, fixture_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("v_min, stop", [(5.0, 3), (7.0, 1)])
+def test_a_load_leaving_its_domain_exits_4_without_a_result(
+        tmp_path, fixture_path, capsys, v_min, stop):
+    # A constant-power load driven below its floor, at iteration 3 or at the
+    # flat start (6 V, before any residual), is a solver error: exit 4, the
+    # in-process message with how the solve ended on stderr, no -o file.
+    def mutate(doc):
+        doc["buses"][2]["load"] = {"type": "power", "params": {
+            "P": 20.0, "Q": 0.0, "v_min": v_min}}
+    path, out = write_variant(tmp_path, fixture_path, mutate), tmp_path / "r"
+    seen = "residual history .* last" if stop > 1 else "no residual evaluated"
+    with pytest.raises(SolverError, match=(
+            f"^network solve left a load's domain at iteration {stop}: bus "
+            f"'b3': .*; {seen}; lowest load-bus voltage .* at bus 'b3'$")
+            ) as err:
+        compute_steady_state(*load_system_file(path))
+    assert main(["steady-state", path, "-o", str(out)]) == 4
+    assert capsys.readouterr().err == f"solver error: {err.value}\n"
+    assert not out.exists()
+
+
 def test_a_loose_newton_tolerance_is_a_certification_failure(tmp_path,
                                                             fixture_path,
                                                             capsys):

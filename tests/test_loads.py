@@ -154,7 +154,7 @@ def test_shipped_bank_commutes_with_rotations(phi, log_scale, seed):
     shipped = [Load.impedance(0.8, -0.3),
                Load.constant_current(1.2, 0.4, 1e-9),
                Load.constant_power(2.0, 0.7, 1e-9)] * 2
-    bank = LoadBank(shipped, range(len(shipped)))
+    bank = LoadBank(shipped, range(len(shipped)), 0)
     v = 10.0**log_scale * rng.uniform(0.5, 2.0, len(shipped)) \
         * np.exp(1j * rng.uniform(-np.pi, np.pi, len(shipped)))
     turn = np.exp(1j * phi)

@@ -47,7 +47,7 @@ def pair_blocks(net):
 
 def no_loads(n_v):
     """Load admittances of n_v buses without loads."""
-    return LoadBank([Load.none()] * n_v, range(n_v)).admittance(
+    return LoadBank([Load.none()] * n_v, range(n_v), 1).admittance(
         np.zeros(n_v, complex))
 
 
@@ -335,7 +335,7 @@ def test_impedance_load_adds_shunt_block():
     g, b = 0.7, -0.2
     lines = line_admittance(net, 0.0)
     base = admittance(net, no_loads(2), 0.0, lines)
-    bank = LoadBank([Load.none(), Load.impedance(g, b)], range(2))
+    bank = LoadBank([Load.none(), Load.impedance(g, b)], range(2), 1)
     with_load = admittance(net, bank.admittance(np.zeros(2, complex)), 0.0,
                            lines)
     delta = with_load - base

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridstate import steady_state
-from gridstate.errors import InfeasibleSteadyStateError, SolverError
+from gridstate.errors import (InfeasibleSteadyStateError, LoadDomainError,
+                              SolverError)
 from gridstate.fileio import system_from_dict
 from gridstate.frame import ROT90, as_complex, real_blocks, wrap_angle
 from gridstate.identities import random_valid_params
@@ -176,18 +177,22 @@ def test_solver_output_satisfies_network_residual(three_bus):
 def test_newton_one_step_for_impedance_loads(three_bus):
     sys_, spec = three_bus
     sol = solve_network(sys_, spec)
-    assert sol.iterations <= 2
+    assert sol.iterations == 1
 
 
 @pytest.mark.parametrize("n_bus", [32, 64])
 def test_newton_one_step_for_impedance_mesh(n_bus):
-    # The balance is affine in the load-bus voltages, so one exact Newton
-    # step solves it.
+    # The balance is affine in the load-bus voltages: the solve eliminates
+    # every load bus and has no Newton step left, so its one iteration is
+    # one linear solve, and its one history entry the full balance there.
     sys_, spec = ring_mesh(n_bus, ("impedance",), seed=n_bus)
     sol = solve_network(sys_, spec)
     gauge = max(1.0, float(np.max(np.abs(sol.v))))
-    assert sol.residual_history[1] <= spec.newton.tol * gauge
-    assert sol.iterations == 2
+    assert sol.iterations == len(sol.residual_history) == 1
+    # No nonlinear bus is left, so a reduced imbalance would read exactly
+    # 0; the entry is the full balance's, rounding above 0.
+    assert 0.0 < sol.residual_history[0] <= spec.newton.tol * gauge
+    assert reference_solve_network(sys_, spec).iterations == 2
 
 
 def test_balance_jacobian_matches_central_difference():
@@ -228,18 +233,111 @@ def assert_same_solution(got, want):
     assert got.residual_history == want.residual_history
 
 
+def assert_agrees_with_reference(sys_, spec, got, want):
+    """The Kron-reduced solve ``got`` against the full Newton ``want`` of
+    :func:`reference_solve_network`, whose iterates it shares from the
+    first step on: v, i_s and i_T to 1e-12 relative, the same iteration
+    count (one against at most two when every load bus is linear: no Newton
+    step is left) and the residual history after the start, which differs,
+    to 1e-12 relative. Currents, residuals included, are relative to the
+    largest of |i| and |v| / |z| over the lines, as some vanish."""
+    net = sys_.network
+    top = float(np.max(abs(want.v)))
+    amps = top / np.min(abs(net.r_T + 1j * spec.omega0 * net.l_T))
+    for name, gauge in (("v", top), ("i_s", amps), ("i_T", amps)):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.max(abs(g - w)) <= 1e-12 * max(gauge, np.max(abs(w))), name
+    if any(load.exponent for load in sys_.loads[sys_.n_g:]):
+        assert got.iterations == want.iterations
+        steps = slice(1, None)
+    else:
+        assert got.iterations == 1 and want.iterations <= 2
+        steps = slice(-1, None)  # both end on the full balance there
+    np.testing.assert_allclose(got.residual_history[steps],
+                               want.residual_history[steps], rtol=1e-12,
+                               atol=1e-12 * amps)
+
+
 @pytest.mark.parametrize("level", [0.02, 2.0, 60.0])
 @pytest.mark.parametrize("n_bus, kinds", [
     (8, ("power",)), (16, ("impedance", "current", "power")),
     (24, ("current",)), (32, ("impedance", "current", "power")),
     (48, ("impedance",)), (64, ("power", "current"))])
 def test_solve_network_matches_reference_bit_for_bit(n_bus, kinds, level):
-    # The workspace Newton (diagonal writes only) against the loop that
-    # rebuilds the admittance and the whole Jacobian every iteration.
+    # The Kron-reduced Newton (diagonal writes only) against the loop that
+    # rebuilds the admittance and the whole Jacobian of the full balance
+    # every iteration; once bit for bit, now to 1e-12 relative, as the
+    # elimination rounds differently.
     sys_, spec = ring_mesh(n_bus, kinds, seed=n_bus + 1, level=level)
-    sol = solve_network(sys_, spec)
-    assert sol.iterations > 1
-    assert_same_solution(sol, reference_solve_network(sys_, spec))
+    want = reference_solve_network(sys_, spec)
+    assert want.iterations > 1
+    assert_agrees_with_reference(sys_, spec, solve_network(sys_, spec),
+                                 want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 20),
+       st.sampled_from(["linear", "nonlinear", "machine buses too"]),
+       st.sampled_from([0.0, 50.0, 314.0]), st.floats(0.02, 60.0))
+def test_the_reduced_solve_follows_the_full_newton(seed, n_bus, mix, omega0,
+                                                   level):
+    # Random connected topologies (a random tree, chords and parallel
+    # lines), with load buses all linear, all nonlinear, or of every kind
+    # with loads on the machine buses too, as light as the benchmark's: the
+    # Kron-reduced solve against the full Newton from the flat start.
+    rng = np.random.default_rng(seed)
+    ends = [(b, int(rng.integers(b))) for b in range(1, n_bus)]
+    ends += [tuple(rng.choice(n_bus, 2, replace=False))
+             for _ in range(int(rng.integers(n_bus // 2 + 1)))]
+    ends += [ends[t][::-1] for t in rng.integers(len(ends), size=2)]
+    heads, tails = np.array(ends).T
+    n_t = len(ends)
+    net = Network(heads=heads, tails=tails, c=rng.uniform(2e-4, 2e-3, n_bus),
+                  r_T=rng.uniform(0.3, 0.5, n_t),
+                  l_T=rng.uniform(2.5e-3, 3.5e-3, n_t))
+    gen_buses = rng.choice(n_bus, int(rng.integers(1, n_bus // 2 + 1)),
+                           replace=False)
+    kinds = {"linear": ["none", "impedance"], "nonlinear": ["current", "power"],
+             "machine buses too": ["none", "impedance", "current", "power"]}
+    make = {"none": lambda g, b: Load.none(), "impedance": Load.impedance,
+            "current": lambda g, b: Load.constant_current(g * level,
+                                                          b * level),
+            "power": lambda g, b: Load.constant_power(g * level**2,
+                                                      b * level**2)}
+    loads = [Load.none()] * n_bus
+    for k in range(n_bus):
+        if k not in gen_buses or mix == "machine buses too":
+            loads[k] = make[rng.choice(kinds[mix])](rng.uniform(3e-3, 8e-3),
+                                                    rng.uniform(1e-3, 3e-3))
+    n_g = len(gen_buses)
+    sys_ = assemble([sample_machine(k % 2 == 0) for k in range(n_g)],
+                    list(gen_buses), net, loads=loads)
+    spec = OperatingSpec(omega0=omega0,
+                         gen_voltage_mag=level * rng.uniform(0.98, 1.02, n_g),
+                         gen_voltage_angle=np.radians(rng.uniform(-2, 2, n_g)),
+                         sigma=np.ones(n_g, dtype=int))
+    try:
+        want = reference_solve_network(sys_, spec)
+    except (SolverError, LoadDomainError):
+        # Some drawn networks, such as long trees at 314 rad/s, leave
+        # Newton from the flat start without a steady state; on the same
+        # iterates the reduced solve fails too.
+        with pytest.raises(SolverError):
+            solve_network(sys_, spec)
+        return
+    assert_agrees_with_reference(sys_, spec, solve_network(sys_, spec), want)
+
+
+def test_the_reduced_solve_follows_the_full_newton_on_the_640_bus_mesh(
+        fixture_path):
+    # The seed-7 640-bus mesh that CI runs through the console script.
+    cases = benchmark_cases()
+    doc = cases.mesh_document(cases.read_document(fixture_path), 7, 640, 6.0)
+    sys_, spec = system_from_dict(doc)
+    want = reference_solve_network(sys_, spec)
+    assert want.iterations > 1
+    assert_agrees_with_reference(sys_, spec, solve_network(sys_, spec),
+                                 want)
 
 
 @pytest.mark.parametrize("omega0", [0.0, 314.0])
@@ -247,12 +345,14 @@ def test_solve_network_matches_reference_on_fixture_and_generator_buses(
         three_bus, omega0):
     for sys_, spec in (three_bus, two_generator_buses(omega0, [10.0, 9.0])):
         spec = replace(spec, omega0=omega0)
-        assert_same_solution(solve_network(sys_, spec),
-                             reference_solve_network(sys_, spec))
+        assert_agrees_with_reference(sys_, spec, solve_network(sys_, spec),
+                                     reference_solve_network(sys_, spec))
 
 
 @pytest.mark.parametrize("kinds", [("impedance",), LOAD_KINDS])
-def test_admittance_runs_once_per_newton_iteration(monkeypatch, kinds):
+def test_admittance_runs_twice_per_solve(monkeypatch, kinds):
+    # Once for the constant admittance the solve reduces, once for the full
+    # balance at the solution, however many iterations run in between.
     calls = []
 
     def counting(*args, **kwargs):
@@ -262,22 +362,51 @@ def test_admittance_runs_once_per_newton_iteration(monkeypatch, kinds):
     monkeypatch.setattr(steady_state, "admittance", counting)
     sys_, spec = ring_mesh(32, kinds, seed=5, level=2.0)
     sol = solve_network(sys_, spec)
-    assert len(calls) == sol.iterations == len(sol.residual_history)
+    assert len(calls) == 2
+    assert sol.iterations == len(sol.residual_history)
+    assert (sol.iterations == 1) == (kinds == ("impedance",))
 
 
 def test_one_real_form_build_per_solve(monkeypatch):
-    # real_blocks writes the Jacobian's constant part once per solve; each
-    # iteration writes only the diagonal 2x2 blocks, in place.
-    calls = []
+    # real_blocks writes the reduced Jacobian's constant part, on the
+    # nonlinear load buses alone, once per solve at its first step; each
+    # iteration writes only the diagonal 2x2 blocks, in place. A solve with
+    # no nonlinear load takes no step and builds no Jacobian.
+    shapes = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        shapes.append(args[0].shape)
         return real_blocks(*args, **kwargs)
 
     monkeypatch.setattr(steady_state, "real_blocks", counting)
-    sys_, spec = ring_mesh(32, LOAD_KINDS, seed=5, level=2.0)
-    assert solve_network(sys_, spec).iterations > 2
-    assert len(calls) == 1
+    for kinds, n_n, iterations in ((LOAD_KINDS, 16, 5), (("impedance",), 0, 1)):
+        sys_, spec = ring_mesh(32, kinds, seed=5, level=2.0)
+        assert sys_.load_bank.n_kept - sys_.n_g == n_n
+        shapes.clear()
+        assert solve_network(sys_, spec).iterations == iterations
+        assert shapes == ([(n_n, n_n)] if n_n else [])
+
+
+def test_the_jacobian_block_view_aliases_its_diagonal_blocks():
+    # The Newton step writes the Jacobian's diagonal 2x2 blocks through a
+    # view built from the matrix's strides: the same entries, writable,
+    # and no other entry of the matrix.
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 2, 5):
+        jac = rng.standard_normal((2 * n, 2 * n))
+        before = jac.copy()
+        view = steady_state._diagonal_blocks(jac)
+        assert view.shape == (n, 2, 2)
+        assert np.shares_memory(view, jac) or n == 0
+        blocks = [jac[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(n)]
+        np.testing.assert_array_equal(view, np.reshape(blocks, (n, 2, 2)))
+        view[...] = np.arange(4 * n).reshape(n, 2, 2) + 0.5
+        on = np.kron(np.eye(n, dtype=bool), np.ones((2, 2), dtype=bool))
+        np.testing.assert_array_equal(jac[~on], before[~on])
+        for k in range(n):
+            np.testing.assert_array_equal(
+                jac[2 * k:2 * k + 2, 2 * k:2 * k + 2],
+                np.arange(4 * k, 4 * k + 4).reshape(2, 2) + 0.5)
 
 
 def test_a_solve_keeps_its_workspace_to_itself():
@@ -349,7 +478,9 @@ def failure_tail(sys_, v, history):
 def test_newton_failure_reports_residual():
     # A solve that does not converge names the first, smallest and last
     # entries of its residual history and, by bus id, the load bus with the
-    # lowest |v| at its last iterate: the reference iterates, bit for bit.
+    # lowest |v| at its last iterate, its linear buses recovered: the
+    # reference iterates from the reduced solve's start, to the digits
+    # shown.
     sys_, spec = slow_two_bus(omega0=5.0)
     loads = [Load.none(), Load.constant_power(5.0, 1.0, v_min=0.1)]
     sys_p = assemble(list(sys_.machines), [0], sys_.network, loads=loads,
@@ -367,7 +498,8 @@ def test_newton_failure_reports_residual():
                            match=f"did not converge in {cap} iterations"
                            ) as err:
             solve_network(sys_x, spec_x)
-        iterates = list(islice(reference_iterates(sys_x, spec_x), cap + 1))
+        iterates = list(islice(reference_iterates(sys_x, spec_x, True),
+                               cap + 1))
         history = [res for _, _, res in iterates[:cap]]
         assert str(err.value).endswith(
             "iterations; " + failure_tail(sys_x, iterates[cap][0], history))
@@ -383,7 +515,7 @@ def test_a_singular_jacobian_reports_how_the_solve_ended(monkeypatch,
     cases = benchmark_cases()
     doc = cases.mesh_document(cases.read_document(fixture_path), 116, 16, 2.0)
     sys_, spec = system_from_dict(doc)
-    iterates = list(islice(reference_iterates(sys_, spec), 3))
+    iterates = list(islice(reference_iterates(sys_, spec, True), 3))
     history = [res for _, _, res in iterates[:2]]
     singular_solve_at(monkeypatch, 2)
     with pytest.raises(SolverError) as err:
@@ -394,6 +526,51 @@ def test_a_singular_jacobian_reports_how_the_solve_ended(monkeypatch,
     # The weakest bus is read at the second iterate, not the third.
     assert failure_tail(sys_, iterates[1][0], history) \
         != failure_tail(sys_, iterates[2][0], history)
+
+
+def test_a_load_leaving_its_domain_reports_how_the_solve_ended(
+        three_bus, fixture_path):
+    # A load driven below its floor stops the solve with the account of a
+    # solve that runs out of iterations: the residual history so far and
+    # the weakest load bus at the iterate that left the domain. Here the
+    # fixture's load bus carries a constant-power load of floor v_min.
+    sys_, spec = three_bus
+    flat = float(np.mean(spec.gen_voltage_mag))
+    for v_min, stop in ((5.0, 3), (flat + 1.0, 1)):
+        loads = list(sys_.loads)
+        loads[2] = Load.constant_power(20.0, 0.0, v_min=v_min)
+        sys_p = sys_.with_loads(loads)
+        with pytest.raises(SolverError) as err:
+            solve_network(sys_p, spec)
+        cause = err.value.__cause__
+        assert isinstance(cause, LoadDomainError) and cause.bus == "b3"
+        head = (f"network solve left a load's domain at iteration {stop}: "
+                f"{cause}; ")
+        assert str(err.value).startswith(head)
+        history = [res for _, _, res in islice(
+            reference_iterates(sys_p, spec, True), stop - 1)]
+        # The only load bus is the one that left: its |v| is the cause's.
+        mag = float(str(cause).partition("|v|=")[2].partition(" ")[0])
+        tail = str(err.value)[len(head):]
+        if history:
+            assert tail == failure_tail(sys_p, np.r_[0, 0, 0, 0, mag, 0],
+                                        history)
+        else:  # the floor is hit at the flat start, before any residual
+            assert mag == flat
+            assert tail == ("no residual evaluated; lowest load-bus voltage "
+                            f"|v| = {flat:.3e} at bus 'b3'")
+    # With no load bus at all, a machine-bus load can still leave its
+    # domain; the account then names no bus.
+    doc = json.loads(fixture_path.read_text())
+    doc["buses"] = doc["buses"][:2]
+    doc["buses"][0]["load"] = {"type": "power",
+                               "params": {"P": 1.0, "Q": 0.0, "v_min": 100}}
+    doc["lines"] = [line for line in doc["lines"]
+                    if "b3" not in (line["from"], line["to"])]
+    with pytest.raises(SolverError, match=r"^network solve left a load's "
+                       r"domain at iteration 1: bus 'b1': .*; no residual "
+                       r"evaluated$"):
+        solve_network(*system_from_dict(doc))
 
 
 def test_a_with_loads_clone_solves_like_its_source():
