@@ -10,6 +10,7 @@ are the exponential load model with exponents 0, 1 and 2 (Kundur, Power
 System Stability and Control, 1994, sec. 7.1).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +28,19 @@ class Load:
     ``coeffs`` (a_g, a_b) and integer ``exponent`` k: none k=0 (0, 0),
     impedance k=0 (g, b), current k=1 (c_g, c_b), power k=2 (P, -Q).
     ``v_min`` is the domain floor of the singular kinds (k > 0), where the
-    admittance blows up as |v| -> 0.
+    admittance blows up as |v| -> 0. All three must be finite.
     """
 
     kind: str = "none"
     coeffs: tuple = (0.0, 0.0)
     exponent: int = 0
     v_min: float = 0.0
+
+    def __post_init__(self):
+        (g, b), finite = self.coeffs, math.isfinite
+        if not (finite(g) and finite(b) and finite(self.v_min)):
+            raise ValidationError(f"{self.kind} load needs finite coeffs "
+                                  f"{self.coeffs!r} and v_min {self.v_min!r}")
 
     @classmethod
     def none(cls):

@@ -82,7 +82,8 @@ class Network:
     @cached_property
     def scatter(self):
         """Flat float positions of each line's (h, h), (t, t), (h, t) and
-        (t, h) entries, real then imaginary, in an n_v x n_v complex matrix;
+        (t, h) entries, real then imaginary, in an n_v x n_v complex matrix,
+        where :func:`admittance` scatters the lines with one ``bincount``;
         built on first use and kept, as it depends on the edge list alone."""
         h, t, n = self.heads, self.tails, self.n_v
         flat = np.stack((h, t), axis=1) @ [[n + 1, 0, n, 1], [0, n + 1, 1, n]]
@@ -113,33 +114,24 @@ def _count_components(n, heads, tails):
     return sum(find(a) == a for a in range(n))
 
 
-def line_admittance(network, omega0):
-    """Complex Laplacian E diag(1 / (r + j omega0 l)) E^T of the lines, the
-    part of the nodal admittance that does not depend on the voltages.
+def admittance(network, y_load, omega0):
+    """Complex nodal admittance matrix (n_v x n_v): the lines' complex
+    Laplacian E diag(1 / (r + j omega0 l)) E^T plus the bus shunts on the
+    diagonal.
 
     A line with admittance y = 1 / z, head h and tail t adds y at (h, h)
     and (t, t) and -y at (h, t) and (t, h). One weighted ``bincount`` of
     these entries' (real, imaginary) pairs at :attr:`Network.scatter` sums
-    them in line order, so parallel lines add up."""
+    them in line order, so parallel lines add up. A bus's shunt is the
+    capacitive susceptance j omega0 c plus its load admittance in
+    ``y_load``: the :class:`~gridstate.loads.LoadBank` admittance at the
+    bus voltages (``PowerSystem.load_bank.admittance``), or its constant
+    part ``LoadBank.y_linear``.
+    """
     n = network.n_v
     y = 1.0 / (network.r_T + 1j * omega0 * network.l_T)
     pairs = (y[:, None] * [1.0, 1.0, -1.0, -1.0]).view(float).ravel()
     sums = np.bincount(network.scatter, pairs, 2 * n * n)
-    return sums.view(complex).reshape(n, n)
-
-
-def admittance(network, y_load, omega0, lines, out=None):
-    """Complex nodal admittance matrix (n_v x n_v): ``lines``, the
-    :func:`line_admittance` of the same network and frequency, plus the bus
-    shunts on the diagonal. A bus's shunt is the capacitive susceptance
-    j omega0 c plus its load admittance in ``y_load``, the
-    :class:`~gridstate.loads.LoadBank` admittance at the bus voltages
-    (``PowerSystem.load_bank.admittance``). ``out``, when given, is a
-    C-contiguous matrix equal to ``lines`` off the diagonal, such as the
-    previous return value; only its diagonal is written, through a strided
-    view.
-    """
-    Y = lines.copy() if out is None else out
-    np.add(lines.diagonal(), 1j * omega0 * network.c + y_load,
-           out=Y.reshape(-1)[::len(Y) + 1])
+    Y = sums.view(complex).reshape(n, n)
+    Y.reshape(-1)[::n + 1] += 1j * omega0 * network.c + y_load
     return Y

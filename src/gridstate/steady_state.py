@@ -1,19 +1,20 @@
 """Constructive steady-state computation and certification.
 
-Pipeline: fix the machine-bus voltage phasors, eliminate the load buses
-whose balance is linear (no load or an impedance load) from the complex
-admittance of :mod:`gridstate.network` once per solve, Newton-solve the
-nodal current balance of the reduced admittance for the other load-bus
-voltages (pairs read as alpha + j beta; the workspace is the solve's own,
-and each iteration rewrites only its Jacobian's diagonal blocks; just the
-line admittance's scatter positions, set by the edge list, stay on the
-network), read off the injected stator currents from one full balance
-at the solution and the line currents, then recover each machine's rotor
-angle, excitation current and inputs in closed form. The recovered point
-is certified from one full-system residual evaluation,
-read in one pass: its size per block, its exact derivative along the
-rotating flow, and a rotation probe of any custom load (the shipped
-loads commute with rotations by construction).
+Pipeline: fix the machine-bus voltage phasors, build the constant complex
+admittance of :mod:`gridstate.network` once per solve and eliminate from
+it the load buses whose balance is linear (no load or an impedance load),
+Newton-solve the nodal current balance of the reduced admittance for the
+other load-bus voltages (pairs read as alpha + j beta; the workspace is
+the solve's own, and each iteration rewrites only its Jacobian's diagonal
+blocks; just the admittance's scatter positions, set by the edge list,
+stay on the network), read off the injected stator currents from the
+full balance at the solution (the constant admittance's product plus the
+other loads' currents) and the line currents, then recover each machine's
+rotor angle, excitation current and inputs in closed form. The recovered
+point is certified from one full-system residual evaluation, read in one
+pass: its size per block, its exact derivative along the rotating flow,
+and a rotation probe of any custom load (the shipped loads commute with
+rotations by construction).
 
 The recovery is one array pass over the machines, with terminal voltages
 v and stator currents i as complex numbers alpha + j beta:
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import InfeasibleSteadyStateError, LoadDomainError, SolverError
 from .frame import as_complex, real_blocks
 from .loads import equivariance_defect
-from .network import admittance, line_admittance
+from .network import admittance
 from .system import (invariance_defect, residual, residual_block_norms,
                      tolerance_scale)
 
@@ -260,10 +261,10 @@ def solve_network(sys, spec):
     strided view, as Re((R_kk + y |v|^-k) [[1, j], [-j, 1]]) minus the
     rank-one terms; with impedance loads only there is no step, one linear
     solve. ``residual_history`` holds the largest reduced imbalance at each
-    iterate, but its last entry is the largest load-bus imbalance of one
-    full admittance and balance at the solution, whose machine-bus rows
-    are the stator currents. The line currents are the voltage drops over
-    the branch impedances.
+    iterate, but its last entry is the largest load-bus imbalance of the
+    full balance at the solution, Y v plus the currents of the k > 0 loads,
+    whose machine-bus rows are the stator currents. The line currents are
+    the voltage drops over the branch impedances.
     """
     n_g, net, bank = sys.n_g, sys.network, sys.load_bank
     opts, omega0 = spec.newton, spec.omega0
@@ -284,8 +285,7 @@ def solve_network(sys, spec):
     h[0], h[1:] = 1.0, float(spec.gen_voltage_mag.sum()) / n_g  # the mean
     p = h[1:].view(float)
     p_n = p.reshape(-1, 2)
-    lines = line_admittance(net, omega0)
-    Y = admittance(net, bank.y_linear, omega0, lines)
+    Y = admittance(net, bank.y_linear, omega0)
     P = Y[order[:, None], order]  # blocks G, N, L: [:n_g], [n_g:n_k], [n_k:]
     # At the pinned voltages the machine columns add up to one column of
     # known currents, kept in the last one: below G, the rows of A h are
@@ -349,7 +349,7 @@ def solve_network(sys, spec):
             f"network solve did not converge in {opts.max_iter} iterations; "
             f"{_failure_tail(sys, vc, history)}")
 
-    balance = (admittance(net, y_load, omega0, lines, out=Y) @ vc).view(float)
+    balance = (Y @ vc + (y_load - bank.y_linear) * vc).view(float)
     history[-1] = float(abs(balance[2 * n_g:]).max(initial=0.0))
     i_s = -balance[:2 * n_g]
     z = net.r_T + 1j * omega0 * net.l_T

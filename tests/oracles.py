@@ -1,15 +1,15 @@
 """Reference implementations the tests compare the package against.
 
 These are the straightforward per-bus and per-sample forms: the network
-dynamics, Kirchhoff residuals and line admittance written out with dense
-matrices on an incidence built one line at a time from the endpoints,
-the rotation generators and the bus and field selectors as dense
-matrices, a shipped load's current from its (g, b) in real pairs and the
-load currents one bus at a time, the equivariance probe one rotation at
-a time, the steady field and the rotating reference written block by
-block with the machines' 5x5 turn, the invariance defect as a central
-difference of the residual, one machine at a time through its full
-inductance matrix L(theta) with a Cholesky solve at every call, the
+dynamics, Kirchhoff residuals and line and nodal admittances written out
+with dense matrices on an incidence built one line at a time from the
+endpoints, the rotation generators and the bus and field selectors as
+dense matrices, a shipped load's current from its (g, b) in real pairs
+and the load currents one bus at a time, the equivariance probe one
+rotation at a time, the steady field and the rotating reference written
+block by block with the machines' 5x5 turn, the invariance defect as a
+central difference of the residual, one machine at a time through its
+full inductance matrix L(theta) with a Cholesky solve at every call, the
 torque and induced voltage of that matrix with their flow-derivative
 identities, the planar rotation as a 2x2 matrix, the classical RK4 step
 of a generic field dx/dt = f(x), the drift metrics one trajectory sample
@@ -37,7 +37,7 @@ from gridstate.frame import (MACHINE_ROT90, ROT90, as_complex, real_blocks,
                              rotate_pairs)
 from gridstate.loads import Load
 from gridstate.machine import ParamViolation, inductance_matrix, stack_params
-from gridstate.network import Network, admittance, line_admittance
+from gridstate.network import Network, admittance
 from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery, NetworkSolution,
@@ -119,6 +119,13 @@ def dense_line_admittance(network, omega0):
     dense complex product."""
     E = dense_incidence(network)
     return E @ np.diag(1.0 / (network.r_T + 1j * omega0 * network.l_T)) @ E.T
+
+
+def dense_admittance(network, y_load, omega0):
+    """The nodal admittance: :func:`dense_line_admittance` plus the bus
+    shunts j omega0 c + y_load as a dense diagonal matrix."""
+    return dense_line_admittance(network, omega0) + np.diag(
+        1j * omega0 * network.c + y_load)
 
 
 def network_rhs(network, state, i_in):
@@ -306,17 +313,14 @@ def reference_iterates(sys, spec, linear_start=False):
     v[:2 * n_g] = generator_pairs(spec)
     v[2 * n_g::2] = float(np.mean(spec.gen_voltage_mag))
     vc = as_complex(v)
-    lines = line_admittance(sys.network, omega0)
     if linear_start:
         linear = [b for b in range(n_g, sys.n_v) if sys.loads[b].exponent == 0]
         kept = [b for b in range(sys.n_v) if b not in linear]
-        Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
-                       lines)
+        Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0)
         vc[linear] = np.linalg.solve(Y[np.ix_(linear, linear)],
                                      -Y[np.ix_(linear, kept)] @ vc[kept])
     while True:
-        Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0,
-                       lines)
+        Y = admittance(sys.network, sys.load_bank.admittance(vc), omega0)
         balance = (Y @ vc).view(float)
         res = float(np.max(np.abs(balance[2 * n_g:]), initial=0.0))
         yield v.copy(), balance, res

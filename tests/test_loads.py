@@ -72,6 +72,22 @@ def test_singular_models_reject_low_voltage():
         load_current(ld, [0.6, 0.0])  # inside the domain
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, args, position", [
+    (make, args, k) for make, args in (
+        (Load.impedance, (1.0, 0.0)),
+        (Load.constant_current, (1.0, 0.0, 0.5)),
+        (Load.constant_power, (1.0, 0.0, 0.5)))
+    for k in range(len(args))])
+def test_non_finite_parameters_rejected(make, args, position, bad):
+    # Every coefficient and v_min: a NaN v_min would switch the domain
+    # floor off, and the solve would end in a non-finite residual.
+    make(*args)
+    args = args[:position] + (bad,) + args[position + 1:]
+    with pytest.raises(ValidationError):
+        make(*args)
+
+
 def test_nonphysical_parameters_rejected():
     with pytest.raises(ValidationError):
         Load.impedance(-0.1, 0.0)

@@ -3,14 +3,14 @@ import pytest
 
 from gridstate.errors import ValidationError
 from gridstate import system
-from gridstate.frame import as_complex, real_blocks
+from gridstate.frame import real_blocks
 from gridstate.loads import Load, LoadBank
-from gridstate.network import Network, admittance, line_admittance
+from gridstate.network import Network, admittance
 
 from conftest import ring_mesh, sample_machine
 from oracles import (NetworkState, block_rotation_generator,
-                     branch_currents, branch_impedance, dense_incidence,
-                     dense_line_admittance, network_residual, network_rhs,
+                     branch_currents, branch_impedance, dense_admittance,
+                     dense_incidence, network_residual, network_rhs,
                      nodal_balance_residual)
 
 
@@ -95,12 +95,14 @@ def test_system_incidence_is_kron_identity(three_bus, n_bus):
 @pytest.mark.parametrize("n_bus", [None, 64])
 def test_line_admittance_equals_the_complex_product(three_bus, n_bus):
     # The edge-list scatter matches the dense complex product
-    # E diag(1 / z) E^T on the fixture and a 64-bus mesh.
+    # E diag(1 / z) E^T, plus the diagonal shunts, on the fixture and a
+    # 64-bus mesh.
     sys_ = three_bus[0] if n_bus is None else ring_mesh(n_bus,
                                                         ("impedance",))[0]
+    y_load = sys_.load_bank.y
     for omega0 in (0.0, 50.0, 314.0):
-        want = dense_line_admittance(sys_.network, omega0)
-        got = line_admittance(sys_.network, omega0)
+        want = dense_admittance(sys_.network, y_load, omega0)
+        got = admittance(sys_.network, y_load, omega0)
         assert got.dtype == complex
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -204,7 +206,7 @@ def test_endpoints_match_dense_columns():
 
 
 def test_relabelling_keeps_no_stale_positions():
-    # line_admittance keeps its scatter positions on the network after the
+    # admittance keeps its scatter positions on the network after the
     # first call; a relabelled network must build its own for the new
     # numbering, and parallel lines still add up.
     rng = np.random.default_rng(33)
@@ -219,11 +221,12 @@ def test_relabelling_keeps_no_stale_positions():
                            r_T=rng.uniform(0.05, 0.5, len(heads)),
                            l_T=rng.uniform(1e-3, 5e-3, len(heads)))
         omega0 = float(rng.choice([0.0, 50.0, 314.0]))
-        line_admittance(net, omega0)
+        y_load = rng.uniform(0.0, 2.0, n_v) + 1j * rng.uniform(-1, 1, n_v)
+        admittance(net, y_load, omega0)
         moved = net.relabel(rng.permutation(n_v))
         for top in (net, moved):
-            want = dense_line_admittance(top, omega0)
-            got = line_admittance(top, omega0)
+            want = dense_admittance(top, y_load, omega0)
+            got = admittance(top, y_load, omega0)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -311,7 +314,7 @@ def test_branch_impedance_always_invertible():
 
 def test_admittance_two_bus_hand_value():
     net = chain(2, r_T=np.array([0.5]))
-    Y = admittance(net, no_loads(2), 0.0, line_admittance(net, 0.0))
+    Y = admittance(net, no_loads(2), 0.0)
     np.testing.assert_allclose(Y, [[2.0, -2.0], [-2.0, 2.0]], atol=1e-12)
 
 
@@ -320,7 +323,7 @@ def test_admittance_is_weighted_laplacian_without_loads():
     net = make_network(*random_tree(rng, 5), c=rng.uniform(1e-4, 1e-3, 5),
                        l_T=rng.uniform(1e-3, 5e-3, 4),
                        r_T=rng.uniform(0.2, 2.0, 4))
-    Y = admittance(net, no_loads(5), 0.0, line_admittance(net, 0.0))
+    Y = admittance(net, no_loads(5), 0.0)
     E = dense_incidence(net)
     np.testing.assert_allclose(Y, E @ np.diag(1.0 / net.r_T) @ E.T,
                                atol=1e-12)
@@ -333,31 +336,13 @@ def test_admittance_is_weighted_laplacian_without_loads():
 def test_impedance_load_adds_shunt_block():
     net = chain(2, r_T=np.array([0.5]))
     g, b = 0.7, -0.2
-    lines = line_admittance(net, 0.0)
-    base = admittance(net, no_loads(2), 0.0, lines)
+    base = admittance(net, no_loads(2), 0.0)
     bank = LoadBank([Load.none(), Load.impedance(g, b)], range(2), 1)
-    with_load = admittance(net, bank.admittance(np.zeros(2, complex)), 0.0,
-                           lines)
+    with_load = admittance(net, bank.admittance(np.zeros(2, complex)), 0.0)
     delta = with_load - base
     np.testing.assert_allclose(real_blocks(delta)[2:, 2:],
                                [[g, -b], [b, g]], atol=1e-15)
     assert np.count_nonzero(delta[:1, :]) == 0
-
-
-def test_admittance_into_a_workspace_writes_only_the_diagonal():
-    # A Newton iteration reuses one matrix: only the shunts change.
-    sys_, spec = ring_mesh(16, ("impedance", "current", "power"), seed=9)
-    lines = line_admittance(sys_.network, spec.omega0)
-    Y = lines.copy()
-    for level in (1.0, 5.0, 0.5):
-        vc = as_complex(level * np.ones(2 * sys_.n_v))
-        y_load = sys_.load_bank.admittance(vc)
-        fresh = admittance(sys_.network, y_load, spec.omega0, lines)
-        assert admittance(sys_.network, y_load, spec.omega0, lines,
-                          out=Y) is Y
-        np.testing.assert_array_equal(Y, fresh)
-    off = ~np.eye(sys_.n_v, dtype=bool)
-    np.testing.assert_array_equal(Y[off], lines[off])
 
 
 def test_network_residual_zero_case_and_lipschitz():

@@ -15,7 +15,7 @@ from gridstate.frame import ROT90, as_complex, real_blocks, wrap_angle
 from gridstate.identities import random_valid_params
 from gridstate.loads import Load
 from gridstate.machine import MachineParams
-from gridstate.network import Network, admittance, line_admittance
+from gridstate.network import Network, admittance
 from gridstate.steady_state import (NewtonOptions, OperatingSpec,
                                     assemble_steady_state,
                                     compute_steady_state, recover_all,
@@ -25,7 +25,7 @@ from gridstate.system import assemble, residual, tolerance_scale
 from conftest import (AnisotropicLoad, benchmark_cases, ring_mesh,
                       sample_machine, singular_solve_at, slow_two_bus)
 from oracles import (balance_jacobian, branch_currents, branch_impedance,
-                     dense_incidence, dense_line_admittance,
+                     dense_admittance, dense_incidence, dense_line_admittance,
                      electrical_torque, excitation_demand, generator_pairs,
                      network_residual, nodal_balance_residual, recover_one,
                      reference_iterates, reference_solve_network, rvec)
@@ -143,7 +143,8 @@ def test_solve_network_matches_complex_phasor_oracle(three_bus):
 def test_parallel_lines_add_up(three_bus):
     # A line from bus 2 to bus 1 beside the one from 1 to 2, and a second
     # line from 0 to 2: the admittance and the network solve add each
-    # line's admittance, as the dense E diag(1 / z) E^T does.
+    # line's admittance, as the dense E diag(1 / z) E^T plus the diagonal
+    # shunts does.
     sys_, spec = three_bus
     net = sys_.network
     parallel = replace(net, heads=np.append(net.heads, [2, 0]),
@@ -152,9 +153,10 @@ def test_parallel_lines_add_up(three_bus):
                        l_T=np.append(net.l_T, [2e-3, 3.2e-3]))
     assert [(h, t) for h, t in zip(net.heads, net.tails)] == \
         [(0, 1), (1, 2), (0, 2)]
+    y_load = sys_.load_bank.y
     for omega0 in (0.0, spec.omega0):
-        want = dense_line_admittance(parallel, omega0)
-        got = line_admittance(parallel, omega0)
+        want = dense_admittance(parallel, y_load, omega0)
+        got = admittance(parallel, y_load, omega0)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     sys_ = assemble(list(sys_.machines), [0, 1], parallel,
                     loads=list(sys_.loads), bus_ids=list(sys_.bus_ids))
@@ -202,11 +204,9 @@ def test_balance_jacobian_matches_central_difference():
     v = np.concatenate([generator_pairs(spec),
                         rng.uniform(5.0, 12.0, 2 * sys_.n_l)])
 
-    lines = line_admittance(sys_.network, spec.omega0)
-
     def nodal(w):
         return admittance(sys_.network, sys_.load_bank.admittance(
-            as_complex(w)), spec.omega0, lines)
+            as_complex(w)), spec.omega0)
 
     def load_rows(w):
         return (nodal(w) @ as_complex(w)).view(float)[2 * n_g:]
@@ -350,21 +350,47 @@ def test_solve_network_matches_reference_on_fixture_and_generator_buses(
 
 
 @pytest.mark.parametrize("kinds", [("impedance",), LOAD_KINDS])
-def test_admittance_runs_twice_per_solve(monkeypatch, kinds):
-    # Once for the constant admittance the solve reduces, once for the full
-    # balance at the solution, however many iterations run in between.
+def test_admittance_runs_once_per_solve(monkeypatch, kinds):
+    # Once, for the constant admittance the solve reduces, however many
+    # iterations run: the balance at the solution reuses that matrix, and
+    # no admittance is built at an iterate's load admittances.
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return admittance(*args, **kwargs)
+    def counting(net, y_load, omega0):
+        calls.append(y_load)
+        return admittance(net, y_load, omega0)
 
     monkeypatch.setattr(steady_state, "admittance", counting)
     sys_, spec = ring_mesh(32, kinds, seed=5, level=2.0)
     sol = solve_network(sys_, spec)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert calls[0] is sys_.load_bank.y_linear
     assert sol.iterations == len(sol.residual_history)
     assert (sol.iterations == 1) == (kinds == ("impedance",))
+
+
+def test_balance_at_the_solution_counts_machine_bus_loads():
+    # The solve reduces the constant admittance, which leaves out every
+    # load with k > 0; at the solution it adds their currents to that
+    # matrix's product. With constant-current and constant-power loads on
+    # the machine buses, the stator currents and the last history entry
+    # are those of the full dense balance (lines, shunts, y(v)) at v.
+    level = 2.0
+    sys_, spec = ring_mesh(32, LOAD_KINDS, seed=5, level=level)
+    n_g, loads = sys_.n_g, list(sys_.loads)
+    for k in range(n_g):
+        loads[k] = (Load.constant_current(0.05 * level, 0.02 * level) if k % 2
+                    else Load.constant_power(0.05 * level**2, 0.02 * level**2))
+    sys_ = sys_.with_loads(loads)
+    sol = solve_network(sys_, spec)
+    vc = as_complex(sol.v)
+    Y = dense_admittance(sys_.network, sys_.load_bank.admittance(vc),
+                         spec.omega0)
+    balance = (Y @ vc).view(float)
+    gauge = 1e-13 * float(np.max(abs(balance[:2 * n_g])))
+    assert np.max(abs(sol.i_s + balance[:2 * n_g])) <= gauge
+    assert abs(sol.residual_history[-1]
+               - np.max(abs(balance[2 * n_g:]))) <= gauge
 
 
 def test_one_real_form_build_per_solve(monkeypatch):

@@ -553,20 +553,19 @@ def test_load_currents_accept_int_float32_and_strided_voltages():
     # The complex view of the kernel must see the voltages' values, not
     # their bytes: integer, single-precision and non-contiguous inputs give
     # the currents of the same float64 voltages.
-    from gridstate.network import admittance, line_admittance
+    from gridstate.network import admittance
     sys_ = tiny_system(Load.constant_power(1.0, 0.5))
     v = np.array([1.0, 0.0, 2.0, -3.0])
     want = sys_.load_currents(v)
-    lines = line_admittance(sys_.network, 60.0)
     fortran = np.asfortranarray(np.stack([v, 2.0 * v, v]))
     for w in (v.astype(np.int64), v.astype(np.float32), fortran[2],
               np.stack([v, v], axis=1)[:, 0]):
         np.testing.assert_array_equal(sys_.load_currents(w), want)
         np.testing.assert_array_equal(
             admittance(sys_.network, sys_.load_bank.admittance(as_complex(w)),
-                       60.0, lines),
+                       60.0),
             admittance(sys_.network, sys_.load_bank.admittance(as_complex(v)),
-                       60.0, lines))
+                       60.0))
     x, u = random_point(sys_, np.random.default_rng(46))
     x[sys_.layout.sl_v] = v
     strided = np.stack([x, x], axis=1)[:, 1]
