@@ -60,6 +60,8 @@ def _bus_id(doc, where):
         raise SchemaError(f"{where}: missing required key 'id'")
     if isinstance(bid, (list, dict, bool)):
         raise SchemaError(f"{where}: key 'id' must be a string or number")
+    if not isinstance(bid, str) and not abs(bid) <= MAX_FLOAT:
+        raise SchemaError(f"{where}: key 'id' must be finite")
     return bid
 
 

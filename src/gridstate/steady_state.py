@@ -3,18 +3,17 @@
 Pipeline: fix the machine-bus voltage phasors, build the constant complex
 admittance of :mod:`gridstate.network` once per solve and eliminate from
 it the load buses whose balance is linear (no load or an impedance load),
-Newton-solve the nodal current balance of the reduced admittance for the
-other load-bus voltages (pairs read as alpha + j beta; the workspace is
-the solve's own, and each iteration rewrites only its Jacobian's diagonal
-blocks; just the admittance's scatter positions, set by the edge list,
-stay on the network), read off the injected stator currents from the
-full balance at the solution (the constant admittance's product plus the
-other loads' currents) and the line currents, then recover each machine's
-rotor angle, excitation current and inputs in closed form. The recovered
-point is certified from one full-system residual evaluation, read in one
-pass: its size per block, its exact derivative along the rotating flow,
-and a rotation probe of any custom load (the shipped loads commute with
-rotations by construction).
+Newton-solve the reduced nodal current balance for the other load-bus
+voltages (pairs read as alpha + j beta; each iteration rewrites only its
+Jacobian's diagonal blocks, and just the admittance's scatter positions,
+set by the edge list, stay on the network), read the stator currents off
+the machine rows of the same reduction and the line currents off the
+voltage drops, then recover each machine's rotor angle, excitation
+current and inputs in closed form. The recovered point is certified from
+one full-system residual evaluation, read in one pass: its size per
+block, its exact derivative along the rotating flow, and a rotation probe
+of any custom load (the shipped loads commute with rotations by
+construction).
 
 The recovery is one array pass over the machines, with terminal voltages
 v and stator currents i as complex numbers alpha + j beta:
@@ -261,10 +260,10 @@ def solve_network(sys, spec):
     strided view, as Re((R_kk + y |v|^-k) [[1, j], [-j, 1]]) minus the
     rank-one terms; with impedance loads only there is no step, one linear
     solve. ``residual_history`` holds the largest reduced imbalance at each
-    iterate, but its last entry is the largest load-bus imbalance of the
-    full balance at the solution, Y v plus the currents of the k > 0 loads,
-    whose machine-bus rows are the stator currents. The line currents are
-    the voltage drops over the branch impedances.
+    iterate ([0.0] with no nonlinear bus). Minus the machine rows of the
+    reduction, (Y v)_G = K_G h, and their k > 0 loads' currents are the
+    stator currents; the certificate checks the full balance. The line
+    currents are the voltage drops over the branch impedances.
     """
     n_g, net, bank = sys.n_g, sys.network, sys.load_bank
     opts, omega0 = spec.newton, spec.omega0
@@ -285,12 +284,11 @@ def solve_network(sys, spec):
     h[0], h[1:] = 1.0, float(spec.gen_voltage_mag.sum()) / n_g  # the mean
     p = h[1:].view(float)
     p_n = p.reshape(-1, 2)
-    Y = admittance(net, bank.y_linear, omega0)
-    P = Y[order[:, None], order]  # blocks G, N, L: [:n_g], [n_g:n_k], [n_k:]
-    # At the pinned voltages the machine columns add up to one column of
-    # known currents, kept in the last one: below G, the rows of A h are
-    # those of Y (v_G, v_N, 0).
-    P[n_g:, n_g - 1] = P[n_g:, :n_g] @ vc[:n_g]
+    # Y in blocks G, N, L ([:n_g], [n_g:n_k], [n_k:]), kept only permuted;
+    # the machine columns at the pinned voltages add up to one column of
+    # known currents, in the last one: A h gives the rows of Y (v_G, v_N, 0).
+    P = admittance(net, bank.y_linear, omega0)[order[:, None], order]
+    P[:, n_g - 1] = P[:, :n_g] @ vc[:n_g]
     A = P[:, n_g - 1:n_k]
     try:
         S = -np.linalg.solve(P[n_k:, n_k:], A[n_k:])  # v_L = S h
@@ -299,7 +297,8 @@ def solve_network(sys, spec):
         # plus g >= 0 on its diagonal, positive definite, so only
         # non-finite entries get here; the residual reports them.
         S = np.full((len(linear), len(h)), np.nan, dtype=complex)
-    M = A[n_g:n_k] + P[n_g:n_k, n_k:] @ S  # N's reduced balance: M h + i_N
+    K = A[:n_k] + P[:n_k, n_k:] @ S  # (Y v)_G = K_G h, (Y v)_N = M h
+    M = K[n_g:]  # N's reduced balance: M h + i_N
 
     def spread():  # the voltages of all buses from h
         vc[nonlinear] = h[1:]
@@ -349,9 +348,8 @@ def solve_network(sys, spec):
             f"network solve did not converge in {opts.max_iter} iterations; "
             f"{_failure_tail(sys, vc, history)}")
 
-    balance = (Y @ vc + (y_load - bank.y_linear) * vc).view(float)
-    history[-1] = float(abs(balance[2 * n_g:]).max(initial=0.0))
-    i_s = -balance[:2 * n_g]
+    i_g = (y_load - bank.y_linear)[:n_g] * vc[:n_g]  # the k > 0 loads'
+    i_s = -(K[:n_g] @ h + i_g).view(float)  # the machine rows balance
     z = net.r_T + 1j * omega0 * net.l_T
     i_T = ((vc[net.heads] - vc[net.tails]) / z).view(float)
     return NetworkSolution(i_s=i_s, v=v, i_T=i_T, iterations=iterations,

@@ -166,6 +166,19 @@ def test_non_finite_numbers_exit_code(tmp_path, fixture_path, capsys, mutate,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400"])
+def test_non_finite_bus_ids_exit_code(tmp_path, fixture_path, capsys, token):
+    # A bus id and its references read as the same non-finite float would
+    # solve and certify, and the result file would hold tokens that strict
+    # JSON rejects; no result file is written.
+    path, out = tmp_path / "system.json", tmp_path / "result.json"
+    path.write_text(fixture_path.read_text().replace('"b3"', token))
+    assert main(["steady-state", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "buses[2]: key 'id' must be finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("mutate, message, renumber", [
     (_set("machines", 0, "theta", float("nan")),
      "machines[0]: key 'theta' must be finite", False),

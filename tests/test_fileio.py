@@ -36,6 +36,37 @@ def test_duplicate_bus_id_rejected(fixture_path):
         system_from_dict(doc)
 
 
+NON_FINITE_IDS = pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e400", "huge-int"])
+
+
+@NON_FINITE_IDS
+def test_non_finite_bus_id_rejected(tmp_path, fixture_path, token):
+    # json reads the first four as floats, and the lines find bus b3 under
+    # the same one; written back they would be tokens that strict JSON
+    # rejects. An integer too large for a float is no finite number either.
+    path = tmp_path / "system.json"
+    path.write_text(fixture_path.read_text().replace('"b3"', token))
+    with pytest.raises(SchemaError, match=r"^buses\[2\]: key 'id' must be "
+                       "finite$"):
+        load_system_file(path)
+
+
+@NON_FINITE_IDS
+def test_result_file_non_finite_bus_id_rejected(tmp_path, three_bus,
+                                                certified, token):
+    sys_, _ = three_bus
+    path = tmp_path / "result.json"
+    with open(path, "w") as fh:
+        write_result_file(fh, sys_, certified,
+                          verify_steady_state(sys_, certified))
+    path.write_text(path.read_text().replace('"id": "b3"', f'"id": {token}'))
+    with pytest.raises(SchemaError, match=r"^buses\[2\]: key 'id' must be "
+                       "finite$"):
+        load_result_file(path, sys_)
+
+
 def test_unknown_machine_bus_rejected(fixture_path):
     doc = fixture_doc(fixture_path)
     doc["machines"][0]["bus"] = "nowhere"
