@@ -133,8 +133,8 @@ def run_identity_suite(sys, n_samples=120, seed=0):
 
     # Defining equation of the residual: mass matrix times the gap between
     # the steady-state and model vector fields, the mass matrix applied
-    # block by block (L(theta) on each machine's windings). The identity the
-    # certificate's invariance gate rests on: along the steady field f the
+    # block by block (L(theta) on each machine's windings). The identity
+    # behind the reported invariance defect: along the steady field f the
     # residual turns with every stator, bus and line pair, D rho[f] =
     # omega0 G rho (G: J on those pairs, zero elsewhere; StateLayout.rotate).
     # And the power balance of the model field F: D E[F] = supplied - lost.

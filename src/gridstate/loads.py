@@ -124,17 +124,6 @@ class LoadBank:
         return self.y / mag**self.k
 
 
-def rotation_commutator(load, v):
-    """D i(v)[J v] - J i(v) at one voltage pair, zero for a load that
-    commutes with rotations: a central difference along J v, whose step
-    t |v| is relative to the bus voltage, in one (2, 3) ``current`` call."""
-    v = np.asarray(v, dtype=float)
-    jv, t = np.array([-v[1], v[0]]), 6e-6  # t about eps**(1/3)
-    i = np.asarray(load.current(np.column_stack([v + t * jv, v - t * jv, v])),
-                   dtype=float)
-    return (i[:, 0] - i[:, 1]) / (2.0 * t) - np.array([-i[1, 2], i[0, 2]])
-
-
 def equivariance_defect(load, v, n_samples=360):
     """Max over a rotation grid of |i_l(R(phi) v) - R(phi) i_l(v)|.
 

@@ -17,7 +17,9 @@ Cholesky of L0 validates all machines at assembly, exact for all angles.
 The steady field, omega0 G with G = :meth:`StateLayout.rotate`, turns
 every planar pair at omega0 and advances the rotor angles; loads that commute
 with rotations turn the residual along, so :func:`invariance_defect` reads
-its derivative off the residual, exactly and with no extra evaluation.
+its derivative off the residual, exactly and with no extra evaluation. The
+certificate reports that derivative; it gates only the residual itself
+and the rotation probe of custom loads.
 """
 
 from functools import cached_property
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import LoadDomainError, ValidationError
 from .frame import MACHINE_ROT90, as_complex, rotate_pairs
-from .loads import Load, LoadBank, rotation_commutator
+from .loads import Load, LoadBank
 from .machine import stack_params, stator_frame_inductance, validate_params
 
 
@@ -359,28 +361,20 @@ def residual_block_norms(sys, rho):
 
 
 def invariance_defect(sys, x, u, omega0, rho=None):
-    """Max-norm of the derivative of the residual along the steady field,
-    D rho(x)[f(x)] with f = steady_field(sys, x, omega0), exact at any x.
+    """|omega0| times the largest stator, bus or line pair entry of the
+    residual at (x, u); ``rho`` is that residual when the caller has it.
 
-    The field advances the angles and turns every planar pair at omega0;
-    with loads that commute with rotations the residual turns along, so
-    D rho[f] = omega0 G rho (:meth:`StateLayout.rotate`), whose max-norm is
-    |omega0| times the largest pair entry of rho. A custom load adds its
-    :func:`~gridstate.loads.rotation_commutator` to J rho on its bus pair.
-    ``rho`` is the residual at (x, u) when the caller has it already. Takes
-    one state of shape (n_x,): the commutator works one pair at a time.
+    The steady field f advances the angles and turns every planar pair at
+    omega0; with loads that commute with rotations the residual turns
+    along, so D rho[f] = omega0 G rho (:meth:`StateLayout.rotate`), and
+    this is its max-norm, exact at any x. A custom load's commutator with
+    rotations is left out: the certificate's rotation probe tests it. On a
+    stack (..., n_x), the max over the stack, as
+    :func:`residual_block_norms` reads it.
     """
-    if np.shape(x) != (sys.n_x,):
-        raise ValueError(f"invariance_defect takes one state, got {np.shape(x)}")
     if rho is None:
         rho = residual(sys, x, u, omega0)
-    lay = sys.layout
-    drift = abs(rho[lay.pair_rows])  # bus k's pair at 2 (n_g + k)
-    for k, load in sys.load_bank.custom:
-        at, row = 2 * (sys.n_g + k), lay.sl_v.start + 2 * k
-        drift[at:at + 2] = abs(rotate_pairs(rho[row:row + 2])
-                               + rotation_commutator(load, x[row:row + 2]))
-    return abs(omega0) * float(drift.max())
+    return abs(omega0) * float(abs(rho[..., sys.layout.pair_rows]).max())
 
 
 def tolerance_scale(x, u):

@@ -103,12 +103,14 @@ def slow_two_bus(omega0=5.0, g=0.2, b=0.0):
     return sys_, spec
 
 
-def ring_mesh(n_bus, kinds, seed=0, level=10.0):
+def ring_mesh(n_bus, kinds, seed=0, level=10.0, omega0=314.0):
     """Seeded ring-plus-chords system at generator voltage ``level``.
 
     A machine sits on every fourth bus; the other buses carry loads of the
     given kinds in turn, scaled so that each draws about the same current
-    at the operating voltage whatever its kind.
+    at the operating voltage whatever its kind. The line inductances and
+    bus capacitances are scaled by 314 / ``omega0``, so the network's
+    reactances at ``omega0`` are those of the default mesh at 314 rad/s.
     """
     rng = np.random.default_rng(seed)
     n_t = n_bus + n_bus // 4
@@ -118,7 +120,9 @@ def ring_mesh(n_bus, kinds, seed=0, level=10.0):
     heads, tails = np.array(ends).T
     c, l_T, r_T = (rng.uniform(2e-4, 2e-3, n_bus),
                    rng.uniform(2.5e-3, 3.5e-3, n_t), rng.uniform(0.3, 0.5, n_t))
-    net = Network(heads=heads, tails=tails, c=c, r_T=r_T, l_T=l_T)
+    design = 314.0 / omega0
+    net = Network(heads=heads, tails=tails, c=design * c, r_T=r_T,
+                  l_T=design * l_T)
     make = {"impedance": Load.impedance,
             "current": lambda g, b: Load.constant_current(g * level,
                                                           b * level),
@@ -133,7 +137,7 @@ def ring_mesh(n_bus, kinds, seed=0, level=10.0):
     n_g = len(gen_buses)
     machines = [sample_machine(salient=k % 2 == 0) for k in range(n_g)]
     sys_ = assemble(machines, gen_buses, net, loads=loads)
-    spec = OperatingSpec(omega0=314.0,
+    spec = OperatingSpec(omega0=omega0,
                          gen_voltage_mag=level * rng.uniform(0.98, 1.02, n_g),
                          gen_voltage_angle=np.radians(rng.uniform(-2, 2, n_g)),
                          sigma=np.ones(n_g, dtype=int))

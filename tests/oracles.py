@@ -20,8 +20,10 @@ every iteration, from its own generator voltage pairs and to its own
 branch currents (dense incidence drops over each line's impedance), and
 the system assembly that checks each machine on its own and every
 reordered component again.
-Three helpers with no caller in the package live here too: the (P, Q) a
-load draws, the package's array recovery run for one machine, and one
+Helpers with no caller in the package live here too: the (P, Q) a load
+draws, a load's rotation commutator and the invariance defect with custom
+loads built on it (the certificate probes custom loads by rotation
+instead), the package's array recovery run for one machine, and one
 machine's row of an array recovery.
 """
 
@@ -565,6 +567,32 @@ def central_invariance_defect(sys, x, u, omega0, h):
     d = system_residual(sys, x + h * f, u, omega0) \
         - system_residual(sys, x - h * f, u, omega0)
     return float(np.max(np.abs(d))) / (2.0 * h)
+
+
+def rotation_commutator(load, v):
+    """D i(v)[J v] - J i(v) at one voltage pair, zero for a load that
+    commutes with rotations: a central difference along J v, whose step
+    t |v| is relative to the bus voltage, in one (2, 3) ``current`` call."""
+    v = np.asarray(v, dtype=float)
+    jv, t = np.array([-v[1], v[0]]), 6e-6  # t about eps**(1/3)
+    i = np.asarray(load.current(np.column_stack([v + t * jv, v - t * jv, v])),
+                   dtype=float)
+    return (i[:, 0] - i[:, 1]) / (2.0 * t) - np.array([-i[1, 2], i[0, 2]])
+
+
+def custom_invariance_defect(sys, x, u, omega0):
+    """Max-norm of the derivative of the residual along the steady field
+    at one state x with custom loads: |omega0| times the largest stator,
+    bus or line pair entry of the package residual, where each custom
+    bus's pair reads |J rho_k + rotation_commutator| instead."""
+    rho = residual(sys, x, u, omega0)
+    lay = sys.layout
+    drift = np.abs(rho[lay.pair_rows])  # bus k's pair at 2 (n_g + k)
+    for k, load in sys.load_bank.custom:
+        at, row = 2 * (sys.n_g + k), lay.sl_v.start + 2 * k
+        drift[at:at + 2] = np.abs(rotate_pairs(rho[row:row + 2])
+                                  + rotation_commutator(load, x[row:row + 2]))
+    return abs(omega0) * float(drift.max())
 
 
 def mass_matrix(sys, x):

@@ -103,16 +103,22 @@ def test_block_norms_of_a_stack_take_the_max_over_it(three_bus, certified):
         name: max(r[name] for r in rows) for name in single}
 
 
-def test_invariance_defect_takes_one_state(three_bus, certified):
-    # The custom-load commutator works one voltage pair at a time, so a
-    # stack is refused rather than read along its first axis.
+def test_invariance_defect_of_a_stack_takes_the_max_over_it(three_bus,
+                                                           certified):
+    # Like the block norms: copies of one state read that state's defect,
+    # and a stack whose rows differ reads the largest of its rows.
     sys_, _ = three_bus
     ss = certified
     x = stack_around(ss.x, (), seed=12)
-    for bad in (np.stack([x] * 3), x[None, :], x[:-1]):
-        with pytest.raises(ValueError, match="one state"):
-            invariance_defect(sys_, bad, ss.u, ss.omega0)
-    assert invariance_defect(sys_, x, ss.u, ss.omega0) > 0.0
+    single = invariance_defect(sys_, x, ss.u, ss.omega0)
+    assert single > 0.0
+    for copies in (np.stack([x] * 3), x[None, :]):
+        assert invariance_defect(sys_, copies, ss.u, ss.omega0) \
+            == pytest.approx(single, rel=1e-14)
+    X = stack_around(ss.x, (2, 3), seed=13)
+    assert invariance_defect(sys_, X, ss.u, ss.omega0) == pytest.approx(
+        max(invariance_defect(sys_, row, ss.u, ss.omega0)
+            for row in X.reshape(-1, sys_.n_x)), rel=1e-14)
 
 
 def test_layout_pack_split_roundtrip_on_a_stack(mesh):

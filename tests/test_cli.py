@@ -323,10 +323,6 @@ def test_a_loose_newton_tolerance_is_a_certification_failure(tmp_path,
     assert main(["steady-state", str(path), "-o", str(out)]) == 5
     err = capsys.readouterr().err
     assert "worst block: nodes" in err
-    # The invariance gate fails too, and with shipped loads only it names
-    # the residual it scales, not a load.
-    assert "|omega0| times the largest stator, bus or line residual" in err
-    assert "non-conforming load" not in err
     diagnostics = json.loads(out.read_text())["diagnostics"]
     assert diagnostics["certificate"] is False
     assert diagnostics["margins"]["residual"] > 1.0

@@ -8,7 +8,7 @@ from gridstate.loads import Load, LoadBank, equivariance_defect
 
 from conftest import AnisotropicLoad
 from oracles import (OracleLoad, load_current, load_power,
-                     looped_equivariance_defect, rot)
+                     looped_equivariance_defect, rot, rotation_commutator)
 
 finite_pairs = st.tuples(
     st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -142,6 +142,23 @@ def test_equivariance_defect_flags_anisotropic_model():
         for phi in np.linspace(0, 2 * np.pi, 360, endpoint=False))
     assert defect == pytest.approx(expected)
     assert defect > 0.4
+
+
+@pytest.mark.parametrize("v", [[1.0, 0.0], [-0.3, 2.5], [40.0, -7.0]])
+def test_rotation_commutator_vanishes_only_on_conforming_models(v):
+    # The infinitesimal form of the rotation probe. A shipped load commutes
+    # with rotations, so its central difference reads rounding and the
+    # O(t^2) step error only; the anisotropic (a, b) load's commutator is
+    # (b - a) (v_beta, v_alpha), of size |b - a| |v|.
+    v = np.array(v)
+    for ld in (Load.impedance(0.8, -0.3), Load.constant_current(1.2, 0.4),
+               Load.constant_power(2.0, 0.7)):
+        size = np.linalg.norm(load_current(ld, v))
+        assert np.linalg.norm(rotation_commutator(OracleLoad(ld), v)) \
+            <= 1e-9 * size
+    np.testing.assert_allclose(
+        rotation_commutator(AnisotropicLoad(1.0, 2.0), v), [v[1], v[0]],
+        rtol=1e-9, atol=1e-9 * np.linalg.norm(v))
 
 
 # No deadline: the looped oracle makes up to 4 x 720 scalar calls per draw.

@@ -393,8 +393,8 @@ def test_solve_network_matches_reference_on_fixture_and_generator_buses(
 @pytest.mark.parametrize("kinds", [("impedance",), LOAD_KINDS])
 def test_admittance_runs_once_per_solve(monkeypatch, kinds):
     # Once, for the constant admittance the solve reduces, however many
-    # iterations run: the balance at the solution reuses that matrix, and
-    # no admittance is built at an iterate's load admittances.
+    # iterations run: no admittance is built at an iterate's load
+    # admittances or at the solution.
     calls = []
 
     def counting(net, y_load, omega0):
@@ -1062,8 +1062,8 @@ def test_verify_flags_wrong_speed(three_bus, certified):
 
 
 # ------------------------------------------------- certificate at any scale
-# The invariance gate is exact, so its margin does not grow with the
-# voltage: genuine steady states certify from millivolts to tens of volts.
+# Genuine steady states certify from millivolts to tens of volts, and the
+# reported invariance margin (|omega0| times the pair residual) stays small.
 
 
 @pytest.mark.parametrize("factor", [1.0, 3.3, 10.0, 33.0])
@@ -1097,10 +1097,43 @@ def test_genuine_steady_states_certify(n_bus, kinds, seed, log_level):
     assert max(report.margins.values()) <= 0.1
 
 
+def scaled_voltages(sys_, ss, factor):
+    """The candidate ``ss`` with every bus voltage scaled by ``factor``."""
+    x = ss.x.copy()
+    x[sys_.layout.sl_v] *= factor
+    return replace(ss, x=x)
+
+
+@pytest.mark.parametrize("hertz", [16.7, 50.0, 60.0, 400.0, 5000.0])
+@pytest.mark.parametrize("name", ["fixture", "ring24-mixed"])
+def test_verdicts_at_other_frequencies(three_bus, name, hertz):
+    # The mesh's line inductances and bus capacitances are those of a
+    # network designed for its frequency (ring_mesh's omega0): on the
+    # 314 rad/s mesh Newton does not converge at 400 Hz and above.
+    omega0 = 2.0 * np.pi * hertz
+    sys_, spec = (three_bus if name == "fixture" else ring_mesh(
+        24, LOAD_KINDS, seed=3, omega0=omega0))
+    ss = compute_steady_state(sys_, replace(spec, omega0=omega0))
+    report = verify_steady_state(sys_, ss)
+    assert report.certificate, report.failures
+    assert max(report.margins.values()) <= 0.1
+    bad = verify_steady_state(sys_, scaled_voltages(sys_, ss, 1.0 + 1e-5))
+    assert not bad.certificate
+    assert bad.margins["residual"] > 1.0
+    if name == "fixture" and hertz == 5000.0:
+        # Inside the residual gate, and certified although the reported
+        # invariance margin, |omega0| times the pair residual, is above 1.
+        near = verify_steady_state(sys_, scaled_voltages(sys_, ss, 1.0 + 4e-8))
+        assert near.certificate, near.failures
+        assert near.margins["residual"] <= 0.5 < 1.0 < near.margins[
+            "invariance"]
+
+
 def test_controls_fail_by_wide_margins_at_low_voltage():
-    # An anisotropic load fails the invariance gate (omega0 |v| against
-    # 1e-5 omega0) and the rotation probe; a 1% input error fails the
-    # residual gate. Each by at least 1e3 times its threshold, at 0.02 V.
+    # An anisotropic load fails the rotation probe, and the residual gate
+    # too: its current is not the one the point was solved for. A 1% input
+    # error fails the residual gate. Each by at least 1e3 times its
+    # threshold, at 0.02 V.
     sys_, spec = ring_mesh(24, LOAD_KINDS, seed=1, level=0.02)
     ss = compute_steady_state(sys_, spec)
     loads = list(sys_.loads)
@@ -1108,9 +1141,10 @@ def test_controls_fail_by_wide_margins_at_low_voltage():
         AnisotropicLoad()
     bad = verify_steady_state(sys_.with_loads(loads), ss)
     assert not bad.certificate
-    assert bad.margins["invariance"] >= 1e3
-    assert any("non-conforming load" in f for f in bad.failures)
     assert bad.margins["equivariance"] >= 1e3
+    assert any("not rotation-equivariant" in f for f in bad.failures)
+    assert bad.margins["residual"] >= 1e3
+    assert any("worst block: nodes" in f for f in bad.failures)
     shifted = verify_steady_state(sys_, replace(ss, u=1.01 * ss.u))
     assert not shifted.certificate
     assert shifted.margins["residual"] >= 1e3
