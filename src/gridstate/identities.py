@@ -125,9 +125,10 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     # turning only the stator pair, annihilates the residual's v_f column
     # (stack column 7). The bus selector row is read at the sampled states,
     # and so are the field's fused rows on the pairs and the residual's bus
-    # and line rows (the unloaded system's, on the bus and line pairs alone):
-    # turning a state turns them, every pair coupling being a multiple of
-    # the identity.
+    # and line rows, all the unloaded system's (``bare``; the residual's on
+    # the bus and line pairs alone): turning a state turns them, every pair
+    # coupling being a multiple of the identity. With impedance-load blocks
+    # the turned rows would sum in another order and read rounding.
     excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[:, :5, 7:8]).max())
     bare = sys.with_loads([Load.none()] * sys.n_v)
 
@@ -140,7 +141,7 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     # And the power balance of the model field F: D E[F] = supplied - lost.
     worst_res = worst_flow = worst_power = selector = incidence = 0.0
     h, lay = FD_STEP, sys.layout
-    cols, values, starts = sys.field_rows
+    cols, values, starts = bare.field_rows
     mass = np.concatenate((np.ones(sys.n_g), sys.params.m,
                            np.ones(5 * sys.n_g), sys._c2, sys._l_T2))
     network = np.arange(sys.n_x) >= lay.sl_v.start

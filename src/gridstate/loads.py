@@ -96,8 +96,9 @@ class LoadBank:
         self.y = np.array([complex(*ld.coeffs) for ld in shipped], complex)
         self.k = np.array([ld.exponent for ld in shipped], dtype=float)
         self.v_min = np.array([ld.v_min for ld in shipped], dtype=float)
-        # Impedance only: y at every voltage, and skipping the magnitude
-        # work pays where numpy call overhead dominates (small systems).
+        # Impedance only: y at every voltage. The vector field skips such a
+        # bank, whose loads are rows of its operator; the network solve and
+        # the residual skip the magnitude work, which pays on small systems.
         self.constant = not (np.any(self.k) or np.any(self.v_min))
         self._named = [(bus, ld.kind) for bus, ld in zip(bus_ids, shipped)]
         linear = self.k == 0

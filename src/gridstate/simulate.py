@@ -66,12 +66,13 @@ def simulate(sys, x0, u, cfg):
     the finite states at step s stops by step 2s; it raises
     :class:`SolverError` naming the first recorded time whose state is not
     finite, else the time it stopped at."""
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps, every = int(round(cfg.t_end / cfg.dt)), cfg.record_every
     u = np.asarray(u, dtype=float)
     x = np.array(x0, dtype=float)
 
-    times = [0.0]
-    states = [x.copy()]
+    states = np.empty((1 - (-n_steps // every),) + x.shape)
+    times = np.empty(len(states))
+    states[0], times[0], n = x, 0.0, 1
     for step in range(1, n_steps + 1):
         try:
             x = rk4_step(sys, x, u, cfg.dt)
@@ -79,18 +80,17 @@ def simulate(sys, x0, u, cfg):
             raise LoadDomainError(
                 f"simulation failed at t={step * cfg.dt:.6e}: {err}", bus=err.bus
             ) from err
-        if step % cfg.record_every == 0 or step == n_steps:
-            times.append(step * cfg.dt)
-            states.append(x.copy())
+        if step % every == 0 or step == n_steps:
+            states[n], times[n], n = x, step * cfg.dt, n + 1
         if not step & (step - 1) and not np.isfinite(x).all():
             break
-    states = np.array(states)
+    states, times = states[:n], times[:n]
     bad = np.flatnonzero(~np.isfinite(states).all(axis=-1))
     if bad.size or not np.isfinite(x).all():
         t = times[bad[0]] if bad.size else step * cfg.dt
         raise SolverError(f"simulation diverged: state not finite at "
                           f"t={t:.6e}; a smaller dt may keep it finite")
-    return Trajectory(times=np.array(times), states=states, inputs=u.copy())
+    return Trajectory(times=times, states=states, inputs=u.copy())
 
 
 def reference_trajectory(sys, x0, omega0, t):

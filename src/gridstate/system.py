@@ -134,18 +134,22 @@ class PowerSystem:
         columns of shape (2, ...); used to probe how non-conforming load
         models break the steady state. Subclasses of :class:`Load` count as
         custom loads too and must define ``current`` themselves. The
-        network solve refuses custom loads.
+        network solve refuses custom loads. The copy shares the network and
+        builds its own field rows, which hold the impedance loads.
         """
-        clone = PowerSystem.__new__(PowerSystem)
-        clone.__dict__.update(self.__dict__)
-        clone.loads = tuple(loads)
-        clone.load_bank = LoadBank(clone.loads, self.bus_ids, self.n_g)
-        return clone
+        return PowerSystem(self.machines, self.params, self._L0, self.network,
+                           loads, self.bus_ids, self.input_position)
 
     @cached_property
     def field_rows(self):
-        """:func:`_field_rows` on first use; later with_loads copies share it."""
+        """:func:`_field_rows` on first use, the impedance loads included."""
         return _field_rows(self)
+
+    @cached_property
+    def _field_loads(self):
+        """Copy of this system with only its k > 0 and custom loads."""
+        return self.with_loads([Load.none() if type(ld) is Load and not
+                                ld.exponent else ld for ld in self.loads])
 
     def inductance_stack(self, theta):
         """Winding inductance matrices L(theta) = T L0 T^T of all machines,
@@ -226,20 +230,25 @@ def _machines(sys, x, omega, u, omega0=None):
 def _field_rows(sys):
     """The vector field's constant linear rows as one CSR operator (column
     indices, values, row starts): angles read their speeds, speeds their
-    damping -d/m, each bus pair -1/c times its stator pair and E i_T, each
-    line pair (E^T v - r i_T) / l. The winding rows, which the machines
-    write, hold an explicit zero, as ``np.add.reduceat`` returns x[start]
-    for an empty row; a connected network leaves no bus row empty."""
+    damping -d/m, each bus pair -1/c times its stator pair, impedance load
+    y v and E i_T, each line pair (E^T v - r i_T) / l. The winding rows,
+    which the machines write, hold an explicit zero, as ``np.add.reduceat``
+    returns x[start] for an empty row; no bus row of a connected network
+    is empty."""
     lay, net, p = sys.layout, sys.network, sys.params
     rows, v0, iT0 = np.arange(sys.n_x), lay.sl_v.start, lay.sl_iT.start
     heads, tails, lines = (2 * e[:, None] + np.arange(2) for e in (
         net.heads, net.tails, np.arange(sys.n_t)))
     inv_l, neg_inv_c = 1.0 / net.l_T[:, None], sys._neg_inv_c2
+    on = np.flatnonzero(sys.load_bank.y_linear)  # the impedance-loaded buses
+    y, loaded = neg_inv_c[2 * on] * sys.load_bank.y_linear[on], v0 + 2 * on
     entries = (  # (rows, columns, values), broadcast to the rows' shape
         (rows[lay.sl_theta], rows[lay.sl_omega], 1.0),
         (rows[lay.sl_omega], rows[lay.sl_omega], -(p.d / p.m)),
         (rows[lay.sl_i], rows[lay.sl_i], 0.0),
         (rows[lay.sl_vg], lay.pair_rows[:2 * sys.n_g], neg_inv_c[:2 * sys.n_g]),
+        (loaded[:, None] + (0, 0, 1, 1), loaded[:, None] + (0, 1, 0, 1),
+         np.stack((y.real, -y.imag, y.imag, y.real), axis=-1)),  # -y / c
         (v0 + heads, iT0 + lines, neg_inv_c[heads]),
         (v0 + tails, iT0 + lines, -neg_inv_c[tails]),
         (iT0 + lines, v0 + heads, inv_l),
@@ -311,14 +320,15 @@ def assemble(machines, machine_buses, network, loads=None, bus_ids=None):
 
 def vector_field(sys, x, u):
     """Time derivative of the full power system state, for states of shape
-    (..., n_x)."""
+    (..., n_x): the impedance loads are rows of ``sys.field_rows``."""
     _, b_omega, b_i, b_v, _ = sys.layout._blocks
     cols, values, starts = sys.field_rows
     dx = np.add.reduceat(x.take(cols, axis=-1) * values, starts, axis=-1)
     i, di, torque = _machines(sys, x, x[b_omega], u)
     dx[b_omega] += (u[:sys.n_g] - torque) * sys._inv_m
     dx[b_i].reshape(i.shape)[...] = di
-    dx[b_v] += sys.load_currents(x[b_v]) * sys._neg_inv_c2
+    if sys.load_bank.custom or not sys.load_bank.constant:
+        dx[b_v] += sys._field_loads.load_currents(x[b_v]) * sys._neg_inv_c2
     return dx
 
 

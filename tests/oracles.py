@@ -488,15 +488,20 @@ def system_field(sys, x, u):
 def dense_field_rows(sys):
     """The vector field's linear part as a dense n_x x n_x matrix on the
     dense incidence E2 (pairs): angles read their speeds, speeds -d/m, bus
-    pairs -1/c times the machine injections and E2 i_T, line pairs
+    pairs -1/c times the machine injections, the impedance loads'
+    ``real_blocks(diag(y_linear))`` v (y_linear: each shipped k = 0
+    load's g + j b, read from ``sys.loads``) and E2 i_T, line pairs
     (E2^T v - r i_T) / l; the winding rows are zero."""
     lay, net, p = sys.layout, sys.network, sys.params
     E2 = real_blocks(dense_incidence(net))
     c2, l2, r2 = (np.repeat(a, 2) for a in (net.c, net.l_T, net.r_T))
+    y_linear = [complex(*ld.coeffs) if type(ld) is Load and ld.exponent == 0
+                else 0.0 for ld in sys.loads]
     A = np.zeros((sys.n_x, sys.n_x))
     A[lay.sl_theta, lay.sl_omega] = np.eye(sys.n_g)
     A[lay.sl_omega, lay.sl_omega] = np.diag(-(p.d / p.m))
     A[lay.sl_v, lay.sl_i] = -bus_indicator(sys.n_g, sys.n_v) / c2[:, None]
+    A[lay.sl_v, lay.sl_v] = (-1.0 / c2)[:, None] * real_blocks(np.diag(y_linear))
     A[lay.sl_v, lay.sl_iT] = -E2 / c2[:, None]
     A[lay.sl_iT, lay.sl_v] = E2.T / l2[:, None]
     A[lay.sl_iT, lay.sl_iT] = np.diag(-(r2 / l2))

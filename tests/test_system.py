@@ -266,19 +266,32 @@ def test_vector_field_matches_monolithic_path(three_bus):
         np.testing.assert_allclose(fast, slow, atol=1e-12 * scale)
 
 
+FIELD_CASES = ["fixture", "ring24-mixed", "ring24-custom", "ring160"]
+
+
 def field_case(three_bus, case):
+    """The fixture, seeded ring meshes, and a with_loads copy of the mixed
+    mesh whose current loads are custom loads and whose first machine bus
+    draws a current load: impedance, k > 0 and custom loads side by side."""
     if case == "fixture":
         return three_bus[0]
+    if case == "ring160":
+        return ring_mesh(160, ("impedance",), seed=4)[0]
+    sys_ = ring_mesh(24, ("impedance", "current", "power"), seed=3)[0]
     if case == "ring24-mixed":
-        return ring_mesh(24, ("impedance", "current", "power"), seed=3)[0]
-    return ring_mesh(160, ("impedance",), seed=4)[0]
+        return sys_
+    loads = [OracleLoad(ld) if ld.kind == "current" else ld
+             for ld in sys_.loads]
+    loads[0] = Load.constant_current(0.05, 0.02)
+    return sys_.with_loads(loads)
 
 
-@pytest.mark.parametrize("case", ["fixture", "ring24-mixed", "ring160"])
+@pytest.mark.parametrize("case", FIELD_CASES)
 def test_fused_field_rows_are_the_dense_linear_part(three_bus, case):
     # Every row has an entry (reduceat would return x[start] for an empty
     # one), and scattered back to a dense matrix the rows are, entry for
-    # entry, the linear part written on the dense incidence.
+    # entry, the linear part written on the dense incidence, the impedance
+    # loads' blocks included.
     sys_ = field_case(three_bus, case)
     cols, values, starts = sys_.field_rows
     assert starts[0] == 0 and np.all(np.diff(starts) > 0)
@@ -288,9 +301,11 @@ def test_fused_field_rows_are_the_dense_linear_part(three_bus, case):
     np.testing.assert_array_equal(dense, dense_field_rows(sys_))
 
 
-@pytest.mark.parametrize("case", ["fixture", "ring24-mixed", "ring160"])
+@pytest.mark.parametrize("case", FIELD_CASES)
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_vector_field_matches_dense_network_rows(three_bus, case, shape):
+    # The oracle evaluates every load through load_currents; the field only
+    # the k > 0 and custom ones, its rows holding the impedance loads.
     sys_ = field_case(three_bus, case)
     rng = np.random.default_rng(45)
     points = [random_point(sys_, rng) for _ in range(int(np.prod(shape)))]
@@ -303,15 +318,22 @@ def test_vector_field_matches_dense_network_rows(three_bus, case, shape):
 
 def test_vector_field_runs_without_the_dense_incidence():
     # The field reads its network rows from its fused rows, not from the
-    # incidence the residual keeps; a load-swapped copy made once the rows
-    # exist shares them.
+    # incidence the residual keeps. The rows hold the impedance loads, so
+    # a load-swapped copy made once the rows exist builds its own: without
+    # loads those of a system assembled without loads, with the same loads
+    # the original's.
     sys_, _ = ring_mesh(24, ("impedance", "current", "power"), seed=3)
     clone = sys_.with_loads(sys_.loads)
     del clone._line_ends
     x, u = random_point(sys_, np.random.default_rng(46))
     np.testing.assert_array_equal(vector_field(clone, x, u),
                                   vector_field(sys_, x, u))
-    assert sys_.with_loads(sys_.loads).field_rows is sys_.field_rows
+    unloaded = assemble(list(sys_.machines), list(range(sys_.n_g)),
+                        sys_.network)
+    for copy, want in ((sys_.with_loads([Load.none()] * sys_.n_v), unloaded),
+                       (sys_.with_loads(sys_.loads), sys_)):
+        for got, rows in zip(copy.field_rows, want.field_rows):
+            np.testing.assert_array_equal(got, rows)
 
 
 def test_vector_field_matches_per_machine_module(three_bus):
