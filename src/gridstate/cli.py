@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys as _sys
+import time
 
 from .errors import (GridStateError, SchemaError, SolverError, UsageError,
                      ValidationError)
@@ -160,7 +161,11 @@ def cmd_simulate(args):
     if args.perturb_v:
         x0[system.layout.sl_v] *= 1.0 + args.perturb_v
 
+    start = time.perf_counter()
     traj = simulate(system, x0, u, cfg)
+    wall, steps = time.perf_counter() - start, round(cfg.t_end / cfg.dt)
+    log.info("simulate: %d steps, %d RHS evaluations in %.3g s: "
+             "sim_steps_per_s %.1f", steps, 4 * steps, wall, steps / wall)
     with _open_out(args.out) as fh:
         write_trajectory_csv(fh, system, traj)
     metrics = drift_metrics(system, traj, x0, omega0)
@@ -174,7 +179,9 @@ def cmd_verify(args):
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     system, spec = load_system_file(args.file)
+    start = time.perf_counter()
     traj = read_trajectory_csv(args.traj, system)
+    wall = time.perf_counter() - start
     ss = compute_steady_state(system, spec)
     traj.inputs = ss.u
     report = verify_steady_state(system, ss)
@@ -184,7 +191,11 @@ def cmd_verify(args):
                   file=_sys.stderr)
         return EXIT_CERTIFICATION
 
+    start = time.perf_counter()
     m = drift_metrics(system, traj, traj.states[0], ss.omega0)
+    wall += time.perf_counter() - start
+    log.info("verify: %d samples in %.3g s: traj_verify_samples_per_s %.1f",
+             len(traj.times), wall, len(traj.times) / wall)
     fdev = m.frequency_deviation / max(1.0, abs(ss.omega0))
     if all(dev <= args.tol for dev in (m.residual, m.state_deviation,
                                        m.voltage_magnitude_deviation, fdev)):

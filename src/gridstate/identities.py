@@ -123,13 +123,14 @@ def run_identity_suite(sys, n_samples=120, seed=0):
 
     # Structural rows, exact since J only negates and swaps entries: J,
     # turning only the stator pair, annihilates the residual's v_f column
-    # (stack column 7). The bus selector row is read at the sampled states,
+    # (``system._V_F``). The bus selector row is read at the sampled states,
     # and so are the field's fused rows on the pairs and the residual's bus
     # and line rows, all the unloaded system's (``bare``; the residual's on
     # the bus and line pairs alone): turning a state turns them, every pair
     # coupling being a multiple of the identity. With impedance-load blocks
     # the turned rows would sum in another order and read rounding.
-    excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[:, :5, 7:8]).max())
+    excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[
+        :, system._WINDINGS, system._V_F, None]).max())
     bare = sys.with_loads([Load.none()] * sys.n_v)
 
     # Defining equation of the residual: mass matrix times the gap between

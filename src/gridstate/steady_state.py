@@ -286,10 +286,10 @@ def solve_network(sys, spec):
     h[0], h[1:] = 1.0, float(spec.gen_voltage_mag.sum()) / n_g  # the mean
     p = h[1:].view(float)
     p_n = p.reshape(-1, 2)
-    # Y in blocks G, N, L ([:n_g], [n_g:n_k], [n_k:]), kept only permuted;
+    # Y in blocks G, N, L ([:n_g], [n_g:n_k], [n_k:]), built in solve order;
     # the machine columns at the pinned voltages add up to one column of
     # known currents, in the last one: A h gives the rows of Y (v_G, v_N, 0).
-    P = admittance(net, bank.y_linear, omega0)[order[:, None], order]
+    P = admittance(sys.solve_order_network, bank.y_linear[order], omega0)
     P[:, n_g - 1] = P[:, :n_g] @ vc[:n_g]
     A = P[:, n_g - 1:n_k]
     try:

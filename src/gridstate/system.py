@@ -5,14 +5,12 @@ speeds, machine winding currents (5 per machine), bus voltage pairs, line
 current pairs. Buses are ordered so machine k sits at bus k; the assembler
 permutes user input into this order and remembers the permutation.
 
-The machines are evaluated in their rotor frames. With L(theta) =
-T(theta) L0 T(theta)^T (:mod:`gridstate.machine`), each call turns stator
-current and terminal voltage by e^{-j theta} into the stack [applied
-voltage, i_r, omega i_r], and one constant operator per machine does the
-rest in one product: winding rows L0^-1 [I, -R, -K0] (K0 = J L0 - L0 J) for
-the vector field, [-I, R, K0, L0 J] on the stack plus omega0 i_r for the
-residual, and the stator rows of L0, which give the torque. One batched
-Cholesky of L0 validates all machines at assembly, exact for all angles.
+The machines run in their rotor frames. With L(theta) = T(theta) L0
+T(theta)^T (:mod:`gridstate.machine`), each call gathers one stack per
+machine (``_I_R``) in one take, turns its pairs by e^{-j theta}, and one
+constant operator per machine does the rest in one product: winding rows
+L0^-1 [I, -R, -K0] (K0 = J L0 - L0 J) for the field, [-I, R + omega0 L0 J,
+K0] for the residual, and L0's stator rows, which give the torque.
 
 The steady field, omega0 G with G = :meth:`StateLayout.rotate`, turns
 every planar pair at omega0 and advances the rotor angles; loads that commute
@@ -32,6 +30,14 @@ from .loads import Load, LoadBank
 from .machine import stack_params, stator_frame_inductance, validate_params
 
 
+# The machine stack, 14 columns: v_r, i_s, omega i_s (the pairs [0] to [2],
+# turned by e^{-j theta}), omega (i_f, i_d, i_q), (i_f, i_d, i_q), v_f, and a
+# pad read by a zero column. Operator rows: 5 winding rows, a zero row, L0's
+# stator rows as the pair [3] = -(L0 i_r)_a + j (L0 i_r)_b: torque Im([1] [3]).
+_I_R, _OMEGA_I_R, _V_F = np.array([2, 3, 9, 10, 11]), slice(4, 9), 12
+_WINDINGS, _TORQUE = slice(0, 5), slice(6, 8)
+
+
 class StateLayout:
     """Index bookkeeping for the flat state vector."""
 
@@ -48,8 +54,13 @@ class StateLayout:
         self.sl_vg = slice(self.sl_v.start, self.sl_v.start + 2 * n_g)
         # The planar pairs: stator currents, bus voltages, line currents.
         rows = np.arange(self.n_x)
-        stator = rows[self.sl_i].reshape(n_g, 5)[:, :2].ravel()
-        self.pair_rows = np.concatenate((stator, rows[self.sl_v.start:]))
+        i = rows[self.sl_i].reshape(n_g, 5)
+        self.pair_rows = np.append(i[:, :2], rows[self.sl_v.start:])
+        # The machines' stacks (``_I_R``); the v_f column and pad read i_s.
+        self.machine_stack = stack = np.empty((n_g, 14), dtype=np.intp)
+        stack[:, :2] = rows[self.sl_vg].reshape(n_g, 2)
+        stack[:, _I_R] = stack[:, _OMEGA_I_R] = i
+        stack[:, _V_F:] = i[:, :2]
         # Block indices and starts on the last axis, built once for hot paths.
         self._blocks = tuple((Ellipsis, sl) for sl in (
             self.sl_theta, self.sl_omega, self.sl_i, self.sl_v, self.sl_iT))
@@ -118,11 +129,10 @@ class PowerSystem:
         self._c2 = np.repeat(network.c, 2)
         self._r_T2 = np.repeat(network.r_T, 2)
         self._l_T2 = np.repeat(network.l_T, 2)
-        self.params = params
+        self.params, self._L0 = params, L0
         # Reciprocals for the vector field's speed and load terms.
         self._inv_m, self._neg_inv_c2 = 1.0 / params.m, -1.0 / self._c2
-        self._L0 = L0
-        self._field_op, self._residual_op = _rotor_operators(
+        self._field_op, self._residual_op, self._turn = _rotor_operators(
             self._L0, self.params.resistance_diag())
         self.loads = tuple(loads)
         self.load_bank = LoadBank(self.loads, self.bus_ids, self.n_g)
@@ -131,11 +141,11 @@ class PowerSystem:
         """Copy of this system with the per-bus loads replaced (solve order).
 
         Accepts any objects with a ``current(v)`` method taking voltage
-        columns of shape (2, ...); used to probe how non-conforming load
-        models break the steady state. Subclasses of :class:`Load` count as
-        custom loads too and must define ``current`` themselves. The
-        network solve refuses custom loads. The copy shares the network and
-        builds its own field rows, which hold the impedance loads.
+        columns of shape (2, ...), to probe how non-conforming load models
+        break the steady state; subclasses of :class:`Load` count as custom
+        loads too and must define ``current``. The network solve refuses
+        custom loads. The copy shares the network; its field rows and
+        :attr:`solve_order_network`, which depend on the loads, are its own.
         """
         return PowerSystem(self.machines, self.params, self._L0, self.network,
                            loads, self.bus_ids, self.input_position)
@@ -144,6 +154,11 @@ class PowerSystem:
     def field_rows(self):
         """:func:`_field_rows` on first use, the impedance loads included."""
         return _field_rows(self)
+
+    @cached_property
+    def solve_order_network(self):
+        """The network relabelled in ``load_bank.solve_order``, on first use."""
+        return self.network.relabel(self.load_bank.solve_order)
 
     @cached_property
     def _field_loads(self):
@@ -174,57 +189,42 @@ class PowerSystem:
         return i_l
 
 
-# Stack columns: v_r (2), i_r (5), v_f, omega i_r (5), then omega0 i_r (5)
-# or, for the field, a zero; read as complex pairs, [0] is v_r and [1] the
-# stator part of i_r. Operator rows: five winding rows, a zero row, and L0's
-# stator rows as the pair [3] = -(L0 i_r)_alpha + j (L0 i_r)_beta, so the
-# torque (L0 i_r) . (J i_r) is Im([1] [3]).
-_I_R, _OMEGA_I_R, _OMEGA0_I_R = slice(2, 7), slice(8, 13), slice(13, 18)
-
-
 def _rotor_operators(L0, r):
-    """Field (n_g, 8, 14) and residual (n_g, 8, 18) operators from L0 and the
-    resistances ``r``; the field's winding rows are -L0^-1 times the residual's."""
+    """Field, residual and turn (L0 J on i_r) operators, (n_g, 8, 14): at
+    omega0 the residual's is res + omega0 turn; field windings -L0^-1 res."""
     L0J = L0 @ MACHINE_ROT90
-    res = np.zeros((len(L0), 8, 18))
-    res[:, 0, 0] = res[:, 1, 1] = res[:, 2, 7] = -1.0
-    res.reshape(len(L0), -1)[:, 2:79:19] = r  # entries (k, 2 + k), k < 5
-    res[:, :5, _OMEGA_I_R] = MACHINE_ROT90 @ L0 - L0J
-    res[:, :5, _OMEGA0_I_R] = L0J
-    res[:, 6, _I_R], res[:, 7, _I_R] = -L0[:, 0], L0[:, 1]
-    field = res[..., :14].copy()
-    field[:, :5] = -np.linalg.inv(L0) @ field[:, :5]
-    return field, res
+    res, turn = np.zeros((2, len(L0), 8, 14))
+    res[:, 0, 0] = res[:, 1, 1] = res[:, 2, _V_F] = -1.0
+    res[:, np.arange(5), _I_R] = r  # R, diagonal on i_r
+    res[:, _WINDINGS, _OMEGA_I_R] = MACHINE_ROT90 @ L0 - L0J
+    res[:, _TORQUE, _I_R] = L0[:, :2] * [[-1.0], [1.0]]
+    turn[:, _WINDINGS, _I_R] = L0J
+    field = res.copy()
+    field[:, _WINDINGS] = -np.linalg.inv(L0) @ field[:, _WINDINGS]
+    return field, res, turn
 
 
 def _machines(sys, x, omega, u, omega0=None):
     """Machine currents (..., n_g, 5) of states ``x`` (..., n_x), the field's
     (with ``omega0``, the residual's) winding rows in the stator frame, and
     the torque. A stack runs one product per machine over all its states."""
-    lay, n_g = sys.layout, sys.n_g
-    op = sys._field_op if omega0 is None else sys._residual_op
-    batch = omega.shape[:-1]
-    i = x[..., lay.sl_i].reshape(batch + (n_g, 5))
-    s = np.zeros(batch + (n_g, op.shape[-1]))
-    s[..., :2] = x[..., lay.sl_vg].reshape(batch + (n_g, 2))
-    s[..., _I_R] = i
-    s[..., 7] = u[n_g:]
-    stator = s.view(complex)[..., :2]
+    lay, n_g, batch = sys.layout, sys.n_g, omega.shape[:-1]
+    op = sys._field_op if omega0 is None else sys._residual_op + omega0 * sys._turn
+    s = x.take(lay.machine_stack, axis=-1)
+    s[..., _V_F] = u[n_g:]
+    pairs = s.view(complex)[..., :3]
     to_rotor = np.exp(-1j * x[..., lay.sl_theta])
-    stator *= to_rotor[..., None]
-    np.multiply(omega[..., None], s[..., _I_R], out=s[..., _OMEGA_I_R])
-    if omega0 is not None:
-        np.multiply(omega0, s[..., _I_R], out=s[..., _OMEGA0_I_R])
+    pairs *= to_rotor[..., None]
+    s[..., _OMEGA_I_R] *= omega[..., None]
     if batch:
         w = op @ s.reshape((-1,) + s.shape[-2:]).transpose(1, 2, 0)
         w = np.ascontiguousarray(w.transpose(2, 0, 1)).reshape(batch + (n_g, 8))
     else:
         w = (op @ s[..., None]).reshape(n_g, 8)
     wc = w.view(complex)
-    torque = (stator[..., 1] * wc[..., 3]).imag
-    turned = wc[..., 0]
-    turned /= to_rotor
-    return i, w[..., :5], torque
+    torque = (pairs[..., 1] * wc[..., 3]).imag
+    np.divide(wc[..., 0], to_rotor, out=wc[..., 0])
+    return x[..., lay.sl_i].reshape(batch + (n_g, 5)), w[..., _WINDINGS], torque
 
 
 def _field_rows(sys):
@@ -395,10 +395,8 @@ def tolerance_scale(x, u):
 def total_energy(sys, x):
     """Stored energy: winding and line magnetic energy, rotor kinetic energy,
     bus capacitor energy."""
-    lay = sys.layout
-    theta, omega, i_flat, v, i_T = lay.split(x)
-    i = i_flat.reshape(sys.n_g, 5)
-    L = sys.inductance_stack(theta)
+    theta, omega, i, v, i_T = sys.layout.split(x)
+    i, L = i.reshape(sys.n_g, 5), sys.inductance_stack(theta)
     e_mag = 0.5 * float(np.einsum("ka,kab,kb->", i, L, i))
     e_kin = 0.5 * float(np.sum(sys.params.m * omega**2))
     e_cap = 0.5 * float(np.sum(sys._c2 * v**2))

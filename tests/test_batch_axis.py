@@ -86,6 +86,53 @@ def test_a_401_state_stack_of_the_mixed_load_mesh(mesh):
                       lambda x: residual(sys_, x, ss.u, ss.omega0), X)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["damper", "stator", "machine bus",
+                                   "load bus"])
+def test_a_non_finite_entry_reaches_only_the_rows_that_read_it(
+        three_bus, certified, entry, bad):
+    # A machine's entry reaches all its speed and winding rows, as its
+    # operator product reads its whole stack, and no other machine's: the
+    # stack's pad reads the machine's own stator pair. A stator current
+    # reaches that component of its bus too. A voltage entry
+    # reaches that component of each line at its bus, and its bus's pair
+    # through the bus's load or, in the residual, the complex load current.
+    # The same for one state and in the middle of a stack of 3.
+    sys_ = three_bus[0]
+    lay, net = sys_.layout, sys_.network
+    rows, v0 = np.arange(sys_.n_x), lay.sl_v.start
+
+    def machine(k):
+        return {rows[lay.sl_omega][k], *rows[lay.sl_i][5 * k:5 * k + 5]}
+
+    def lines_at(bus, a):
+        at = np.flatnonzero((net.heads == bus) | (net.tails == bus))
+        return set((lay.sl_iT.start + 2 * at + a).tolist())
+
+    load_bus = sys_.n_v - 1  # the fixture's impedance load
+    load_pair = {v0 + 2 * load_bus, v0 + 2 * load_bus + 1}
+    at, want_field, want_residual = {
+        "damper": (lay.sl_i.start + 5 + 4, machine(1), machine(1)),  # i_q
+        "stator": (lay.sl_i.start + 5 + 1, machine(1) | {v0 + 3},  # i_beta
+                   machine(1) | {v0 + 3}),
+        "machine bus": (v0, machine(0) | lines_at(0, 0),
+                        machine(0) | lines_at(0, 0) | {v0, v0 + 1}),
+        "load bus": (v0 + 2 * load_bus + 1, load_pair | lines_at(load_bus, 1),
+                     load_pair | lines_at(load_bus, 1)),
+    }[entry]
+    x = certified.x.copy()
+    x[at] = bad
+    stack = np.stack((certified.x, x, certified.x))
+    u, omega0 = certified.u, certified.omega0
+    with np.errstate(invalid="ignore"):
+        for f, want in ((lambda y: vector_field(sys_, y, u), want_field),
+                        (lambda y: residual(sys_, y, u, omega0), want_residual)):
+            assert set(np.flatnonzero(~np.isfinite(f(x))).tolist()) == want
+            got = f(stack)
+            assert set(np.flatnonzero(~np.isfinite(got[1])).tolist()) == want
+            assert np.isfinite(got[::2]).all()
+
+
 def test_block_norms_of_a_stack_take_the_max_over_it(three_bus, certified):
     sys_, _ = three_bus
     ss = certified

@@ -465,6 +465,35 @@ def test_simulate_from_a_certified_start(tmp_path, fixture_file, perturb,
     assert traj.read_text() == out.getvalue()
 
 
+@pytest.mark.parametrize("level", [logging.INFO, None],
+                         ids=["info", "default"])
+def test_simulate_and_verify_log_their_rates_at_info(tmp_path, fixture_file,
+                                                     caplog, level):
+    # One INFO line each: simulate its steps, RHS evaluations (4 a step),
+    # wall time and rate; verify its samples, wall time and rate. At the
+    # default WARNING level neither shows.
+    result, traj = tmp_path / "result.json", tmp_path / "traj.csv"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    with caplog.at_level(level or logging.WARNING, logger="gridstate"):
+        assert main(["simulate", fixture_file, "--from", str(result),
+                     "--dt", "1e-5", "--t-end", "0.0005", "--record-every",
+                     "10", "-o", str(traj)]) == 0
+        assert main(["verify", fixture_file, "--traj", str(traj)]) == 0
+    rates = [r for r in caplog.records if "_per_s" in r.getMessage()]
+    if level is None:
+        assert rates == []
+        return
+    assert [r.levelno for r in rates] == [logging.INFO] * 2
+    for record, head, name in (
+            (rates[0], "simulate: 50 steps, 200 RHS evaluations in ",
+             "sim_steps_per_s"),
+            (rates[1], "verify: 6 samples in ",
+             "traj_verify_samples_per_s")):
+        wall, rate = record.getMessage().removeprefix(head).split(
+            f" s: {name} ")
+        assert float(wall) > 0.0 and float(rate) > 0.0
+
+
 def refuse_to_run(monkeypatch):
     """Make the CLI fail loudly if it reaches a certificate or a run."""
     def called(*args, **kwargs):

@@ -60,13 +60,13 @@ def test_machine_rows_fail_when_inductance_stops_factoring(three_bus,
 
 
 def _negate_k0(field, res):
-    field[:, :5, system._OMEGA_I_R] *= -1.0
-    res[:, :5, system._OMEGA_I_R] *= -1.0
+    field[:, system._WINDINGS, system._OMEGA_I_R] *= -1.0
+    res[:, system._WINDINGS, system._OMEGA_I_R] *= -1.0
 
 
 def _negate_torque(field, res):
-    field[:, 6:] *= -1.0
-    res[:, 6:] *= -1.0
+    field[:, system._TORQUE] *= -1.0
+    res[:, system._TORQUE] *= -1.0
 
 
 @pytest.mark.parametrize("mutate", [_negate_k0, _negate_torque],
@@ -80,9 +80,9 @@ def test_power_row_catches_sign_flips_in_rotor_operators(fixture_path,
     build = system._rotor_operators
 
     def flipped(L0, r):
-        field, res = build(L0, r)
+        field, res, turn = build(L0, r)
         mutate(field, res)
-        return field, res
+        return field, res, turn
 
     monkeypatch.setattr(system, "_rotor_operators", flipped)
     sys_, _ = load_system_file(fixture_path)
@@ -152,10 +152,12 @@ def _excite_stator_row(monkeypatch):
     build = system._rotor_operators
 
     def moved(L0, r):
-        field, res = build(L0, r)
-        res[:, [0, 2], 7] = res[:, [2, 0], 7]
-        field[:, :5, 7] = (-np.linalg.inv(L0) @ res[:, :5, 7:8])[..., 0]
-        return field, res
+        field, res, turn = build(L0, r)
+        v_f, windings = system._V_F, system._WINDINGS
+        res[:, [0, 2], v_f] = res[:, [2, 0], v_f]
+        field[:, windings, v_f] = (-np.linalg.inv(L0)
+                                   @ res[:, windings, v_f, None])[..., 0]
+        return field, res, turn
 
     monkeypatch.setattr(system, "_rotor_operators", moved)
 

@@ -364,13 +364,13 @@ def test_the_reduced_solve_follows_the_full_newton_on_the_640_bus_mesh(
                                  want)
 
 
-def test_a_solve_holds_one_dense_matrix_past_the_permutation(fixture_path):
-    # The constant admittance exists only inside the expression that
-    # permutes it, and no full balance is taken at the solution, so past
-    # that expression a solve holds one dense n_v x n_v complex matrix plus
-    # what the elimination's solve copies: 2.03 such matrices here. The
-    # bound sits below the 2.45 that keeping the unpermuted one as well
-    # reads; the traced peak is deterministic.
+def test_a_solve_holds_one_dense_admittance_in_solve_order(fixture_path):
+    # The constant admittance is built in solve order, from the network
+    # relabelled once per system, so no permuted copy of it is made, and
+    # no full balance is taken at the solution: a solve holds one dense
+    # n_v x n_v complex matrix plus what the elimination's solve copies,
+    # 1.50 such matrices here. The bound sits below the 2.03 that
+    # permuting a dense admittance reads; the traced peak is deterministic.
     sys_, spec = mesh_640(fixture_path)
     tracemalloc.start()
     try:
@@ -378,7 +378,7 @@ def test_a_solve_holds_one_dense_matrix_past_the_permutation(fixture_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * sys_.n_v**2 * 16
+    assert peak <= 1.6 * sys_.n_v**2 * 16
 
 
 @pytest.mark.parametrize("omega0", [0.0, 314.0])
@@ -405,7 +405,8 @@ def test_admittance_runs_once_per_solve(monkeypatch, kinds):
     sys_, spec = ring_mesh(32, kinds, seed=5, level=2.0)
     sol = solve_network(sys_, spec)
     assert len(calls) == 1
-    assert calls[0] is sys_.load_bank.y_linear
+    bank = sys_.load_bank
+    assert np.array_equal(calls[0], bank.y_linear[bank.solve_order])
     assert sol.iterations == len(sol.residual_history)
     assert (sol.iterations == 1) == (kinds == ("impedance",))
 
@@ -480,10 +481,11 @@ def test_the_jacobian_block_view_aliases_its_diagonal_blocks():
 
 def test_a_solve_keeps_its_workspace_to_itself():
     # The Newton workspace lives for one solve. The first solve leaves only
-    # the line admittance's scatter positions, O(n_t) integers that depend
-    # on the edge list alone, on the network, and nothing on the system: no
-    # admittance, Jacobian or index of it. A repeated certify of the same
-    # case adds nothing and does all of its other work.
+    # the network relabelled in solve order on the system, O(n_v + n_t)
+    # entries, and on it the line admittance's scatter positions, O(n_t)
+    # integers that depend on its edge list alone: no admittance, Jacobian
+    # or index of it. A repeated certify of the same case adds nothing and
+    # does all of its other work.
     sys_, spec = ring_mesh(16, LOAD_KINDS, seed=4, level=2.0)
     owners = (sys_, sys_.network, sys_.layout, sys_.load_bank)
     before = [dict(vars(owner)) for owner in owners]
@@ -491,9 +493,12 @@ def test_a_solve_keeps_its_workspace_to_itself():
     after = [dict(vars(owner)) for owner in owners]
     added = [{name: value for name, value in new.items() if name not in old}
              for old, new in zip(before, after)]
-    assert [sorted(names) for names in added] == [[], ["scatter"], [], []]
-    assert added[1]["scatter"].shape == (8 * sys_.n_t,)
-    assert added[1]["scatter"].dtype.kind == "i"
+    assert [sorted(names) for names in added] == \
+        [["solve_order_network"], [], [], []]
+    ordered = added[0]["solve_order_network"]
+    assert vars(ordered).keys() == vars(sys_.network).keys() | {"scatter"}
+    assert ordered.scatter.shape == (8 * sys_.n_t,)
+    assert ordered.scatter.dtype.kind == "i"
     assert [{name: new[name] for name in old}
             for old, new in zip(before, after)] == before
     verify_steady_state(sys_, compute_steady_state(sys_, spec))
@@ -644,16 +649,19 @@ def test_a_load_leaving_its_domain_reports_how_the_solve_ended(
 
 def test_a_with_loads_clone_solves_like_its_source():
     # Clones made before and after the first solve alike share the network
-    # and its scatter positions, and nothing else of a solve outlives it, so
-    # they hold the same entries and solve bit for bit like their source.
+    # and build their own solve-order network, whose order their loads set,
+    # and nothing else of a solve outlives it, so they hold the same entries
+    # and solve bit for bit like their source.
     sys_, spec = ring_mesh(16, LOAD_KINDS, seed=6, level=2.0)
     early = sys_.with_loads(sys_.loads)
     first = solve_network(sys_, spec)
     late = sys_.with_loads(sys_.loads)
-    assert vars(early).keys() == vars(late).keys() == vars(sys_).keys()
+    assert vars(early).keys() == vars(late).keys() < vars(sys_).keys()
     for clone in (early, late):
-        assert clone.network.scatter is sys_.network.scatter
+        assert clone.network is sys_.network
         assert_same_solution(solve_network(clone, spec), first)
+        assert vars(clone).keys() == vars(sys_).keys()
+        assert clone.solve_order_network is not sys_.solve_order_network
 
 
 def test_a_machine_only_network_certifies_in_one_iteration(fixture_path):

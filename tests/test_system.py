@@ -142,7 +142,7 @@ def test_assemble_matches_revalidating_reference(three_bus, case):
     args = assembly_inputs(sys_)
     new, ref = assemble(*args), reference_assemble(*args)
     for name in ("_line_ends", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
-                 "_residual_op", "_inv_m"):
+                 "_residual_op", "_turn", "_inv_m"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
     for name in ("heads", "tails", "c"):
         assert getattr(new.network, name).tobytes() == \
