@@ -151,6 +151,9 @@ def cmd_simulate(args):
         raise UsageError(str(err)) from err
     if not math.isfinite(args.perturb_v):
         raise UsageError(f"--perturb-v must be finite, got {args.perturb_v!r}")
+    if cfg.n_records * system.n_x * 8 > _sys.maxsize:  # numpy's largest array
+        raise UsageError(f"{cfg.n_records:.3g} recorded states of "
+                         f"{system.n_x} entries cannot be held")
     _check_out(args.out)
     report = verify_steady_state(system, FullSteadyState(x0, u, omega0))
     log.info("start point margins: %s", report.margins)
@@ -163,7 +166,7 @@ def cmd_simulate(args):
 
     start = time.perf_counter()
     traj = simulate(system, x0, u, cfg)
-    wall, steps = time.perf_counter() - start, round(cfg.t_end / cfg.dt)
+    wall, steps = time.perf_counter() - start, cfg.n_steps
     log.info("simulate: %d steps, %d RHS evaluations in %.3g s: "
              "sim_steps_per_s %.1f", steps, 4 * steps, wall, steps / wall)
     with _open_out(args.out) as fh:

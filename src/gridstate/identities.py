@@ -84,21 +84,15 @@ def _power_flows(sys, x, u):
     i = i_flat.reshape(sys.n_g, 5)
     supplied = omega @ tau_m + v_f @ i[:, 2]
     lost = (np.sum(sys.params.resistance_diag() * i**2)
-            + sys.params.d @ omega**2 + sys._r_T2 @ i_T**2
+            + sys.params.d @ omega**2 + np.repeat(sys.network.r_T, 2) @ i_T**2
             + v @ sys.load_currents(v))
     return float(supplied), float(lost)
 
 
-def _bus_selector_defect(bare, x, turned):
-    """Max-norm gap between the bus currents of ``bare`` (no loads, zero
-    line currents: only the machines inject) at the stator pairs and
-    voltages of state x turned by J, ``turned``, and those currents turned
-    by J."""
-    lay = bare.layout
-    zero = np.zeros(2 * bare.n_t)
-    at = [system._bus_currents(bare, y[lay.sl_i].reshape(bare.n_g, 5),
-                               y[lay.sl_v], zero) for y in (x, turned)]
-    return float(abs(at[1] - rotate_pairs(at[0])).max())
+def _turn_defect(rows):
+    """Max-norm gap between ``rows[1]``, read at a state turned by J, and
+    ``rows[0]``, read at the state, turned by J."""
+    return float(abs(rows[1] - rotate_pairs(rows[0])).max())
 
 
 def _random_state(sys, rng):
@@ -123,12 +117,11 @@ def run_identity_suite(sys, n_samples=120, seed=0):
 
     # Structural rows, exact since J only negates and swaps entries: J,
     # turning only the stator pair, annihilates the residual's v_f column
-    # (``system._V_F``). The bus selector row is read at the sampled states,
-    # and so are the field's fused rows on the pairs and the residual's bus
-    # and line rows, all the unloaded system's (``bare``; the residual's on
-    # the bus and line pairs alone): turning a state turns them, every pair
-    # coupling being a multiple of the identity. With impedance-load blocks
-    # the turned rows would sum in another order and read rounding.
+    # (``system._V_F``). The unloaded system's (``bare``) linear rows, which
+    # the field and the residual share, are read at the sampled states: the
+    # bus rows on the stator pairs alone (the bus selector), and every pair
+    # row. Turning a state turns them, every pair coupling being a multiple
+    # of the identity; impedance-load blocks would sum in another order.
     excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[
         :, system._WINDINGS, system._V_F, None]).max())
     bare = sys.with_loads([Load.none()] * sys.n_v)
@@ -143,24 +136,20 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     worst_res = worst_flow = worst_power = selector = incidence = 0.0
     h, lay = FD_STEP, sys.layout
     cols, values, starts = bare.field_rows
-    mass = np.concatenate((np.ones(sys.n_g), sys.params.m,
-                           np.ones(5 * sys.n_g), sys._c2, sys._l_T2))
-    network = np.arange(sys.n_x) >= lay.sl_v.start
+    stator = np.zeros(sys.n_x)
+    stator[lay.pair_rows[:2 * sys.n_g]] = 1.0
     for _ in range(max(10, n_samples // 10)):
         x, u, omega0 = _random_state(sys, rng)
-        turned = lay.rotate(x)
-        selector = max(selector, _bus_selector_defect(bare, x, turned))
-        pairs = [np.concatenate((
-            np.add.reduceat(y[cols] * values, starts)[lay.pair_rows],
-            residual(bare, y * network, u, omega0)[network]))
-            for y in (x, turned)]
-        incidence = max(incidence,
-                        float(abs(pairs[1] - rotate_pairs(pairs[0])).max()))
+        states = np.stack((x, lay.rotate(x)))
+        injected, rows = (system._linear(y, cols, values, starts)
+                          for y in (states * stator, states))
+        selector = max(selector, _turn_defect(injected[:, lay.sl_v]))
+        incidence = max(incidence, _turn_defect(rows[:, lay.pair_rows]))
         rho = residual(sys, x, u, omega0)
         f = steady_field(sys, x, omega0)
         F = vector_field(sys, x, u)
         gap = f - F
-        alt = mass * gap
+        alt = sys.mass * gap
         alt[lay.sl_i] = (sys.inductance_stack(x[lay.sl_theta])
                          @ gap[lay.sl_i].reshape(sys.n_g, 5, 1)).ravel()
         gauge = max(1.0, float(np.max(np.abs(rho))))

@@ -4,7 +4,8 @@ The network is a connected graph of AC voltage buses (shunt capacitance at
 every bus) joined by series R-L lines, each given by its two endpoints.
 States are the bus voltage pairs and line current pairs in the stationary
 frame. The oriented incidence E (+1 at each line's head, -1 at its tail)
-is never built: products with it are gathers and scatters of endpoints.
+is never built: the kernels' one evaluation of it is the CSR rows of
+:mod:`gridstate.system`, and the admittance scatters line endpoints.
 
 At a steady state every pair rotates at omega0, so the network equations
 are complex phasor equations on the pairs read as alpha + j beta (see

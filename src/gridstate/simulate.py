@@ -27,6 +27,11 @@ class SimConfig:
             raise ValueError("t_end must be finite and at least one step")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not self.t_end / self.dt < np.inf:
+            raise ValueError("t_end / dt must be a finite step count")
+        # Steps, and states recorded: step 0, every record_every-th, the last.
+        self.n_steps = round(self.t_end / self.dt)
+        self.n_records = 1 - (-self.n_steps // self.record_every)
 
 
 @dataclass
@@ -66,11 +71,11 @@ def simulate(sys, x0, u, cfg):
     the finite states at step s stops by step 2s; it raises
     :class:`SolverError` naming the first recorded time whose state is not
     finite, else the time it stopped at."""
-    n_steps, every = int(round(cfg.t_end / cfg.dt)), cfg.record_every
+    n_steps, every = cfg.n_steps, cfg.record_every
     u = np.asarray(u, dtype=float)
     x = np.array(x0, dtype=float)
 
-    states = np.empty((1 - (-n_steps // every),) + x.shape)
+    states = np.empty((cfg.n_records,) + x.shape)
     times = np.empty(len(states))
     states[0], times[0], n = x, 0.0, 1
     for step in range(1, n_steps + 1):

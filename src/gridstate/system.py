@@ -12,6 +12,11 @@ constant operator per machine does the rest in one product: winding rows
 L0^-1 [I, -R, -K0] (K0 = J L0 - L0 J) for the field, [-I, R + omega0 L0 J,
 K0] for the residual, and L0's stator rows, which give the torque.
 
+The network has one description and one evaluation in the kernels: its
+linear rows (E on the pairs, the stator injections, r_T) are one CSR
+pattern with the residual's values and the field's (:func:`_linear_rows`),
+and both kernels take their product through :func:`_linear`.
+
 The steady field, omega0 G with G = :meth:`StateLayout.rotate`, turns
 every planar pair at omega0 and advances the rotor angles; loads that commute
 with rotations turn the residual along, so :func:`invariance_defect` reads
@@ -122,16 +127,14 @@ class PowerSystem:
         self.layout = StateLayout(self.n_g, self.n_v, self.n_t)
         self.n_x = self.layout.n_x
 
-        # Pair rows of each line's head and tail, (2, 2*n_t): the incidence
-        # on stacked pairs, E^T v two gathers and E i_T one bincount.
-        self._line_ends = (2 * np.stack((network.heads, network.tails))
-                           [..., None] + (0, 1)).reshape(2, -1)
-        self._c2 = np.repeat(network.c, 2)
-        self._r_T2 = np.repeat(network.r_T, 2)
-        self._l_T2 = np.repeat(network.l_T, 2)
         self.params, self._L0 = params, L0
-        # Reciprocals for the vector field's speed and load terms.
-        self._inv_m, self._neg_inv_c2 = 1.0 / params.m, -1.0 / self._c2
+        # The mass matrix's diagonal: m, c and l_T on the speeds, bus and
+        # line pairs; ones elsewhere (the windings' block is L(theta)).
+        self.mass = np.concatenate((np.ones(self.n_g), params.m,
+                                    np.ones(5 * self.n_g),
+                                    np.repeat(network.c, 2),
+                                    np.repeat(network.l_T, 2)))
+        self._inv_m = 1.0 / params.m
         self._field_op, self._residual_op, self._turn = _rotor_operators(
             self._L0, self.params.resistance_diag())
         self.loads = tuple(loads)
@@ -144,16 +147,23 @@ class PowerSystem:
         columns of shape (2, ...), to probe how non-conforming load models
         break the steady state; subclasses of :class:`Load` count as custom
         loads too and must define ``current``. The network solve refuses
-        custom loads. The copy shares the network; its field rows and
+        custom loads. The copy shares the network; its linear rows and
         :attr:`solve_order_network`, which depend on the loads, are its own.
         """
         return PowerSystem(self.machines, self.params, self._L0, self.network,
                            loads, self.bus_ids, self.input_position)
 
     @cached_property
+    def linear_rows(self):
+        """:func:`_linear_rows` on first use: columns, row starts, and the
+        residual's and the field's values on them."""
+        return _linear_rows(self)
+
+    @property
     def field_rows(self):
-        """:func:`_field_rows` on first use, the impedance loads included."""
-        return _field_rows(self)
+        """The field's linear rows as (columns, values, row starts)."""
+        cols, starts, _, values = self.linear_rows
+        return cols, values, starts
 
     @cached_property
     def solve_order_network(self):
@@ -227,51 +237,45 @@ def _machines(sys, x, omega, u, omega0=None):
     return x[..., lay.sl_i].reshape(batch + (n_g, 5)), w[..., _WINDINGS], torque
 
 
-def _field_rows(sys):
-    """The vector field's constant linear rows as one CSR operator (column
-    indices, values, row starts): angles read their speeds, speeds their
-    damping -d/m, each bus pair -1/c times its stator pair, impedance load
-    y v and E i_T, each line pair (E^T v - r i_T) / l. The winding rows,
-    which the machines write, hold an explicit zero, as ``np.add.reduceat``
-    returns x[start] for an empty row; no bus row of a connected network
-    is empty."""
-    lay, net, p = sys.layout, sys.network, sys.params
-    rows, v0, iT0 = np.arange(sys.n_x), lay.sl_v.start, lay.sl_iT.start
-    heads, tails, lines = (2 * e[:, None] + np.arange(2) for e in (
-        net.heads, net.tails, np.arange(sys.n_t)))
-    inv_l, neg_inv_c = 1.0 / net.l_T[:, None], sys._neg_inv_c2
+def _linear_rows(sys):
+    """The model's linear rows as one CSR pattern (columns, row starts) and
+    two value arrays. The residual's: angles -omega, speeds d omega, each
+    bus pair its stator pair and E i_T, each line pair r i_T - E^T v. The
+    field's: those over -M, plus each impedance load's -y / c block, zero in
+    the residual, which takes every load from ``load_currents``. Winding
+    rows, which the machines write, hold an explicit zero, as ``reduceat``
+    returns x[start] for an empty row; no bus row of a network is empty."""
+    lay, net, n_g = sys.layout, sys.network, sys.n_g
+    rows, v0, n2 = np.arange(sys.n_x), lay.sl_v.start, 2 * sys.n_t
+    lines = rows[lay.sl_iT]
+    ends = (v0 + 2 * np.stack((net.heads, net.tails))[..., None]
+            + (0, 1)).reshape(2, -1)  # each line's head and tail pair rows
     on = np.flatnonzero(sys.load_bank.y_linear)  # the impedance-loaded buses
-    y, loaded = neg_inv_c[2 * on] * sys.load_bank.y_linear[on], v0 + 2 * on
-    entries = (  # (rows, columns, values), broadcast to the rows' shape
-        (rows[lay.sl_theta], rows[lay.sl_omega], 1.0),
-        (rows[lay.sl_omega], rows[lay.sl_omega], -(p.d / p.m)),
-        (rows[lay.sl_i], rows[lay.sl_i], 0.0),
-        (rows[lay.sl_vg], lay.pair_rows[:2 * sys.n_g], neg_inv_c[:2 * sys.n_g]),
-        (loaded[:, None] + (0, 0, 1, 1), loaded[:, None] + (0, 1, 0, 1),
-         np.stack((y.real, -y.imag, y.imag, y.real), axis=-1)),  # -y / c
-        (v0 + heads, iT0 + lines, neg_inv_c[heads]),
-        (v0 + tails, iT0 + lines, -neg_inv_c[tails]),
-        (iT0 + lines, v0 + heads, inv_l),
-        (iT0 + lines, v0 + tails, -inv_l),
-        (iT0 + lines, iT0 + lines, -(net.r_T / net.l_T)[:, None]))
-    r, c, val = (np.concatenate([np.broadcast_to(e[k], np.shape(e[0])).ravel()
-                                 for e in entries]) for k in range(3))
-    order = np.lexsort((c, r))
-    return c[order], val[order], np.searchsorted(r[order], rows)
+    loaded, n_y = v0 + 2 * on[:, None], 4 * len(on)
+    # Unit entries first: angles, windings, stator injections, the load
+    # blocks (zero), E i_T at heads and tails, -E^T v; then d and r.
+    r = np.concatenate((rows[:n_g], rows[lay.sl_i], rows[lay.sl_vg],
+                        (loaded + (0, 0, 1, 1)).ravel(), ends[0], ends[1],
+                        lines, lines, rows[lay.sl_omega], lines))
+    c = np.concatenate((rows[lay.sl_omega], rows[lay.sl_i],
+                        lay.pair_rows[:2 * n_g],
+                        (loaded + (0, 1, 0, 1)).ravel(), lines, lines,
+                        ends[0], ends[1], rows[lay.sl_omega], lines))
+    unit = np.repeat([-1.0, 0.0, 1.0, 0.0, 1.0, -1.0, -1.0, 1.0],
+                     [n_g, 5 * n_g, 2 * n_g, n_y, n2, n2, n2, n2])
+    res = np.concatenate((unit, sys.params.d, np.repeat(net.r_T, 2)))
+    field = 0.0 - res / sys.mass[r]  # the explicit zeros stay +0.0
+    at = slice(8 * n_g, 8 * n_g + n_y)
+    y = (1.0 / -sys.mass[loaded[:, 0]]) * sys.load_bank.y_linear[on]
+    field[at] = np.stack((y.real, -y.imag, y.imag, y.real), axis=-1).ravel()
+    order = np.argsort(r * sys.n_x + c)
+    return c[order], np.searchsorted(r[order], rows), res[order], field[order]
 
 
-def _bus_currents(sys, i, v, i_T):
-    """Current leaving each bus into its load, machine and lines, stacked
-    like the voltages ``v``, for machine currents ``i`` (..., n_g, 5). The
-    lines draw E i_T: one weighted bincount of each line pair at its head's
-    rows and, negated, its tail's, so each bus sums its lines in order."""
-    out = sys.load_currents(v)
-    injected = out[..., :2 * sys.n_g].reshape(i.shape[:-1] + (2,))
-    injected += i[..., :2]
-    rows = np.arange(0, out.size, out.shape[-1])[:, None, None] + sys._line_ends
-    flows = np.concatenate((i_T, -i_T), axis=-1)
-    out += np.bincount(rows.ravel(), flows.ravel(), out.size).reshape(out.shape)
-    return out
+def _linear(x, cols, values, starts):
+    """The CSR rows (``cols``, ``values``, ``starts``) times states x of
+    shape (..., n_x), one gather and one ``reduceat`` on the last axis."""
+    return np.add.reduceat(x.take(cols, axis=-1) * values, starts, axis=-1)
 
 
 def assemble(machines, machine_buses, network, loads=None, bus_ids=None):
@@ -322,13 +326,13 @@ def vector_field(sys, x, u):
     """Time derivative of the full power system state, for states of shape
     (..., n_x): the impedance loads are rows of ``sys.field_rows``."""
     _, b_omega, b_i, b_v, _ = sys.layout._blocks
-    cols, values, starts = sys.field_rows
-    dx = np.add.reduceat(x.take(cols, axis=-1) * values, starts, axis=-1)
+    cols, starts, _, values = sys.linear_rows
+    dx = _linear(x, cols, values, starts)
     i, di, torque = _machines(sys, x, x[b_omega], u)
     dx[b_omega] += (u[:sys.n_g] - torque) * sys._inv_m
     dx[b_i].reshape(i.shape)[...] = di
     if sys.load_bank.custom or not sys.load_bank.constant:
-        dx[b_v] += sys._field_loads.load_currents(x[b_v]) * sys._neg_inv_c2
+        dx[b_v] -= sys._field_loads.load_currents(x[b_v]) / sys.mass[b_v]
     return dx
 
 
@@ -345,20 +349,16 @@ def residual(sys, x, u, omega0):
     """Gap between the rotating steady-state dynamics and the model dynamics,
     scaled by the (block-diagonal) mass matrix. Zero exactly on steady
     states at frequency omega0 with input u. States are (..., n_x)."""
-    b_theta, b_omega, b_i, b_v, b_iT = sys.layout._blocks
-    omega, v, i_T = x[b_omega], x[b_v], x[b_iT]
-    i, rho_i, torque = _machines(sys, x, omega, u, omega0)
-    rho = np.empty(x.shape)
-    np.subtract(omega0, omega, out=rho[b_theta])
-    rho_torque = np.multiply(sys.params.d, omega, out=rho[b_omega])
-    rho_torque += torque - u[:sys.n_g]
+    b_theta, b_omega, b_i, b_v, _ = sys.layout._blocks
+    cols, starts, values, _ = sys.linear_rows
+    rho = _linear(x, cols, values, starts)
+    i, rho_i, torque = _machines(sys, x, x[b_omega], u, omega0)
+    rho[b_theta] += omega0
+    rho[b_omega] += torque - u[:sys.n_g]
     rho[b_i].reshape(i.shape)[...] = rho_i
-    np.add(_bus_currents(sys, i, v, i_T),
-           omega0 * sys._c2 * rotate_pairs(v), out=rho[b_v])
-    rho_lines = np.multiply(sys._r_T2, i_T, out=rho[b_iT])
-    rho_lines += omega0 * sys._l_T2 * rotate_pairs(i_T)
-    heads, tails = sys._line_ends
-    rho_lines -= v.take(heads, axis=-1) - v.take(tails, axis=-1)
+    rho[b_v] += sys.load_currents(x[b_v])
+    net = slice(sys.layout.sl_v.start, None)  # the bus and line pairs
+    rho[..., net] += omega0 * sys.mass[net] * rotate_pairs(x[..., net])
     return rho
 
 
@@ -397,9 +397,10 @@ def total_energy(sys, x):
     bus capacitor energy."""
     theta, omega, i, v, i_T = sys.layout.split(x)
     i, L = i.reshape(sys.n_g, 5), sys.inductance_stack(theta)
+    _, m, _, c, l_T = sys.layout.split(sys.mass)
     e_mag = 0.5 * float(np.einsum("ka,kab,kb->", i, L, i))
-    e_kin = 0.5 * float(np.sum(sys.params.m * omega**2))
-    e_cap = 0.5 * float(np.sum(sys._c2 * v**2))
-    e_lines = 0.5 * float(np.sum(sys._l_T2 * i_T**2))
+    e_kin = 0.5 * float(np.sum(m * omega**2))
+    e_cap = 0.5 * float(np.sum(c * v**2))
+    e_lines = 0.5 * float(np.sum(l_T * i_T**2))
     return e_mag + e_kin + e_cap + e_lines
 

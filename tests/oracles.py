@@ -606,8 +606,8 @@ def mass_matrix(sys, x):
     lay = sys.layout
     diag = np.ones(sys.n_x)
     diag[lay.sl_omega] = sys.params.m
-    diag[lay.sl_v] = sys._c2
-    diag[lay.sl_iT] = sys._l_T2
+    diag[lay.sl_v] = np.repeat(sys.network.c, 2)
+    diag[lay.sl_iT] = np.repeat(sys.network.l_T, 2)
     M = np.diag(diag)
     for k, L in enumerate(sys.inductance_stack(x[lay.sl_theta])):
         s = lay.sl_i.start + 5 * k

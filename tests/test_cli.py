@@ -522,6 +522,29 @@ def test_simulate_rejects_non_finite_flags(tmp_path, fixture_file, capsys,
     assert not traj.exists()
 
 
+@pytest.mark.parametrize("dt, t_end, message", [
+    ("1e-300", "1e300", "t_end / dt must be a finite step count"),
+    ("1e-5", "1e300", "1e+305 recorded states of 26 entries cannot be held"),
+    ("1e-5", "1e12", "1e+17 recorded states of 26 entries cannot be held"),
+], ids=["count", "dimension", "size"])
+def test_simulate_refuses_a_record_count_it_cannot_hold(
+        tmp_path, fixture_file, capsys, monkeypatch, dt, t_end, message):
+    # The first step count overflows to inf. The others are 1e305 records,
+    # past numpy's largest dimension, and 1e17 records of the fixture's 26
+    # entries, past its largest array: sizes numpy refuses at once, without
+    # allocating. The CLI refuses each as a usage error before it certifies
+    # or runs.
+    if dt == "1e-5":
+        with pytest.raises(ValueError):
+            np.empty((SimConfig(dt=1e-5, t_end=float(t_end)).n_records, 26))
+    result = tmp_path / "result.json"
+    assert main(["steady-state", fixture_file, "-o", str(result)]) == 0
+    refuse_to_run(monkeypatch)
+    assert main(["simulate", fixture_file, "--from", str(result), "--dt", dt,
+                 "--t-end", t_end]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_verify_rejects_bad_tol(tmp_path, fixture_file, capsys, monkeypatch,
                                 tol):

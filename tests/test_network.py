@@ -36,13 +36,15 @@ def random_tree(rng, n_v):
 
 
 def pair_blocks(net):
-    """The residual's incidence on pairs as a dense matrix: the bus currents
-    of each unit line current pair alone, on an unloaded system with one
-    machine at bus 0, which keeps the network's bus order."""
+    """The residual's incidence on pairs as a dense matrix: its bus rows at
+    omega0 = 0 for each unit line current pair alone, on an unloaded
+    system with one machine at bus 0, which keeps the network's bus
+    order."""
     sys_ = system.assemble([sample_machine()], [0], net)
-    eye = np.eye(2 * net.n_t)
-    return system._bus_currents(sys_, np.zeros((len(eye), 1, 5)),
-                                np.zeros((len(eye), 2 * net.n_v)), eye).T
+    lay, eye = sys_.layout, np.eye(2 * net.n_t)
+    x = lay.pack(0.0, 0.0, np.zeros((len(eye), 1, 5)),
+                 np.zeros((len(eye), 2 * net.n_v)), eye)
+    return system.residual(sys_, x, np.zeros(lay.n_u), 0.0)[:, lay.sl_v].T
 
 
 def no_loads(n_v):
@@ -72,10 +74,10 @@ def test_incidence_commutes_with_rotations():
 
 @pytest.mark.parametrize("n_bus", [None, 24, 160])
 def test_system_incidence_is_kron_identity(three_bus, n_bus):
-    # The residual's edge-list incidence products are E kron I_2, for one
-    # state and for stacks: at omega0 = 0, with no loads or machine
-    # currents, its line rows are r i_T - E2^T v exactly and its bus rows
-    # E2 i_T to the rounding of the dense sums.
+    # The residual's linear rows hold E kron I_2, for one state and for
+    # stacks: at omega0 = 0, with no loads or machine currents, its line
+    # rows are r i_T - E2^T v and its bus rows E2 i_T, both to the rounding
+    # of the dense sums.
     sys_ = three_bus[0] if n_bus is None else \
         ring_mesh(n_bus, ("impedance", "current", "power"), seed=n_bus)[0]
     bare, lay = sys_.with_loads([Load.none()] * sys_.n_v), sys_.layout
@@ -86,8 +88,9 @@ def test_system_incidence_is_kron_identity(three_bus, n_bus):
         i_T = rng.uniform(-2, 2, shape + (2 * sys_.n_t,))
         x = lay.pack(0.0, 0.0, np.zeros(shape + (sys_.n_g, 5)), v, i_T)
         rho = system.residual(bare, x, np.zeros(lay.n_u), 0.0)
-        np.testing.assert_array_equal(
-            rho[..., lay.sl_iT], np.repeat(sys_.network.r_T, 2) * i_T - v @ E2)
+        np.testing.assert_allclose(
+            rho[..., lay.sl_iT], np.repeat(sys_.network.r_T, 2) * i_T - v @ E2,
+            rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(rho[..., lay.sl_v], i_T @ E2.T, rtol=0.0,
                                    atol=1e-15)
 

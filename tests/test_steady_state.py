@@ -484,8 +484,9 @@ def test_a_solve_keeps_its_workspace_to_itself():
     # the network relabelled in solve order on the system, O(n_v + n_t)
     # entries, and on it the line admittance's scatter positions, O(n_t)
     # integers that depend on its edge list alone: no admittance, Jacobian
-    # or index of it. A repeated certify of the same case adds nothing and
-    # does all of its other work.
+    # or index of it. A certify of the same case adds only the linear rows
+    # its residual shares with the field, O(n_x + n_t) entries, and does
+    # all of its other work.
     sys_, spec = ring_mesh(16, LOAD_KINDS, seed=4, level=2.0)
     owners = (sys_, sys_.network, sys_.layout, sys_.load_bank)
     before = [dict(vars(owner)) for owner in owners]
@@ -502,7 +503,11 @@ def test_a_solve_keeps_its_workspace_to_itself():
     assert [{name: new[name] for name in old}
             for old, new in zip(before, after)] == before
     verify_steady_state(sys_, compute_steady_state(sys_, spec))
-    assert [dict(vars(owner)) for owner in owners] == after
+    certified = [dict(vars(owner)) for owner in owners]
+    rows = certified[0].pop("linear_rows")
+    assert certified == after
+    assert all(a.ndim == 1 and a.size <= 2 * sys_.n_x + 8 * sys_.n_t
+               for a in rows)
     assert_same_solution(solve_network(sys_, spec), first)
 
 

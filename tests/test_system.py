@@ -141,8 +141,8 @@ def test_assemble_matches_revalidating_reference(three_bus, case):
         sys_ = ring_mesh(int(n), kinds, seed=int(n))[0]
     args = assembly_inputs(sys_)
     new, ref = assemble(*args), reference_assemble(*args)
-    for name in ("_line_ends", "_c2", "_r_T2", "_l_T2", "_L0", "_field_op",
-                 "_residual_op", "_turn", "_inv_m"):
+    for name in ("mass", "_L0", "_field_op", "_residual_op", "_turn",
+                 "_inv_m"):
         assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
     for name in ("heads", "tails", "c"):
         assert getattr(new.network, name).tobytes() == \
@@ -317,14 +317,13 @@ def test_vector_field_matches_dense_network_rows(three_bus, case, shape):
 
 
 def test_vector_field_runs_without_the_dense_incidence():
-    # The field reads its network rows from its fused rows, not from the
-    # incidence the residual keeps. The rows hold the impedance loads, so
-    # a load-swapped copy made once the rows exist builds its own: without
-    # loads those of a system assembled without loads, with the same loads
-    # the original's.
+    # The field reads its network rows from the linear rows it shares with
+    # the residual; no incidence, dense or edge-list, is kept beside them.
+    # The rows hold the impedance loads, so a load-swapped copy made once
+    # the rows exist builds its own: without loads those of a system
+    # assembled without loads, with the same loads the original's.
     sys_, _ = ring_mesh(24, ("impedance", "current", "power"), seed=3)
     clone = sys_.with_loads(sys_.loads)
-    del clone._line_ends
     x, u = random_point(sys_, np.random.default_rng(46))
     np.testing.assert_array_equal(vector_field(clone, x, u),
                                   vector_field(sys_, x, u))
@@ -332,7 +331,7 @@ def test_vector_field_runs_without_the_dense_incidence():
                         sys_.network)
     for copy, want in ((sys_.with_loads([Load.none()] * sys_.n_v), unloaded),
                        (sys_.with_loads(sys_.loads), sys_)):
-        for got, rows in zip(copy.field_rows, want.field_rows):
+        for got, rows in zip(copy.linear_rows, want.linear_rows):
             np.testing.assert_array_equal(got, rows)
 
 
@@ -407,10 +406,10 @@ def test_residual_matches_dense_oracle_on_rk4_stacks(three_bus, case):
 
 def held_bytes(sys_):
     """Bytes of the arrays a system holds: its own, its layout's, machine
-    constants', network's and load bank's, and the field's fused rows."""
+    constants', network's and load bank's, and its linear rows."""
     owners = (vars(sys_), vars(sys_.layout), vars(sys_.params),
               vars(sys_.network), vars(sys_.load_bank),
-              dict(enumerate(sys_.field_rows)))
+              dict(enumerate(sys_.linear_rows)))
     return sum(a.nbytes for owner in owners for a in owner.values()
                if isinstance(a, np.ndarray))
 
