@@ -334,9 +334,8 @@ def trajectory_header(sys):
 
 def write_trajectory_csv(fh, sys, traj):
     fh.write(trajectory_header(sys) + "\n")
-    for t, x in zip(traj.times, traj.states):
-        row = [repr(float(t))] + [repr(float(val)) for val in x]
-        fh.write(",".join(row) + "\n")
+    for row in np.column_stack((traj.times, traj.states)).tolist():
+        fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_trajectory_csv(path, sys, inputs=None):

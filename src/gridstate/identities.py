@@ -16,7 +16,6 @@ import numpy as np
 
 from . import system
 from .frame import MACHINE_ROT90, rotate_pairs
-from .loads import Load
 from .machine import (MachineParams, inductance_matrix, stack_params,
                       stator_frame_inductance, validate_params)
 from .system import residual, steady_field, total_energy, vector_field
@@ -117,14 +116,14 @@ def run_identity_suite(sys, n_samples=120, seed=0):
 
     # Structural rows, exact since J only negates and swaps entries: J,
     # turning only the stator pair, annihilates the residual's v_f column
-    # (``system._V_F``). The unloaded system's (``bare``) linear rows, which
-    # the field and the residual share, are read at the sampled states: the
-    # bus rows on the stator pairs alone (the bus selector), and every pair
-    # row. Turning a state turns them, every pair coupling being a multiple
-    # of the identity; impedance-load blocks would sum in another order.
+    # (``system._V_F``). The linear rows the field and the residual share
+    # are read, with the residual's values, at the sampled states: the bus
+    # rows on the stator pairs alone (the bus selector), and every pair row.
+    # Turning a state turns them, every pair coupling being a multiple of
+    # the identity; the field's impedance-load blocks would sum in another
+    # order, and the residual's hold exact zeros there.
     excitation = float(abs(MACHINE_ROT90 @ sys._residual_op[
         :, system._WINDINGS, system._V_F, None]).max())
-    bare = sys.with_loads([Load.none()] * sys.n_v)
 
     # Defining equation of the residual: mass matrix times the gap between
     # the steady-state and model vector fields, the mass matrix applied
@@ -135,7 +134,7 @@ def run_identity_suite(sys, n_samples=120, seed=0):
     # And the power balance of the model field F: D E[F] = supplied - lost.
     worst_res = worst_flow = worst_power = selector = incidence = 0.0
     h, lay = FD_STEP, sys.layout
-    cols, values, starts = bare.field_rows
+    cols, starts, values, _ = sys.linear_rows
     stator = np.zeros(sys.n_x)
     stator[lay.pair_rows[:2 * sys.n_g]] = 1.0
     for _ in range(max(10, n_samples // 10)):

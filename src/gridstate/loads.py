@@ -86,7 +86,7 @@ class LoadBank:
     ``solve_order`` lists the machine buses, the ``n_kept - n_g``
     nonlinear load buses and then the linear ones, the order in which the
     network solve eliminates the linear buses; ``y_linear`` is y with the
-    k > 0 loads left out.
+    k > 0 loads left out, ``y_nonlinear`` the rest, y - y_linear.
     """
 
     def __init__(self, loads, bus_ids, n_g):
@@ -103,16 +103,18 @@ class LoadBank:
         self._named = [(bus, ld.kind) for bus, ld in zip(bus_ids, shipped)]
         linear = self.k == 0
         self.y_linear = self.y * linear
+        self.y_nonlinear = self.y - self.y_linear
         linear[:n_g] = False  # a stable sort keeps each group in bus order
         self.solve_order = linear.argsort(kind="stable")
         self.n_kept = len(linear) - int(np.count_nonzero(linear))
 
-    def admittance(self, vc):
-        """y |v|^-k per bus at the complex bus voltages ``vc`` (..., n_v).
-        Raises :class:`LoadDomainError` naming the first bus whose voltage
-        is below its load's floor."""
+    def admittance(self, vc, y=None):
+        """y |v|^-k per bus at the complex bus voltages ``vc`` (..., n_v),
+        y the bank's unless given. Raises :class:`LoadDomainError` naming
+        the first bus whose voltage is below its load's floor."""
+        y = self.y if y is None else y
         if self.constant:
-            return self.y
+            return y
         mag = np.abs(vc)
         below = mag < self.v_min
         if np.count_nonzero(below):
@@ -122,7 +124,7 @@ class LoadBank:
                 f"bus {bus!r}: constant-{kind} load undefined at "
                 f"|v|={mag[below][0]:.6e} below its floor "
                 f"v_min={self.v_min[j]:.6e}", bus=bus)
-        return self.y / mag**self.k
+        return y / mag**self.k
 
 
 def equivariance_defect(load, v, n_samples=360):

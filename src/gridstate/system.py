@@ -15,7 +15,9 @@ K0] for the residual, and L0's stator rows, which give the torque.
 The network has one description and one evaluation in the kernels: its
 linear rows (E on the pairs, the stator injections, r_T) are one CSR
 pattern with the residual's values and the field's (:func:`_linear_rows`),
-and both kernels take their product through :func:`_linear`.
+and both kernels take their product through :func:`_linear`. The loads
+have one evaluation, :func:`_load_currents` on the system's own bank; the
+field's leaves out the impedance loads its rows hold.
 
 The steady field, omega0 G with G = :meth:`StateLayout.rotate`, turns
 every planar pair at omega0 and advances the rotor angles; loads that commute
@@ -147,8 +149,8 @@ class PowerSystem:
         columns of shape (2, ...), to probe how non-conforming load models
         break the steady state; subclasses of :class:`Load` count as custom
         loads too and must define ``current``. The network solve refuses
-        custom loads. The copy shares the network; its linear rows and
-        :attr:`solve_order_network`, which depend on the loads, are its own.
+        custom loads. The copy shares the network and builds the rest anew,
+        its linear rows at first use; the package's kernels make no copy.
         """
         return PowerSystem(self.machines, self.params, self._L0, self.network,
                            loads, self.bus_ids, self.input_position)
@@ -159,22 +161,10 @@ class PowerSystem:
         residual's and the field's values on them."""
         return _linear_rows(self)
 
-    @property
-    def field_rows(self):
-        """The field's linear rows as (columns, values, row starts)."""
-        cols, starts, _, values = self.linear_rows
-        return cols, values, starts
-
     @cached_property
     def solve_order_network(self):
         """The network relabelled in ``load_bank.solve_order``, on first use."""
         return self.network.relabel(self.load_bank.solve_order)
-
-    @cached_property
-    def _field_loads(self):
-        """Copy of this system with only its k > 0 and custom loads."""
-        return self.with_loads([Load.none() if type(ld) is Load and not
-                                ld.exponent else ld for ld in self.loads])
 
     def inductance_stack(self, theta):
         """Winding inductance matrices L(theta) = T L0 T^T of all machines,
@@ -186,17 +176,23 @@ class PowerSystem:
         (..., 2*n_v): the shipped loads in one expression over the complex
         voltages (see :class:`LoadBank`), custom loads one call each, with
         their voltage columns of shape (2, ...)."""
-        bank = self.load_bank
-        vc = as_complex(v)
-        i_l = (bank.admittance(vc) * vc).view(float)
-        for k, load in bank.custom:
-            try:
-                pair = np.moveaxis(v[..., 2 * k:2 * k + 2], -1, 0)
-                i_l[..., 2 * k:2 * k + 2] = np.moveaxis(load.current(pair), 0, -1)
-            except LoadDomainError as err:
-                raise LoadDomainError(f"bus {self.bus_ids[k]!r}: {err}",
-                                      bus=self.bus_ids[k]) from err
-        return i_l
+        return _load_currents(self, v, self.load_bank.y)
+
+
+def _load_currents(sys, v, y):
+    """:meth:`PowerSystem.load_currents` with the shipped loads' y given:
+    the bank's, or its ``y_nonlinear``, less the impedance loads."""
+    bank = sys.load_bank
+    vc = as_complex(v)
+    i_l = (bank.admittance(vc, y) * vc).view(float)
+    for k, load in bank.custom:
+        try:
+            pair = np.moveaxis(v[..., 2 * k:2 * k + 2], -1, 0)
+            i_l[..., 2 * k:2 * k + 2] = np.moveaxis(load.current(pair), 0, -1)
+        except LoadDomainError as err:
+            raise LoadDomainError(f"bus {sys.bus_ids[k]!r}: {err}",
+                                  bus=sys.bus_ids[k]) from err
+    return i_l
 
 
 def _rotor_operators(L0, r):
@@ -324,15 +320,16 @@ def assemble(machines, machine_buses, network, loads=None, bus_ids=None):
 
 def vector_field(sys, x, u):
     """Time derivative of the full power system state, for states of shape
-    (..., n_x): the impedance loads are rows of ``sys.field_rows``."""
+    (..., n_x); its linear rows hold the impedance loads, a call the rest."""
     _, b_omega, b_i, b_v, _ = sys.layout._blocks
     cols, starts, _, values = sys.linear_rows
     dx = _linear(x, cols, values, starts)
     i, di, torque = _machines(sys, x, x[b_omega], u)
     dx[b_omega] += (u[:sys.n_g] - torque) * sys._inv_m
     dx[b_i].reshape(i.shape)[...] = di
-    if sys.load_bank.custom or not sys.load_bank.constant:
-        dx[b_v] -= sys._field_loads.load_currents(x[b_v]) / sys.mass[b_v]
+    bank = sys.load_bank
+    if bank.custom or not bank.constant:
+        dx[b_v] -= _load_currents(sys, x[b_v], bank.y_nonlinear) / sys.mass[b_v]
     return dx
 
 

@@ -19,7 +19,9 @@ Kron reduction, that rebuilds the admittance and the whole Jacobian at
 every iteration, from its own generator voltage pairs and to its own
 branch currents (dense incidence drops over each line's impedance), and
 the system assembly that checks each machine on its own and every
-reordered component again.
+reordered component again, the vector field with its k > 0 and custom
+loads evaluated on a copy of the system that holds only them, and a
+trajectory file written one value at a time.
 Helpers with no caller in the package live here too: the (P, Q) a load
 draws, a load's rotation commutator and the invariance defect with custom
 loads built on it (the certificate probes custom loads by rotation
@@ -44,8 +46,9 @@ from gridstate.simulate import DriftMetrics, reference_trajectory
 from gridstate.steady_state import (DEGENERACY_BAND, RECOVERY_TOL,
                                     MachineRecovery, NetworkSolution,
                                     _recover)
+from gridstate.fileio import trajectory_header
 from gridstate.system import (PowerSystem, _machines, residual,
-                              steady_field, tolerance_scale)
+                              steady_field, tolerance_scale, vector_field)
 
 log = logging.getLogger("oracles")
 
@@ -508,6 +511,22 @@ def dense_field_rows(sys):
     return A
 
 
+def copy_loads_field(sys, x, u):
+    """The vector field with its loads split over two ``with_loads``
+    copies: one with only the impedance loads, whose field's rows hold
+    them, and one with only the k > 0 and custom loads, whose
+    ``load_currents`` over -M go onto the bus rows."""
+    linear = [type(ld) is Load and not ld.exponent for ld in sys.loads]
+    rows = sys.with_loads([ld if lin else Load.none()
+                           for ld, lin in zip(sys.loads, linear)])
+    rest = sys.with_loads([Load.none() if lin else ld
+                           for ld, lin in zip(sys.loads, linear)])
+    sl_v = sys.layout.sl_v
+    dx = vector_field(rows, x, u)
+    dx[..., sl_v] -= rest.load_currents(x[..., sl_v]) / sys.mass[sl_v]
+    return dx
+
+
 def dense_network_field(sys, x, u):
     """The vector field at states (..., n_x) with its speed and network rows
     as dense incidence products on whole blocks, and its winding rows and
@@ -632,6 +651,15 @@ def grid_min_eigenvalue(p, n_theta=64):
     return min(float(np.linalg.eigvalsh(inductance_matrix(p, theta))[0])
                for theta in np.linspace(0.0, 2.0 * np.pi, n_theta,
                                         endpoint=False))
+
+
+def per_value_trajectory_csv(sys, traj):
+    """A trajectory file's text, each value written as ``repr(float(v))``."""
+    lines = [trajectory_header(sys)]
+    for t, x in zip(traj.times, traj.states):
+        lines.append(",".join([repr(float(t))]
+                              + [repr(float(val)) for val in x]))
+    return "".join(line + "\n" for line in lines)
 
 
 def rk4_step_fn(f, x, dt):

@@ -10,11 +10,12 @@ from gridstate.fileio import (load_result_file, load_system_file,
                               system_from_dict, trajectory_header,
                               write_result_file, write_trajectory_csv)
 from gridstate.frame import wrap_angle
-from gridstate.simulate import SimConfig, simulate
+from gridstate.simulate import SimConfig, Trajectory, simulate
 from gridstate.steady_state import compute_steady_state, verify_steady_state
 from gridstate.system import residual, tolerance_scale
 
-from conftest import benchmark_cases, numeric_ids
+from conftest import benchmark_cases, numeric_ids, ring_mesh
+from oracles import per_value_trajectory_csv
 
 
 def fixture_doc(fixture_path):
@@ -240,6 +241,33 @@ def test_trajectory_csv_roundtrip(tmp_path, three_bus, certified):
     back = read_trajectory_csv(path, sys_, inputs=certified.u)
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.states, traj.states)
+
+
+@pytest.mark.parametrize("case", ["fixture", "ring24-mixed", "edge-values"])
+def test_trajectory_csv_bytes_match_per_value_repr(three_bus, certified,
+                                                   case):
+    # 201 records of 200 RK4 steps from a certified point, and the
+    # fixture's records with their values replaced by signed zeros,
+    # subnormals, huge and non-finite numbers and every binary exponent.
+    sys_, ss = three_bus[0], certified
+    if case == "ring24-mixed":
+        sys_, spec = ring_mesh(24, ("impedance", "current", "power"), seed=3)
+        ss = compute_steady_state(sys_, spec)
+    traj = simulate(sys_, ss.x, ss.u, SimConfig(dt=1e-5, t_end=2e-3))
+    assert len(traj.times) == 201
+    if case == "edge-values":
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal(traj.states.shape) * np.exp2(
+            rng.integers(-1074, 1000, traj.states.shape))
+        states.flat[:6] = [-0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                           np.nan, -np.inf]
+        traj = Trajectory(traj.times, states, traj.inputs)
+    out = io.StringIO()
+    write_trajectory_csv(out, sys_, traj)
+    got, want = out.getvalue(), per_value_trajectory_csv(sys_, traj)
+    same = got == want  # a short message: no diff of two long texts
+    assert same, next((a, b) for a, b in zip(got.split("\n"),
+                                               want.split("\n")) if a != b)
 
 
 def test_trajectory_header_mismatch_rejected(tmp_path, three_bus):

@@ -1062,6 +1062,22 @@ def test_a_nan_entry_fails_every_residual_gate(three_bus, certified, block):
     assert report.failures[0].startswith("residual nan exceeds")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_nan_block_is_named_as_the_worst(fixture_path):
+    # A stator inductance of 1e308 overflows the machine rows to NaN while
+    # the nodes block stays at rounding: the message names the NaN block,
+    # not the largest finite one.
+    doc = json.loads(fixture_path.read_text())
+    doc["machines"][0]["l_s"] = 1e308
+    sys_, spec = system_from_dict(doc)
+    report = verify_steady_state(sys_, compute_steady_state(sys_, spec))
+    worst = report.failures[0].split("(worst block: ")[1]
+    name, value = worst.rstrip(")").split(" = ")
+    assert value == "nan" and np.isnan(report.residual_blocks[name])
+    assert np.isfinite(report.residual_blocks["nodes"])
+
+
 def test_verify_flags_wrong_speed(three_bus, certified):
     sys_, _ = three_bus
     ss = certified

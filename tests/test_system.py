@@ -10,18 +10,19 @@ import gridstate.system
 from gridstate.errors import LoadDomainError, ValidationError
 from gridstate.fileio import load_system_file
 from gridstate.frame import as_complex, real_blocks
-from gridstate.identities import random_valid_params
+from gridstate.identities import random_valid_params, run_identity_suite
 from gridstate.loads import Load
 from gridstate.network import Network
-from gridstate.simulate import SimConfig, simulate
-from gridstate.steady_state import compute_steady_state
+from gridstate.simulate import SimConfig, drift_metrics, simulate
+from gridstate.steady_state import compute_steady_state, verify_steady_state
 from gridstate.system import (StateLayout, assemble, invariance_defect,
                               residual, steady_field, tolerance_scale,
                               total_energy, vector_field)
 
 from conftest import AnisotropicLoad, ring_mesh, sample_machine, slow_two_bus
 from oracles import (block_rotation_generator, bus_indicator,
-                     central_invariance_defect, custom_invariance_defect,
+                     central_invariance_defect, copy_loads_field,
+                     custom_invariance_defect,
                      dense_field_rows,
                      dense_incidence,
                      dense_network_field, electrical_torque,
@@ -293,7 +294,7 @@ def test_fused_field_rows_are_the_dense_linear_part(three_bus, case):
     # entry, the linear part written on the dense incidence, the impedance
     # loads' blocks included.
     sys_ = field_case(three_bus, case)
-    cols, values, starts = sys_.field_rows
+    cols, starts, _, values = sys_.linear_rows
     assert starts[0] == 0 and np.all(np.diff(starts) > 0)
     rows = np.repeat(np.arange(sys_.n_x), np.diff(starts, append=len(cols)))
     dense = np.zeros((sys_.n_x, sys_.n_x))
@@ -314,6 +315,42 @@ def test_vector_field_matches_dense_network_rows(three_bus, case, shape):
     want = dense_network_field(sys_, x, u)
     np.testing.assert_allclose(vector_field(sys_, x, u), want, rtol=0.0,
                                atol=1e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_vector_field_equals_its_loads_from_a_copy(three_bus, case, shape):
+    # The field evaluates its k > 0 and custom loads on the system's own
+    # bank, less the impedance loads its rows hold; the reference takes
+    # them from a copy of the system that holds only them. Bit for bit.
+    sys_ = field_case(three_bus, case)
+    rng = np.random.default_rng(47)
+    points = [random_point(sys_, rng) for _ in range(int(np.prod(shape)))]
+    x = np.reshape([p[0] for p in points], shape + (sys_.n_x,))
+    u = points[0][1]
+    np.testing.assert_array_equal(vector_field(sys_, x, u),
+                                  copy_loads_field(sys_, x, u))
+
+
+def test_no_system_is_built_after_assembly(fixture_path, monkeypatch):
+    # Certify, simulate, the drift check and the identity suite run on the
+    # assembled system itself: none of them builds another PowerSystem.
+    cases = [load_system_file(fixture_path),
+             ring_mesh(24, ("impedance", "current", "power"), seed=3)]
+    init, built = gridstate.system.PowerSystem.__init__, []
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(gridstate.system.PowerSystem, "__init__", counted)
+    for sys_, spec in cases:
+        ss = compute_steady_state(sys_, spec)
+        assert verify_steady_state(sys_, ss).certificate
+        traj = simulate(sys_, ss.x, ss.u, SimConfig(dt=1e-5, t_end=1e-4))
+        drift_metrics(sys_, traj, ss.x, ss.omega0)
+        run_identity_suite(sys_, n_samples=20, seed=0)
+    assert built == []
 
 
 def test_vector_field_runs_without_the_dense_incidence():
